@@ -1,11 +1,18 @@
 """Kernel contracts: exact reproducibility, branch safety, tie rules."""
 
+import shutil
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mambapress import kernels
+from mambapress.flops import FlopsModel, default_reduction_layers, solve_k
+from mambapress.model import ModelConfig, VisionModel, identity_plan
+from mambapress.ppm import synthetic_image
 
 
 def naive_matmul_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -237,12 +244,187 @@ class TestFlopCounter:
         assert counter.total == 0
 
     def test_inactive_by_default(self):
-        before = kernels._ACTIVE
+        before = kernels._ACTIVE.get()
         kernels.matmul(np.zeros((2, 2), np.float32), np.zeros((2, 2), np.float32))
-        assert kernels._ACTIVE is before is None
+        assert kernels._ACTIVE.get() is before is None
 
     def test_nesting_rejected(self):
         with kernels.count_flops():
             with pytest.raises(RuntimeError, match="already active"):
                 with kernels.count_flops():
                     pass
+
+    def test_counter_ignores_other_threads(self):
+        armed, release = threading.Event(), threading.Event()
+        totals = []
+
+        def counting():
+            with kernels.count_flops() as counter:
+                kernels.matmul(np.ones((2, 3), np.float32), np.ones((3, 4), np.float32))
+                armed.set()
+                release.wait(timeout=30)
+            totals.append(counter.total)
+
+        worker = threading.Thread(target=counting)
+        worker.start()
+        try:
+            assert armed.wait(timeout=30)
+            kernels.matmul(np.ones((5, 6), np.float32), np.ones((6, 7), np.float32))
+        finally:
+            release.set()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert totals == [2 * 2 * 3 * 4]
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Bitwise equal outside NaNs, NaNs in the same places (payloads may differ)."""
+    assert got.dtype == want.dtype == np.float32
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint32), want[~nan].view(np.uint32))
+
+
+def _special_values():
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((9, 7)).astype(np.float32)
+    b = rng.standard_normal((7, 70)).astype(np.float32)
+    a[0, 0] = np.inf
+    b[0, 10] = 0.0  # inf * 0 puts a NaN at [0, 10]
+    b[4, 5] = -np.inf
+    a[1, :] = -0.0
+    a[2, 3] = 1e-41  # denormal operand
+    a[3, :] = 1e-20
+    b[:, 9] = 3e-19  # products and sums in row 3, column 9 are denormal
+    b[2, 66] = -0.0
+    return a, b
+
+
+def _strided():
+    rng = np.random.default_rng(43)
+    a = rng.standard_normal((14, 30)).astype(np.float32)[::2, 1::3]
+    b = rng.standard_normal((21, 150)).astype(np.float32)[1::2, ::2]
+    return a, b
+
+
+def _transposed():
+    rng = np.random.default_rng(47)
+    a = rng.standard_normal((6, 5)).astype(np.float32)
+    return a, rng.standard_normal((83, 5)).astype(np.float32).T
+
+
+def _float64():
+    rng = np.random.default_rng(53)
+    return rng.standard_normal((5, 33)) * 1e3, rng.standard_normal((33, 17)) / 3
+
+
+BIT_CASES = {
+    "inf_denormal_negzero": _special_values,
+    "empty_m": lambda: (np.ones((0, 5), np.float32), np.ones((5, 3), np.float32)),
+    "empty_k": lambda: (np.ones((4, 0), np.float32), np.ones((0, 3), np.float32)),
+    "empty_p": lambda: (np.ones((4, 5), np.float32), np.ones((5, 0), np.float32)),
+    "transposed_b": _transposed,
+    "strided_slices": _strided,
+    "float64": _float64,
+}
+
+
+class TestCompiledMatmul:
+    """The compiled kernel keeps the bits of the scalar loop and the numpy fallback."""
+
+    def test_compiled_kernel_loads_where_gcc_exists(self):
+        if shutil.which("gcc") is None:
+            pytest.skip("no gcc on PATH: the numpy fallback is the kernel")
+        assert kernels._compiled_ltr() is not None
+
+    @pytest.mark.parametrize("shape", [(1, 1), (8, 128)])
+    def test_no_fused_multiply_add(self, shape):
+        # A fused a*b+c rounds once and leaves 2**-24 here; two roundings give 0.
+        m, p = shape
+        a = np.tile(np.array([[-(1 + 2**-11), 1 + 2**-12]], np.float32), (m, 1))
+        b = np.tile(np.array([[1], [1 + 2**-12]], np.float32), (1, p))
+        assert np.array_equal(kernels.matmul(a, b), np.zeros((m, p), np.float32))
+        assert np.array_equal(kernels._ltr_matmul_numpy(a, b), np.zeros((m, p), np.float32))
+
+    @pytest.mark.parametrize("case", sorted(BIT_CASES))
+    def test_matches_triple_loop_and_fallback(self, case):
+        a, b = BIT_CASES[case]()
+        a32, b32 = kernels.as_f32(a), kernels.as_f32(b)
+        with np.errstate(all="ignore"):
+            want = naive_matmul_f32(a32, b32)
+            assert_same_bits(kernels.matmul(a, b), want)
+            assert_same_bits(kernels._ltr_matmul_numpy(a32, b32), want)
+
+    def test_toy_logits_same_with_fallback(self, monkeypatch):
+        config = ModelConfig(image_size=224, patch_size=16, feat_dim=192, depth=24)
+        model = VisionModel.seeded(config, seed=0)
+        layers = default_reduction_layers(config.depth)
+        image = synthetic_image(config.image_size, seed=5)
+        plans = [identity_plan(layers), solve_k(FlopsModel.from_config(config), 0.4, layers)]
+        compiled = [model.forward(image, plan, collect_diagnostics=False)[0] for plan in plans]
+        monkeypatch.setattr(kernels, "_compiled_ltr", lambda: None)
+        for plan, logits in zip(plans, compiled):
+            fallback = model.forward(image, plan, collect_diagnostics=False)[0]
+            assert np.array_equal(logits.view(np.uint32), fallback.view(np.uint32))
+
+    def test_cold_cache_build(self, tmp_path):
+        if shutil.which("gcc") is None:
+            pytest.skip("no gcc on PATH")
+        cache = tmp_path / "cache"
+        kernel = kernels._build_ltr(cache, "gcc")
+        assert kernel is not None
+        (built,) = cache.iterdir()  # the library only: no temporary left behind
+        assert built.name.startswith("ltr_matmul-") and built.suffix == ".so"
+        stamp = built.stat().st_mtime_ns
+        assert kernels._build_ltr(cache, "gcc") is not None
+        assert [p.stat().st_mtime_ns for p in cache.iterdir()] == [stamp]
+
+        a, b = _special_values()
+        out = np.empty((a.shape[0], b.shape[1]), np.float32)
+        assert kernel(a, b, out, a.shape[0], a.shape[1], b.shape[1]) == 0
+        with np.errstate(all="ignore"):
+            assert_same_bits(out, naive_matmul_f32(a, b))
+
+    def test_missing_compiler_falls_back(self, tmp_path, monkeypatch):
+        assert kernels._build_ltr(tmp_path, str(tmp_path / "no-such-cc")) is None
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(kernels, "_ltr_compiled", None)
+        a, b = _strided()
+        assert np.array_equal(kernels.matmul(a, b), naive_matmul_f32(a, b))
+
+    def test_concurrent_first_use_builds_once(self, tmp_path, monkeypatch):
+        if shutil.which("gcc") is None:
+            pytest.skip("no gcc on PATH")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(kernels, "_ltr_compiled", kernels._UNLOADED)
+        builds = []
+        build = kernels._build_ltr
+
+        def counted_build(cache_dir, compiler):
+            builds.append(cache_dir)
+            return build(cache_dir, compiler)
+
+        monkeypatch.setattr(kernels, "_build_ltr", counted_build)
+        a, b = _strided()
+        want = naive_matmul_f32(a, b)
+        results = []
+
+        def use():
+            results.append(kernels.matmul(a, b))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=use) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert builds == [tmp_path / "mambapress"]
+        assert len(results) == 6
+        for out in results:
+            assert np.array_equal(out, want)
