@@ -15,9 +15,7 @@ from .reduction import (
     MergeMapping,
     Strategy,
     TokenSequence,
-    bipartite_merge,
     partition,
-    prune,
     reduce_layer,
     reorder,
 )
@@ -43,14 +41,12 @@ __all__ = [
     "Strategy",
     "TokenSequence",
     "VisionModel",
-    "bipartite_merge",
     "default_reduction_layers",
     "identity_plan",
     "load",
     "load_model",
     "mamba_block",
     "partition",
-    "prune",
     "reduce_layer",
     "reorder",
     "save",

@@ -15,6 +15,7 @@ identities.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -133,19 +134,23 @@ def load(path) -> Checkpoint:
     meta_len = r.u32("meta length")
     meta_bytes = r.take(meta_len, "meta JSON")
     try:
-        meta = json.loads(meta_bytes) if meta_len else {}
-    except json.JSONDecodeError as err:
-        raise FormatError(f"meta block is not valid JSON: {err}") from err
+        meta = json.loads(meta_bytes.decode("utf-8")) if meta_len else {}
+    except (ValueError, RecursionError) as err:  # bad UTF-8, bad JSON, nesting too deep
+        raise FormatError(f"meta block is not valid UTF-8 JSON: {err}") from err
 
     entries: dict[str, np.ndarray] = {}
     count = r.u32("entry count")
     for i in range(count):
         name_len = r.u16(f"entry {i} name length")
-        name = r.take(name_len, f"entry {i} name").decode("ascii", errors="strict")
+        raw_name = r.take(name_len, f"entry {i} name")
+        try:
+            name = raw_name.decode("ascii")
+        except UnicodeDecodeError as err:
+            raise FormatError(f"entry {i} name {raw_name!r} is not ASCII") from err
         ndim = r.u8(f"entry {name!r} ndim")
         shape = tuple(r.u32(f"entry {name!r} dim {d}") for d in range(ndim))
         payload_len = r.u64(f"entry {name!r} payload length")
-        expected = int(np.prod(shape, dtype=np.int64)) * 4 if ndim else 4
+        expected = math.prod(shape) * 4  # exact: a fixed-width product can wrap
         if payload_len != expected:
             raise ShapeMismatchError(
                 f"entry {name!r}: payload {payload_len} bytes does not match "
@@ -154,7 +159,10 @@ def load(path) -> Checkpoint:
         payload = r.take(payload_len, f"entry {name!r} payload")
         if name in entries:
             raise FormatError(f"duplicate entry name {name!r}")
-        arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
+        try:
+            arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
+        except ValueError as err:  # over 64 dims, or a zero dim beside huge ones
+            raise ShapeMismatchError(f"entry {name!r}: shape {shape} unusable: {err}") from err
         entries[name] = arr.astype(np.float32)  # owned, native-order copy
     if r.pos != len(data):
         raise FormatError(f"{len(data) - r.pos} trailing bytes after last entry")
@@ -206,6 +214,8 @@ def _take_entry(entries: dict[str, np.ndarray], name: str) -> np.ndarray:
 
 def checkpoint_to_model(ckpt: Checkpoint) -> VisionModel:
     """Rebuild a model; shapes are validated against the embedded config."""
+    if not isinstance(ckpt.meta, dict):
+        raise FormatError(f"checkpoint meta must be a JSON object, got {type(ckpt.meta).__name__}")
     try:
         config = ModelConfig.from_json(ckpt.meta)
     except (KeyError, TypeError, ValueError) as err:

@@ -18,7 +18,7 @@ from . import mask as mask_mod
 from . import ppm
 from .flops import FlopsModel, ReductionPlan, default_reduction_layers, solve_k
 from .importance import Indicator
-from .model import ModelConfig, NumericError, VisionModel, identity_plan
+from .model import ModelConfig, NumericError, VisionModel
 from .reduction import Strategy
 
 REPORT_SCHEMA_VERSION = 1
@@ -103,9 +103,6 @@ def _load_input(args: argparse.Namespace, config: ModelConfig) -> np.ndarray:
 def _build_plan(config: ModelConfig, target: float, strategy: Strategy, layers) -> ReductionPlan:
     if layers is None:
         layers = default_reduction_layers(config.depth)
-    if target == 0.0:
-        plan = identity_plan(layers)
-        return ReductionPlan(plan.reduce_at_layers, 0.0, strategy, 0.0, 0.0)
     return solve_k(FlopsModel.from_config(config), target, layers, strategy)
 
 

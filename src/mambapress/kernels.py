@@ -2,10 +2,10 @@
 
 All kernels take and return row-major float32 ndarrays and never mutate
 their inputs unless an explicit ``out=`` buffer is passed. The reductions
-that feed bit-reproducibility contracts (:func:`matmul`,
-:func:`cosine_similarity`, :func:`cosine_matrix`) accumulate strictly left
-to right in float32, so an independently written scalar loop produces the
-exact same bits. BLAS is free to reassociate sums, so it is not used.
+that feed bit-reproducibility contracts (:func:`matmul` and
+:func:`cosine_matrix`) accumulate strictly left to right in float32, so an
+independently written scalar loop produces the exact same bits. BLAS is
+free to reassociate sums, so it is not used.
 
 The left-to-right matmul is a small C kernel (:data:`_LTR_SOURCE`). On first
 use it is compiled with the local ``gcc`` (``-O3 -march=native
@@ -385,36 +385,12 @@ def causal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ltr_dot(a: np.ndarray, b: np.ndarray) -> np.float32:
-    # cumsum accumulates strictly left to right, matching matmul's K order.
-    prod = a * b
-    if prod.size == 0:
-        return F32(0.0)
-    return np.cumsum(prod, dtype=np.float32)[-1]
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors; 0 if either norm < 1e-12.
-
-    Accumulates left to right in float32, bit-identical to the matching
-    entry of :func:`cosine_matrix`.
-    """
-    a = as_f32(a)
-    b = as_f32(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"cosine_similarity shape mismatch: {a.shape} vs {b.shape}")
-    na = np.sqrt(_ltr_dot(a, a))
-    nb = np.sqrt(_ltr_dot(b, b))
-    if na < NORM_FLOOR or nb < NORM_FLOOR:
-        return 0.0
-    dot = _ltr_dot(a, b)
-    return float(F32(dot / F32(na * nb)))
-
-
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All-pairs cosine similarity of the rows of a (M, K) and b (P, K).
 
-    Entry [i, j] is bitwise equal to cosine_similarity(a[i], b[j]).
+    Each entry is 0 where either row's norm is below 1e-12. Norms and dot
+    products accumulate left to right in float32, so entry [i, j] is
+    bitwise equal to a scalar loop over a[i] and b[j].
     """
     a = as_f32(a)
     b = as_f32(b)

@@ -42,14 +42,17 @@ class ModelConfig:
     class_count: int = 10
 
     def __post_init__(self) -> None:
+        # Configs also arrive as checkpoint meta, so field types are not trusted.
+        sizes = ["image_size", "patch_size", "feat_dim", "depth", "channels", "expand",
+                 "state_dim", "class_count"] + ([] if self.delta_rank is None else ["delta_rank"])
+        for name in sizes:
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.image_size % self.patch_size != 0:
             raise ValueError(
                 f"image size {self.image_size} not divisible by patch size {self.patch_size}"
             )
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.expand < 1:
-            raise ValueError("expansion factor must be >= 1")
         if self.cls_position not in CLS_POSITIONS:
             raise ValueError(f"cls_position must be one of {CLS_POSITIONS}")
 

@@ -53,6 +53,8 @@ def read_ppm(path) -> np.ndarray:
         width, height, maxval = (int(f) for f in fields[1:])
     except ValueError as err:
         raise PpmError(f"{path}: non-numeric PPM header") from err
+    if width < 1 or height < 1:
+        raise PpmError(f"{path}: width and height must be positive, got {width}x{height}")
     if maxval != 255:
         raise PpmError(f"{path}: only maxval 255 supported, got {maxval}")
     pixels = data[end + 1 :]  # single whitespace byte after maxval

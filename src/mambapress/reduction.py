@@ -2,10 +2,12 @@
 
 Tokens are ranked by importance and split into three groups: the top
 ``floor(k * L_r)`` are kept untouched, the bottom ``floor(k * L_r)``
-("source") are absorbed into the middle ("target") group by bipartite
-soft matching, and the survivors are re-sorted by original sequence
-position. The scan downstream is order-sensitive, so the final reorder is
-load-bearing, not cosmetic.
+("source") are pruned or absorbed into the middle ("target") group by
+bipartite soft matching, and the survivors are re-sorted by original
+sequence position. The scan downstream is order-sensitive, so the final
+reorder is load-bearing, not cosmetic. Every strategy takes the same path
+through :func:`apply_merge`; the strategy only sets how many sources are
+pruned rather than merged.
 
 Merging tracks a per-row multiplicity weight so that repeated reductions
 keep producing means over *original* tokens rather than means of means.
@@ -14,6 +16,7 @@ keep producing means over *original* tokens rather than means of means.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -158,26 +161,32 @@ def match_sources(seq: TokenSequence, part: GroupPartition) -> MergeMapping:
     return MergeMapping(edges)
 
 
-def _assemble(
+def apply_merge(
     seq: TokenSequence,
-    mapping: MergeMapping | None,
-    drop_rows: set[int],
-    weighted: bool,
+    mapping: MergeMapping,
+    weighted: bool = True,
+    pruned_rows: Iterable[int] = (),
 ) -> TokenSequence:
-    """Rebuild the sequence with drop_rows removed and merge groups folded
-    into their targets. Rows not involved are copied bitwise."""
+    """Drop the mapped sources and ``pruned_rows``; fold each source into its target.
+
+    The merged feature is the multiplicity-weighted mean of the target and
+    its sources (plain mean with ``weighted=False``); the merged weight is
+    the participants' weight sum; the target keeps its original index.
+    Rows not involved are copied bitwise.
+    """
+    pruned = {int(r) for r in pruned_rows}
+    drop_rows = {s for s, _ in mapping.edges} | pruned
     groups: dict[int, list[int]] = {}
-    if mapping is not None:
-        seen: set[int] = set()
-        for s_row, t_row in mapping.edges:
-            if s_row in seen:
-                raise ValueError(f"corrupt mapping: source row {s_row} merged twice")
-            seen.add(s_row)
-            if t_row in drop_rows:
-                raise ValueError(f"corrupt mapping: target row {t_row} is being dropped")
-            groups.setdefault(t_row, []).append(s_row)
-        if not seen <= drop_rows:
-            raise ValueError("corrupt mapping: merged sources must be dropped rows")
+    seen: set[int] = set()
+    for s_row, t_row in mapping.edges:
+        if s_row in seen:
+            raise ValueError(f"corrupt mapping: source row {s_row} merged twice")
+        seen.add(s_row)
+        if s_row in pruned:
+            raise ValueError(f"corrupt mapping: merged source row {s_row} is also pruned")
+        if t_row in drop_rows:
+            raise ValueError(f"corrupt mapping: target row {t_row} is being dropped")
+        groups.setdefault(t_row, []).append(s_row)
 
     survivors = [r for r in range(len(seq)) if r not in drop_rows]
     new_row = {r: i for i, r in enumerate(survivors)}
@@ -199,56 +208,6 @@ def _assemble(
     return TokenSequence(features, orig, weight, seq.cls_orig)
 
 
-def apply_merge(
-    seq: TokenSequence, mapping: MergeMapping, weighted: bool = True
-) -> TokenSequence:
-    """Fold each mapped source into its target and drop the source rows.
-
-    The merged feature is the multiplicity-weighted mean of the target and
-    its sources (plain mean with ``weighted=False``); the merged weight is
-    the participants' weight sum; the target keeps its original index.
-    """
-    return _assemble(seq, mapping, {s for s, _ in mapping.edges}, weighted)
-
-
-def bipartite_merge(
-    seq: TokenSequence, part: GroupPartition, weighted: bool = True
-) -> tuple[TokenSequence, MergeMapping]:
-    """Match sources to targets, then merge them in."""
-    mapping = match_sources(seq, part)
-    return apply_merge(seq, mapping, weighted), mapping
-
-
-def prune(seq: TokenSequence, part: GroupPartition) -> TokenSequence:
-    """Drop the source rows; every other row is copied unchanged."""
-    return _assemble(seq, None, set(int(r) for r in part.source_idx), True)
-
-
-def _hybrid_pieces(
-    seq: TokenSequence, part: GroupPartition, prune_fraction: float, weighted: bool
-) -> tuple[TokenSequence, MergeMapping, np.ndarray]:
-    if not 0.0 <= prune_fraction <= 1.0:
-        raise ValueError(f"prune fraction must lie in [0, 1], got {prune_fraction}")
-    src = np.asarray(part.source_idx, dtype=np.int64)
-    n_prune = int(math.floor(prune_fraction * len(src)))
-    merge_src = src[: len(src) - n_prune]  # source_idx is score-descending
-    pruned = src[len(src) - n_prune :]
-    mapping = match_sources(seq, GroupPartition(part.keep_idx, part.target_idx, merge_src))
-    out = _assemble(seq, mapping, set(int(r) for r in src), weighted)
-    return out, mapping, pruned
-
-
-def hybrid(
-    seq: TokenSequence,
-    part: GroupPartition,
-    prune_fraction: float = 0.5,
-    weighted: bool = True,
-) -> TokenSequence:
-    """Prune the lower-scored floor(fraction * |source|) sources, merge the rest."""
-    out, _, _ = _hybrid_pieces(seq, part, prune_fraction, weighted)
-    return out
-
-
 def reorder(seq: TokenSequence) -> TokenSequence:
     """Sort rows ascending by original index; features untouched."""
     orig = seq.orig_index
@@ -267,15 +226,23 @@ def reduce_layer(
     strategy: Strategy,
     weighted: bool = True,
 ) -> tuple[TokenSequence, ReductionRecord]:
-    """One full reduction: partition -> strategy -> reorder.
+    """One full reduction: partition -> prune and merge -> reorder.
 
-    The classification token never joins a group and survives at its
-    original position. With k = 0 the output is bitwise identical to the
-    input (rows are expected in original-index order, as every block
-    input is).
+    The strategy only sets how many of the lowest-scored sources are pruned
+    outright: none for MERGE, all for PRUNE, half (rounded down) for HYBRID.
+    The rest are matched to targets and merged. The classification token
+    never joins a group and survives at its original position. With k = 0
+    the output is bitwise identical to the input (rows are expected in
+    original-index order, as every block input is).
     """
     strategy = Strategy(strategy)
     part = partition(scores, k, seq.cls_row)
+    src = part.source_idx  # score-descending, so pruning takes the tail
+    n_pruned = {Strategy.MERGE: 0, Strategy.PRUNE: len(src), Strategy.HYBRID: len(src) // 2}
+    n_merged = len(src) - n_pruned[strategy]
+    merge_src, pruned = src[:n_merged], src[n_merged:]
+    mapping = match_sources(seq, GroupPartition(part.keep_idx, part.target_idx, merge_src))
+    out = apply_merge(seq, mapping, weighted, pruned)
     orig = seq.orig_index
     record = ReductionRecord(
         k=k,
@@ -283,19 +250,8 @@ def reduce_layer(
         group_count=len(part.keep_idx),
         kept_orig=[int(i) for i in orig[part.keep_idx]],
         target_orig=[int(i) for i in orig[part.target_idx]],
+        merged_orig=[int(orig[s]) for s, _ in mapping.edges],
+        pruned_orig=[int(i) for i in orig[pruned]],
+        edges_orig=[(int(orig[s]), int(orig[t])) for s, t in mapping.edges],
     )
-
-    if strategy is Strategy.MERGE:
-        out, mapping = bipartite_merge(seq, part, weighted)
-        record.merged_orig = [int(i) for i in orig[part.source_idx]]
-        record.edges_orig = [(int(orig[s]), int(orig[t])) for s, t in mapping.edges]
-    elif strategy is Strategy.PRUNE:
-        out = prune(seq, part)
-        record.pruned_orig = [int(i) for i in orig[part.source_idx]]
-    else:
-        out, mapping, pruned = _hybrid_pieces(seq, part, 0.5, weighted)
-        record.merged_orig = [int(orig[s]) for s, _ in mapping.edges]
-        record.pruned_orig = [int(i) for i in orig[pruned]]
-        record.edges_orig = [(int(orig[s]), int(orig[t])) for s, t in mapping.edges]
-
     return reorder(out), record

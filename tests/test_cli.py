@@ -1,6 +1,7 @@
 """CLI surface: exit codes, report schema, CSV shape, mask rendering, PPM."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -63,6 +64,51 @@ class TestPpm:
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
         with pytest.raises(PpmError, match="pixel bytes"):
             read_ppm(path)
+
+    @pytest.mark.parametrize("size", [b"-2 2", b"2 -2", b"0 2", b"2 0"])
+    def test_rejects_non_positive_size(self, tmp_path, size):
+        path = tmp_path / "size.ppm"
+        path.write_bytes(b"P6\n" + size + b"\n255\n" + bytes(12))
+        with pytest.raises(PpmError, match="must be positive"):
+            read_ppm(path)
+
+
+def crafted_checkpoint(meta: bytes = b"", name: bytes = b"w", dims=(1,), payload_len=None) -> bytes:
+    """One-entry container bytes with every field under the caller's control."""
+    payload = bytes(4)
+    entry = struct.pack("<H", len(name)) + name + struct.pack("<B", len(dims))
+    entry += b"".join(struct.pack("<I", d) for d in dims)
+    entry += struct.pack("<Q", len(payload) if payload_len is None else payload_len) + payload
+    header = b"MTRC" + struct.pack("<II", 1, len(meta)) + meta
+    return header + struct.pack("<I", 1) + entry
+
+
+class TestCraftedCheckpoints:
+    """Malformed containers fail as I/O errors (exit 3), never as flag errors."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # 65536**4 wraps a 64-bit product to 0, matching a 0-byte payload.
+            crafted_checkpoint(dims=(65536,) * 4, payload_len=0),
+            crafted_checkpoint(name=b"w\xe9"),
+            crafted_checkpoint(meta=b'{"a": "\xff"}'),
+            crafted_checkpoint(meta=b"[" * 200000),
+            crafted_checkpoint(dims=(0,) + (2**32 - 1,) * 3, payload_len=0),
+            crafted_checkpoint(dims=(1,) * 65),
+            crafted_checkpoint(meta=b"[1, 2]"),
+            crafted_checkpoint(meta=b'{"depth": 2, "feat_dim": 8, "image_size": 8, "patch_size": 0}'),
+            crafted_checkpoint(meta=b'{"depth": 2.5, "feat_dim": 8, "image_size": 8, "patch_size": 4}'),
+        ],
+        ids=["dims_wrap_int64", "non_ascii_name", "meta_not_utf8", "meta_deep_nesting",
+             "zero_dim_beside_huge", "more_than_64_dims", "meta_not_an_object",
+             "config_patch_size_zero", "config_depth_not_int"],
+    )
+    def test_run_exits_3(self, capsys, tmp_path, data):
+        path = tmp_path / "crafted.bin"
+        path.write_bytes(data)
+        assert cli.main(["run", "--ckpt", str(path)]) == 3
+        assert "error" in capsys.readouterr().err
 
 
 class TestRenderMask:

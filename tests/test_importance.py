@@ -12,6 +12,7 @@ from mambapress.importance import (
     score_projection,
 )
 from mambapress.ssm import ScanTrace
+from tests import oracles
 
 
 def trace_with_delta(delta: np.ndarray) -> ScanTrace:
@@ -150,7 +151,7 @@ class TestScoreClsSimilarity:
         for t in range(8):
             if t == 3:
                 continue
-            assert out.scores[t] == np.float32(kernels.cosine_similarity(x[3], x[t]))
+            assert out.scores[t] == np.float32(oracles.cosine_similarity(x[3], x[t]))
 
     def test_bad_index(self):
         with pytest.raises(IndexError, match="out of range"):

@@ -5,28 +5,31 @@ import math
 import numpy as np
 import pytest
 
-from mambapress import kernels
 from mambapress.reduction import (
     GroupPartition,
     MergeMapping,
     Strategy,
     TokenSequence,
     apply_merge,
-    bipartite_merge,
     group_size,
-    hybrid,
     match_sources,
     partition,
-    prune,
     reduce_layer,
     reorder,
 )
+from tests import oracles
 
 
 def make_seq(rng, length, dim=4, cls_orig=None, weights=None) -> TokenSequence:
     feats = rng.standard_normal((length, dim)).astype(np.float32)
     weight = np.ones(length, dtype=np.int64) if weights is None else np.asarray(weights)
     return TokenSequence(feats, np.arange(length, dtype=np.int64), weight, cls_orig)
+
+
+def match_and_merge(seq, part, weighted=True):
+    """Bipartite soft matching followed by the merge, as reduce_layer runs them."""
+    mapping = match_sources(seq, part)
+    return apply_merge(seq, mapping, weighted), mapping
 
 
 class TestPartition:
@@ -90,7 +93,7 @@ class TestMatchAndMerge:
             target_idx=np.array([1, 2], dtype=np.int64),
             source_idx=np.array([0], dtype=np.int64),
         )
-        out, mapping = bipartite_merge(seq, part)
+        out, mapping = match_and_merge(seq, part)
         assert mapping.edges == [(0, 1)]
         merged_row = np.nonzero(out.orig_index == 1)[0][0]
         assert np.allclose(out.features[merged_row], [1.0, 0.05], atol=1e-6)
@@ -104,7 +107,7 @@ class TestMatchAndMerge:
             target_idx=np.array([0], dtype=np.int64),
             source_idx=np.array([1], dtype=np.int64),
         )
-        out, _ = bipartite_merge(seq, part)
+        out, _ = match_and_merge(seq, part)
         assert np.array_equal(out.features[0], v)
 
     def test_two_sources_one_target(self):
@@ -117,7 +120,7 @@ class TestMatchAndMerge:
             target_idx=np.array([0, 3], dtype=np.int64),
             source_idx=np.array([1, 2], dtype=np.int64),
         )
-        out, mapping = bipartite_merge(seq, part)
+        out, mapping = match_and_merge(seq, part)
         assert sorted(mapping.edges) == [(1, 0), (2, 0)]
         row = np.nonzero(out.orig_index == 0)[0][0]
         assert np.allclose(out.features[row], feats[[0, 1, 2]].mean(axis=0), atol=1e-6)
@@ -138,7 +141,7 @@ class TestMatchAndMerge:
             for s_row, t_row in mapping.edges:
                 best_sim, best_t = None, None
                 for t in part.target_idx:
-                    sim = kernels.cosine_similarity(seq.features[s_row], seq.features[t])
+                    sim = oracles.cosine_similarity(seq.features[s_row], seq.features[t])
                     better = best_sim is None or sim > best_sim
                     tie_win = (
                         sim == best_sim and seq.orig_index[t] < seq.orig_index[best_t]
@@ -197,8 +200,7 @@ class TestMatchAndMerge:
 class TestPruneAndHybrid:
     def test_prune_no_sources_is_identity(self):
         seq = make_seq(np.random.default_rng(4), 6)
-        part = partition(np.arange(6, dtype=np.float32), 0.0)
-        out = prune(seq, part)
+        out, _ = reduce_layer(seq, np.arange(6, dtype=np.float32), 0.0, Strategy.PRUNE)
         assert np.array_equal(out.features, seq.features)
         assert np.array_equal(out.orig_index, seq.orig_index)
 
@@ -206,8 +208,7 @@ class TestPruneAndHybrid:
         rng = np.random.default_rng(5)
         seq = make_seq(rng, 6)
         scores = np.array([0.9, 0.1, 0.8, 0.05, 0.7, 0.6], dtype=np.float32)
-        part = partition(scores, 1 / 3)
-        out = prune(seq, part)
+        out, _ = reduce_layer(seq, scores, 1 / 3, Strategy.PRUNE)
         assert len(out) == 4
         assert set(out.orig_index) == {0, 2, 4, 5}
 
@@ -216,9 +217,10 @@ class TestPruneAndHybrid:
         for _ in range(20):
             n = int(rng.integers(5, 30))
             seq = make_seq(rng, n)
-            part = partition(rng.standard_normal(n).astype(np.float32), 0.3)
-            pruned = prune(seq, part)
-            merged, _ = bipartite_merge(seq, part)
+            scores = rng.standard_normal(n).astype(np.float32)
+            part = partition(scores, 0.3)
+            pruned, _ = reduce_layer(seq, scores, 0.3, Strategy.PRUNE)
+            merged, _ = reduce_layer(seq, scores, 0.3, Strategy.MERGE)
             keep_and_cls = sorted(set(int(i) for i in part.keep_idx))
             for row in keep_and_cls:
                 orig = seq.orig_index[row]
@@ -229,16 +231,14 @@ class TestPruneAndHybrid:
 
     def test_hybrid_empty_source_is_identity(self):
         seq = make_seq(np.random.default_rng(7), 5)
-        part = partition(np.arange(5, dtype=np.float32), 0.0)
-        out = hybrid(seq, part)
+        out, _ = reduce_layer(seq, np.arange(5, dtype=np.float32), 0.0, Strategy.HYBRID)
         assert np.array_equal(out.features, seq.features)
 
     def test_hybrid_single_source_merges(self):
         rng = np.random.default_rng(8)
         seq = make_seq(rng, 5)
         scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0], dtype=np.float32)
-        part = partition(scores, 0.2)  # one keep, one source
-        out = hybrid(seq, part)
+        out, _ = reduce_layer(seq, scores, 0.2, Strategy.HYBRID)  # one keep, one source
         assert len(out) == 4
         assert out.weight.sum() == 5  # floor(0.5*1)=0 pruned, so mass conserved
 
@@ -248,10 +248,38 @@ class TestPruneAndHybrid:
         scores = np.linspace(1.0, 0.0, 12).astype(np.float32)
         part = partition(scores, 1 / 3)
         assert len(part.source_idx) == 4
-        out = hybrid(seq, part)
+        out, _ = reduce_layer(seq, scores, 1 / 3, Strategy.HYBRID)
         assert len(out) == 8
         # Two lowest-scored pruned (weight lost), two merged (weight kept).
         assert out.weight.sum() == 10
+
+
+class TestApplyMergeRejectsCorruptMappings:
+    def seq(self):
+        return make_seq(np.random.default_rng(20), 5)
+
+    def test_pruned_rows_dropped_and_others_copied(self):
+        seq = self.seq()
+        out = apply_merge(seq, MergeMapping([(1, 0)]), pruned_rows=[3])
+        assert list(out.orig_index) == [0, 2, 4]
+        assert np.array_equal(out.features[1:], seq.features[[2, 4]])
+        assert list(out.weight) == [2, 1, 1]
+
+    def test_source_listed_twice(self):
+        with pytest.raises(ValueError, match="source row 1 merged twice"):
+            apply_merge(self.seq(), MergeMapping([(1, 0), (1, 2)]))
+
+    def test_target_is_a_merged_source(self):
+        with pytest.raises(ValueError, match="target row 1 is being dropped"):
+            apply_merge(self.seq(), MergeMapping([(1, 0), (2, 1)]))
+
+    def test_target_in_pruned_rows(self):
+        with pytest.raises(ValueError, match="target row 0 is being dropped"):
+            apply_merge(self.seq(), MergeMapping([(1, 0)]), pruned_rows=[0])
+
+    def test_source_also_in_pruned_rows(self):
+        with pytest.raises(ValueError, match="merged source row 1 is also pruned"):
+            apply_merge(self.seq(), MergeMapping([(1, 0)]), pruned_rows=[1, 3])
 
 
 class TestReorder:
