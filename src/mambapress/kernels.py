@@ -7,17 +7,25 @@ that feed bit-reproducibility contracts (:func:`matmul` and
 independently written scalar loop produces the exact same bits. BLAS is
 free to reassociate sums, so it is not used.
 
-The left-to-right matmul is a small C kernel (:data:`_LTR_SOURCE`). On first
-use it is compiled with the local ``gcc`` (``-O3 -march=native
+Two kernels are C code in one small library (:data:`_LTR_SOURCE`). On
+first use it is compiled with the local ``gcc`` (``-O3 -march=native
 -ffp-contract=off``, no fast-math), cached under
 ``$XDG_CACHE_HOME/mambapress`` (default ``~/.cache/mambapress``) and loaded
-through :mod:`ctypes`. The kernel tiles rows and columns only: every output
-element still adds k = 0..K-1 in order, a float32 product and then a float32
-add, never a fused multiply-add. Where no compiler or cached library is
-available, :func:`_ltr_matmul_numpy` does the same arithmetic as a numpy loop
-over K. Both give the bits of the scalar triple loop, except that a NaN
-output may carry a different payload or sign; where NaNs appear does not
-change.
+through :mod:`ctypes`; where no compiler or cached library is available,
+each kernel runs the same arithmetic as a numpy loop. Both paths give the
+same bits, except that a NaN output may carry a different payload or sign;
+where NaNs appear does not change.
+
+- ``ltr_matmul`` (:func:`matmul`) tiles rows and columns only: every output
+  element still adds k = 0..K-1 in order, a float32 product and then a
+  float32 add, never a fused multiply-add, so it matches the scalar triple
+  loop. Fallback: :func:`_ltr_matmul_numpy`, a numpy loop over K.
+- ``ssm_scan`` (:func:`ssm_scan`) is the selective-scan recurrence. Per
+  token and channel it rounds h = abar*h, then h + dx*b, as separate
+  float32 operations, and reads out sum(h*c) over the state in numpy's
+  pairwise order for a contiguous float32 sum, so it matches
+  :func:`rowdot`. Fallback: :func:`_ssm_scan_numpy`, a numpy loop over
+  tokens. The decays themselves come from ``np.exp``, which stays in numpy.
 
 A lightweight FLOP counter can be armed with :func:`count_flops`; while it
 is active every kernel called from the same thread or task tallies its cost
@@ -172,6 +180,61 @@ int ltr_matmul(const float *a, const float *b, float *c,
     }
     return 0;
 }
+
+typedef float v8 __attribute__((vector_size(8 * sizeof(float))));
+typedef float v8u __attribute__((vector_size(8 * sizeof(float)), aligned(sizeof(float))));
+
+/* sum_j h[j]*c[j] in numpy's pairwise order for a contiguous float32 sum:
+   under 8 terms in sequence; up to 128 in 8 accumulators combined as
+   ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in sequence; above
+   128 halved at a multiple of 8. Each product is rounded before its add. */
+static float
+readout(const float *h, const float *c, ptrdiff_t n)
+{
+    float s = -0.0f;
+    ptrdiff_t i = 0;
+    if (n < 8) {
+        for (; i < n; i++)
+            s += h[i] * c[i];
+        return s;
+    }
+    if (n <= 128) {
+        v8 r = *(const v8u *)h * *(const v8u *)c;
+        for (i = 8; i < n - n % 8; i += 8)
+            r += *(const v8u *)(h + i) * *(const v8u *)(c + i);
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            s += h[i] * c[i];
+        return s;
+    }
+    ptrdiff_t half = n / 2;
+    half -= half % 8;
+    return readout(h, c, half) + readout(h + half, c + half, n - half);
+}
+
+/* The selective-scan recurrence over len tokens, e channels, n states.
+   Per token t and channel i: h = abar*h, then h = h + dx*b, then
+   y = 0 + readout(h, c). h (e x n) holds the initial state and is updated
+   in place; hidden (len x e x n) receives every state, unless NULL. */
+void ssm_scan(const float *abar, const float *dx, const float *b, const float *c,
+              float *h, float *y, float *hidden, ptrdiff_t len, ptrdiff_t e, ptrdiff_t n)
+{
+    for (ptrdiff_t t = 0; t < len; t++) {
+        const float *bt = b + t * n, *ct = c + t * n;
+        for (ptrdiff_t i = 0; i < e; i++) {
+            const float *at = abar + (t * e + i) * n;
+            const float d = dx[t * e + i];
+            float *hi = h + i * n;
+            for (ptrdiff_t j = 0; j < n; j++) {
+                float decayed = at[j] * hi[j];
+                hi[j] = decayed + d * bt[j];
+            }
+            y[t * e + i] = 0.0f + readout(hi, ct, n);
+        }
+        if (hidden != NULL)
+            memcpy(hidden + t * e * n, h, (size_t)(e * n) * sizeof(float));
+    }
+}
 """
 
 # -ffp-contract=off keeps every product and add separately rounded; the
@@ -179,6 +242,7 @@ int ltr_matmul(const float *a, const float *b, float *c,
 _LTR_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 _MATRIX = np.ctypeslib.ndpointer(np.float32, ndim=2, flags="C_CONTIGUOUS")
+_TENSOR3 = np.ctypeslib.ndpointer(np.float32, ndim=3, flags="C_CONTIGUOUS")
 
 
 def _cpu_flags() -> str:
@@ -194,7 +258,9 @@ def _cpu_flags() -> str:
 
 
 def _build_ltr(cache_dir: Path, compiler: str):
-    """Compile (or reuse) the C matmul in ``cache_dir``; ``None`` on failure.
+    """Compile (or reuse) the C kernels in ``cache_dir``; ``None`` on failure.
+
+    Returns the loaded library with ``ltr_matmul`` and ``ssm_scan`` typed.
 
     The library is named by a hash of the source, the flags, the compiler
     version and the CPU flags. It is compiled to a temporary file and
@@ -227,10 +293,14 @@ def _build_ltr(cache_dir: Path, compiler: str):
         lib = ctypes.CDLL(str(lib_path))
     except (OSError, subprocess.SubprocessError):
         return None
-    fn = lib.ltr_matmul
-    fn.argtypes = [_MATRIX, _MATRIX, _MATRIX, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_ssize_t]
-    fn.restype = ctypes.c_int
-    return fn
+    size = ctypes.c_ssize_t
+    lib.ltr_matmul.argtypes = [_MATRIX, _MATRIX, _MATRIX, size, size, size]
+    lib.ltr_matmul.restype = ctypes.c_int
+    # hidden is a raw pointer so that NULL can say "no trajectory".
+    lib.ssm_scan.argtypes = [_TENSOR3, _MATRIX, _MATRIX, _MATRIX, _MATRIX, _MATRIX,
+                             ctypes.c_void_p, size, size, size]
+    lib.ssm_scan.restype = None
+    return lib
 
 
 _UNLOADED = object()
@@ -239,7 +309,7 @@ _ltr_lock = threading.Lock()
 
 
 def _compiled_ltr():
-    """The compiled kernel, built or loaded on first call; ``None`` if unavailable."""
+    """The compiled library, built or loaded on first call; ``None`` if unavailable."""
     global _ltr_compiled
     if _ltr_compiled is _UNLOADED:
         with _ltr_lock:
@@ -263,8 +333,8 @@ def _ltr_matmul_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _ltr_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    kernel = _compiled_ltr()
-    if kernel is None:
+    lib = _compiled_ltr()
+    if lib is None:
         return _ltr_matmul_numpy(a, b)
     a = np.ascontiguousarray(a, dtype=np.float32)
     b = np.ascontiguousarray(b, dtype=np.float32)
@@ -273,7 +343,7 @@ def _ltr_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out = np.empty((m, p), dtype=np.float32)
     # ctypes releases the GIL for the call; a, b and out stay referenced here.
-    if out.size and kernel(a, b, out, m, k, p) != 0:
+    if out.size and lib.ltr_matmul(a, b, out, m, k, p) != 0:
         raise MemoryError("ltr_matmul could not allocate its tail panel")
     return out
 
@@ -293,6 +363,55 @@ def matmul(a, b) -> np.ndarray:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     _tally("matmul", 2 * a.shape[0] * a.shape[1] * b.shape[1])
     return _ltr_matmul(a, b)
+
+
+def _ssm_scan_numpy(abar, dx, b, c, hidden):
+    length, e, n = abar.shape
+    h = np.zeros((e, n), dtype=np.float32)
+    y = np.empty((length, e), dtype=np.float32)
+    dxb = dx[:, :, None] * b[:, None, :]
+    for t in range(length):
+        np.multiply(abar[t], h, out=h)
+        np.add(h, dxb[t], out=h)
+        y[t] = (h * c[t]).sum(axis=1, dtype=np.float32)
+        if hidden is not None:
+            hidden[t] = h
+    return y
+
+
+def ssm_scan(abar, dx, b, c, collect_hidden: bool = False):
+    """The selective-scan recurrence from a zero state.
+
+    ``abar`` (L, E, N) holds the per-token decays, ``dx`` (L, E) the
+    timescale-scaled inputs, ``b`` and ``c`` (L, N) the per-token input and
+    readout vectors. Per token t: h = abar[t] * h, then h = h + dx[t, :, None]
+    * b[t], each a separately rounded float32 product or add, and
+    y[t] = rowdot(h, c[t]). Returns y (L, E) and, with ``collect_hidden``,
+    every state (L, E, N), else ``None``. Cost: multiply 2*L*E*N (decay and
+    input outer product), add L*E*N, rowdot 2*L*E*N.
+    """
+    abar, dx, b, c = (np.ascontiguousarray(v, dtype=np.float32) for v in (abar, dx, b, c))
+    if abar.ndim != 3:
+        raise ValueError(f"ssm_scan expects (L, E, N) decays, got {abar.shape}")
+    length, e, n = abar.shape
+    if dx.shape != (length, e) or b.shape != (length, n) or c.shape != (length, n):
+        raise ValueError(
+            f"ssm_scan shape mismatch: abar {abar.shape}, dx {dx.shape}, "
+            f"b {b.shape}, c {c.shape}"
+        )
+    _tally("multiply", 2 * abar.size)
+    _tally("add", abar.size)
+    _tally("rowdot", 2 * abar.size)
+    hidden = np.empty(abar.shape, dtype=np.float32) if collect_hidden else None
+    lib = _compiled_ltr()
+    if lib is None:
+        return _ssm_scan_numpy(abar, dx, b, c, hidden), hidden
+    h = np.zeros((e, n), dtype=np.float32)
+    y = np.empty((length, e), dtype=np.float32)
+    # ctypes releases the GIL for the call; every buffer stays referenced here.
+    lib.ssm_scan(abar, dx, b, c, h, y, None if hidden is None else hidden.ctypes.data,
+                 length, e, n)
+    return y, hidden
 
 
 def softplus(x) -> np.ndarray:
@@ -318,10 +437,10 @@ def silu(x) -> np.ndarray:
         return x / (F32(1.0) + np.exp(-x))
 
 
-def exp(x) -> np.ndarray:
+def exp(x, out: np.ndarray | None = None) -> np.ndarray:
     x = as_f32(x)
     _tally("exp", x.size)
-    return np.exp(x)
+    return np.exp(x, out=out)
 
 
 def add(a, b, out: np.ndarray | None = None) -> np.ndarray:

@@ -25,7 +25,7 @@ CLS_POSITIONS = ("middle", "front", "none")
 
 
 class NumericError(RuntimeError):
-    """Raised when a forward pass produces non-finite activations."""
+    """Raised when a forward pass produces non-finite activations or logits."""
 
 
 @dataclass(frozen=True)
@@ -313,6 +313,8 @@ class VisionModel:
         logits = kernels.add(
             kernels.matmul(normed, self.params.head_w)[0], self.params.head_b
         )
+        if not np.all(np.isfinite(logits)):
+            raise NumericError("non-finite logits in the classification head")
         return logits, diag
 
 

@@ -150,15 +150,15 @@ def match_sources(seq: TokenSequence, part: GroupPartition) -> MergeMapping:
         return MergeMapping([])
     if len(tgt) == 0:
         raise ValueError("invalid partition: sources present but target group is empty")
+    # Columns in original-index order: argmax takes the first maximum, so a
+    # tie goes to the lowest original index. Each entry is computed on its
+    # own, so the column order does not change its bits.
+    tgt = tgt[np.argsort(seq.orig_index[tgt], kind="stable")]
     sims = kernels.cosine_matrix(seq.features[src], seq.features[tgt])
-    tgt_orig = seq.orig_index[tgt]
-    edges: list[tuple[int, int]] = []
-    for i, s_row in enumerate(src):
-        row = sims[i]
-        best = np.nonzero(row == row.max())[0]
-        j = best[np.argmin(tgt_orig[best])]
-        edges.append((int(s_row), int(tgt[j])))
-    return MergeMapping(edges)
+    best = sims.argmax(axis=1)
+    if np.isnan(sims[np.arange(len(src)), best]).any():
+        raise ValueError("similarity is NaN: token features are not finite")
+    return MergeMapping(list(zip(src.tolist(), tgt[best].tolist())))
 
 
 def apply_merge(
@@ -174,37 +174,54 @@ def apply_merge(
     the participants' weight sum; the target keeps its original index.
     Rows not involved are copied bitwise.
     """
-    pruned = {int(r) for r in pruned_rows}
-    drop_rows = {s for s, _ in mapping.edges} | pruned
-    groups: dict[int, list[int]] = {}
-    seen: set[int] = set()
-    for s_row, t_row in mapping.edges:
-        if s_row in seen:
-            raise ValueError(f"corrupt mapping: source row {s_row} merged twice")
-        seen.add(s_row)
-        if s_row in pruned:
-            raise ValueError(f"corrupt mapping: merged source row {s_row} is also pruned")
-        if t_row in drop_rows:
-            raise ValueError(f"corrupt mapping: target row {t_row} is being dropped")
-        groups.setdefault(t_row, []).append(s_row)
+    n = len(seq)
+    edges = np.array(mapping.edges, dtype=np.int64).reshape(-1, 2)
+    src, tgt = edges[:, 0], edges[:, 1]
+    pruned = np.fromiter(pruned_rows, dtype=np.int64)
+    for rows in (src, tgt, pruned):
+        bad = rows[(rows < 0) | (rows >= n)]
+        if len(bad):
+            raise ValueError(f"corrupt mapping: row {bad[0]} outside 0..{n - 1}")
+    twice = src[np.bincount(src, minlength=n)[src] > 1]
+    if len(twice):
+        raise ValueError(f"corrupt mapping: source row {twice[0]} merged twice")
+    is_pruned = np.zeros(n, dtype=bool)
+    is_pruned[pruned] = True
+    also_pruned = src[is_pruned[src]]
+    if len(also_pruned):
+        raise ValueError(f"corrupt mapping: merged source row {also_pruned[0]} is also pruned")
+    keep = ~is_pruned
+    keep[src] = False
+    dropped = tgt[~keep[tgt]]
+    if len(dropped):
+        raise ValueError(f"corrupt mapping: target row {dropped[0]} is being dropped")
 
-    survivors = [r for r in range(len(seq)) if r not in drop_rows]
-    new_row = {r: i for i, r in enumerate(survivors)}
-    features = seq.features[survivors]
-    orig = seq.orig_index[survivors]
-    weight = seq.weight[survivors].copy()
+    new_row = np.cumsum(keep) - 1
+    features = seq.features[keep]
+    orig = seq.orig_index[keep]
+    weight = seq.weight[keep].copy()
+    if len(edges) == 0:
+        return TokenSequence(features, orig, weight, seq.cls_orig)
 
-    for t_row, s_rows in groups.items():
-        members = [t_row, *s_rows]
-        w = seq.weight[members].astype(np.float64)
-        f = seq.features[members].astype(np.float64)
-        if weighted:
-            merged = (f * w[:, None]).sum(axis=0) / w.sum()
-        else:
-            merged = f.mean(axis=0)
-        features[new_row[t_row]] = merged.astype(np.float32)
-        weight[new_row[t_row]] = seq.weight[members].sum()
-
+    # Group g is targets[g] followed by its sources in edge order. The sum
+    # runs member rank by member rank from 0, across all groups at once: the
+    # same float64 order as summing each group's rows along axis 0.
+    order = np.argsort(tgt, kind="stable")
+    targets, first, size = np.unique(tgt[order], return_index=True, return_counts=True)
+    group = np.repeat(np.arange(len(targets)), size)
+    rank = np.arange(len(order)) - first[group]
+    terms = seq.features.astype(np.float64)
+    if weighted:
+        terms *= seq.weight[:, None]
+    acc = np.zeros((len(targets), terms.shape[1]))
+    acc += terms[targets]
+    for r in range(size.max()):
+        at = rank == r
+        acc[group[at]] += terms[src[order[at]]]
+    wsum = seq.weight[targets] + np.add.reduceat(seq.weight[src[order]], first)
+    denom = wsum.astype(np.float64) if weighted else (size + 1).astype(np.float64)
+    features[new_row[targets]] = (acc / denom[:, None]).astype(np.float32)
+    weight[new_row[targets]] = wsum
     return TokenSequence(features, orig, weight, seq.cls_orig)
 
 
@@ -244,14 +261,15 @@ def reduce_layer(
     mapping = match_sources(seq, GroupPartition(part.keep_idx, part.target_idx, merge_src))
     out = apply_merge(seq, mapping, weighted, pruned)
     orig = seq.orig_index
+    edges_orig = orig[np.array(mapping.edges, dtype=np.int64).reshape(-1, 2)].tolist()
     record = ReductionRecord(
         k=k,
         strategy=strategy,
         group_count=len(part.keep_idx),
-        kept_orig=[int(i) for i in orig[part.keep_idx]],
-        target_orig=[int(i) for i in orig[part.target_idx]],
-        merged_orig=[int(orig[s]) for s, _ in mapping.edges],
-        pruned_orig=[int(i) for i in orig[pruned]],
-        edges_orig=[(int(orig[s]), int(orig[t])) for s, t in mapping.edges],
+        kept_orig=orig[part.keep_idx].tolist(),
+        target_orig=orig[part.target_idx].tolist(),
+        merged_orig=[s for s, _ in edges_orig],
+        pruned_orig=orig[pruned].tolist(),
+        edges_orig=[(s, t) for s, t in edges_orig],
     )
     return reorder(out), record

@@ -140,7 +140,9 @@ def discretize(a: np.ndarray, delta: np.ndarray) -> np.ndarray:
         raise ValueError(f"discretize shape mismatch: a {a.shape}, delta {delta.shape}")
     if not np.all(delta > 0):
         raise ValueError("discretize requires strictly positive timescales")
-    return kernels.exp(kernels.multiply(delta[:, :, None], a[None, :, :]))
+    # In place: one (L, E, N) buffer instead of two per call.
+    decay = kernels.multiply(delta[:, :, None], a[None, :, :])
+    return kernels.exp(decay, out=decay)
 
 
 def selective_scan(
@@ -170,18 +172,7 @@ def selective_scan(
     c = kernels.matmul(xs, params.w_c)  # (L, N)
     abar = discretize(params.a, delta)  # (L, E, N)
     dx = kernels.multiply(delta, xs)
-    dxb = kernels.multiply(dx[:, :, None], b[:, None, :])  # (L, E, N)
-
-    e, n = params.a.shape
-    h = np.zeros((e, n), dtype=np.float32)
-    y = np.empty((length, e), dtype=np.float32)
-    hidden = np.empty((length, e, n), dtype=np.float32) if collect_hidden else None
-    for t in range(length):
-        kernels.multiply(abar[t], h, out=h)
-        kernels.add(h, dxb[t], out=h)
-        y[t] = kernels.rowdot(h, c[t])
-        if hidden is not None:
-            hidden[t] = h
+    y, hidden = kernels.ssm_scan(abar, dx, b, c, collect_hidden)
     y = kernels.add(y, kernels.multiply(params.skip_d, xs))
 
     if backward:

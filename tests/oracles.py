@@ -34,3 +34,24 @@ def cosine_similarity(a, b) -> float:
         return 0.0
     dot = ltr_dot(a, b)
     return float(np.float32(dot / np.float32(na * nb)))
+
+
+def apply_merge_loop(seq, mapping, weighted=True, pruned_rows=()):
+    """Row assembly one target group at a time, summing each group's rows
+    along axis 0 in float64: the order :func:`mambapress.reduction.apply_merge`
+    must reproduce bit for bit. Returns (features, orig_index, weight)."""
+    drop = {s for s, _ in mapping.edges} | {int(r) for r in pruned_rows}
+    groups: dict[int, list[int]] = {}
+    for s_row, t_row in mapping.edges:
+        groups.setdefault(t_row, []).append(s_row)
+    survivors = [r for r in range(len(seq)) if r not in drop]
+    features = seq.features[survivors]
+    weight = seq.weight[survivors].copy()
+    for t_row, s_rows in groups.items():
+        members = [t_row, *s_rows]
+        w = seq.weight[members].astype(np.float64)
+        f = seq.features[members].astype(np.float64)
+        merged = (f * w[:, None]).sum(axis=0) / w.sum() if weighted else f.mean(axis=0)
+        features[survivors.index(t_row)] = merged.astype(np.float32)
+        weight[survivors.index(t_row)] = seq.weight[members].sum()
+    return features, seq.orig_index[survivors], weight

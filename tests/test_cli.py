@@ -299,3 +299,15 @@ class TestNumericFailure:
         code = cli.main(["run", "--ckpt", str(path), "--synthetic", "0"])
         assert code == 4
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_infinite_logits_exit_4(self, capsys, tmp_path):
+        from mambapress.checkpoint import load, save
+
+        path = tmp_path / "model.bin"
+        assert cli.main(["init", "--out", str(path), *SMALL_FLAGS, "--image-size", "32"]) == 0
+        ckpt = load(path)
+        ckpt.entries["head.w"] = np.full_like(ckpt.entries["head.w"], 3e38)
+        save(ckpt, path)
+        code = cli.main(["run", "--ckpt", str(path), "--synthetic", "0"])
+        assert code == 4
+        assert "non-finite logits in the classification head" in capsys.readouterr().err

@@ -325,6 +325,16 @@ def _float64():
     return rng.standard_normal((5, 33)) * 1e3, rng.standard_normal((33, 17)) / 3
 
 
+def _scan_inputs():
+    rng = np.random.default_rng(59)
+    return (
+        rng.uniform(0.0, 1.0, (23, 7, 16)).astype(np.float32),
+        rng.standard_normal((23, 7)).astype(np.float32),
+        rng.standard_normal((23, 16)).astype(np.float32),
+        rng.standard_normal((23, 16)).astype(np.float32),
+    )
+
+
 BIT_CASES = {
     "inf_denormal_negzero": _special_values,
     "empty_m": lambda: (np.ones((0, 5), np.float32), np.ones((5, 3), np.float32)),
@@ -378,8 +388,8 @@ class TestCompiledMatmul:
         if shutil.which("gcc") is None:
             pytest.skip("no gcc on PATH")
         cache = tmp_path / "cache"
-        kernel = kernels._build_ltr(cache, "gcc")
-        assert kernel is not None
+        lib = kernels._build_ltr(cache, "gcc")
+        assert lib is not None
         (built,) = cache.iterdir()  # the library only: no temporary left behind
         assert built.name.startswith("ltr_matmul-") and built.suffix == ".so"
         stamp = built.stat().st_mtime_ns
@@ -388,9 +398,17 @@ class TestCompiledMatmul:
 
         a, b = _special_values()
         out = np.empty((a.shape[0], b.shape[1]), np.float32)
-        assert kernel(a, b, out, a.shape[0], a.shape[1], b.shape[1]) == 0
+        assert lib.ltr_matmul(a, b, out, a.shape[0], a.shape[1], b.shape[1]) == 0
         with np.errstate(all="ignore"):
             assert_same_bits(out, naive_matmul_f32(a, b))
+
+        # The scan kernel comes from the same library file.
+        abar, dx, bv, cv = _scan_inputs()
+        length, e, n = abar.shape
+        state = np.zeros((e, n), np.float32)
+        y = np.empty((length, e), np.float32)
+        lib.ssm_scan(abar, dx, bv, cv, state, y, None, length, e, n)
+        assert_same_bits(y, kernels._ssm_scan_numpy(abar, dx, bv, cv, None))
 
     def test_missing_compiler_falls_back(self, tmp_path, monkeypatch):
         assert kernels._build_ltr(tmp_path, str(tmp_path / "no-such-cc")) is None
@@ -414,15 +432,23 @@ class TestCompiledMatmul:
         monkeypatch.setattr(kernels, "_build_ltr", counted_build)
         a, b = _strided()
         want = naive_matmul_f32(a, b)
+        scan = _scan_inputs()
+        want_scan = kernels._ssm_scan_numpy(*scan, None)
         results = []
 
-        def use():
-            results.append(kernels.matmul(a, b))
+        def use(i):
+            # Half the threads reach the library through the scan first.
+            if i % 2:
+                y = kernels.ssm_scan(*scan)[0]
+                results.append((kernels.matmul(a, b), y))
+            else:
+                out = kernels.matmul(a, b)
+                results.append((out, kernels.ssm_scan(*scan)[0]))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=use) for _ in range(6)]
+            threads = [threading.Thread(target=use, args=(i,)) for i in range(6)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -432,5 +458,6 @@ class TestCompiledMatmul:
         assert not any(t.is_alive() for t in threads)
         assert builds == [tmp_path / "mambapress"]
         assert len(results) == 6
-        for out in results:
+        for out, y in results:
             assert np.array_equal(out, want)
+            assert_same_bits(y, want_scan)

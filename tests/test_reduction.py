@@ -282,6 +282,59 @@ class TestApplyMergeRejectsCorruptMappings:
             apply_merge(self.seq(), MergeMapping([(1, 0)]), pruned_rows=[1, 3])
 
 
+class TestVectorisedAssembly:
+    """apply_merge and match_sources against their one-row-at-a-time oracles."""
+
+    @staticmethod
+    def random_case(rng, trial):
+        n, dim = int(rng.integers(2, 60)), int(rng.integers(1, 9))
+        feats = (rng.standard_normal((n, dim)) * np.exp2(rng.integers(-30, 30, (n, dim))))
+        feats = feats.astype(np.float32)
+        feats[rng.random((n, dim)) < 0.3] = -0.0
+        if trial % 2:  # repeated rows: cosine ties between targets
+            feats[1::3] = feats[0]
+        seq = TokenSequence(feats, rng.permutation(1000)[:n], rng.integers(1, 9, size=n))
+        perm = rng.permutation(n)
+        n_src = int(rng.integers(0, n // 2 + 1))
+        n_tgt = int(rng.integers(1, n - n_src + 1))
+        n_pruned = int(rng.integers(0, n - n_src - n_tgt + 1))
+        src, tgt = perm[:n_src], perm[n_src : n_src + n_tgt]
+        pruned = perm[n_src + n_tgt : n_src + n_tgt + n_pruned]
+        return seq, GroupPartition(perm[:0], tgt, src), pruned
+
+    def test_match_sources_matches_exhaustive_ties(self):
+        rng = np.random.default_rng(30)
+        for trial in range(60):
+            seq, part, _ = self.random_case(rng, trial)
+            mapping = match_sources(seq, part)
+            assert [s for s, _ in mapping.edges] == list(part.source_idx)
+            for s_row, t_row in mapping.edges:
+                sims = [oracles.cosine_similarity(seq.features[s_row], seq.features[t])
+                        for t in part.target_idx]
+                best = [t for t, sim in zip(part.target_idx, sims) if sim == max(sims)]
+                assert t_row == min(best, key=lambda t: seq.orig_index[t])
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_apply_merge_matches_group_loop(self, weighted):
+        rng = np.random.default_rng(31)
+        for trial in range(120):
+            seq, part, pruned = self.random_case(rng, trial)
+            mapping = match_sources(seq, part)
+            if trial % 3 == 0 and mapping.edges:  # every source into one target
+                mapping = MergeMapping([(s, int(part.target_idx[0])) for s, _ in mapping.edges])
+            out = apply_merge(seq, mapping, weighted, pruned)
+            features, orig, weight = oracles.apply_merge_loop(seq, mapping, weighted, pruned)
+            assert np.array_equal(out.features.view(np.uint32), features.view(np.uint32))
+            assert np.array_equal(out.orig_index, orig)
+            assert np.array_equal(out.weight, weight)
+
+    def test_rows_out_of_range_rejected(self):
+        seq = make_seq(np.random.default_rng(32), 5)
+        for mapping, pruned in [([(5, 0)], ()), ([(1, -1)], ()), ([(1, 0)], [7])]:
+            with pytest.raises(ValueError, match="outside 0..4"):
+                apply_merge(seq, MergeMapping(mapping), pruned_rows=pruned)
+
+
 class TestReorder:
     def test_interleaves_by_original_index(self):
         feats = np.arange(8, dtype=np.float32).reshape(4, 2)

@@ -1,6 +1,8 @@
 """Scan correctness against an unrolled float64 oracle, plus block contracts."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from mambapress.ssm import (
     mamba_block,
     selective_scan,
 )
+from tests.test_kernels import assert_same_bits
 
 
 def random_head(rng, e, n, r, direction="forward", width=4, scale=1.0) -> SsmHeadParams:
@@ -86,6 +89,14 @@ class TestDiscretize:
         delta = rng.uniform(0.01, 3.0, size=(6, 4)).astype(np.float32)
         abar = discretize(a, delta)
         assert np.all(abar > 0.0) and np.all(abar < 1.0)
+
+    def test_bits_of_exp_of_product(self):
+        # The decays are computed in place; the bits are those of a fresh exp.
+        rng = np.random.default_rng(1)
+        a = -rng.uniform(0.1, 5.0, size=(37, 16)).astype(np.float32)
+        delta = rng.uniform(0.01, 3.0, size=(29, 37)).astype(np.float32)
+        want = np.exp(delta[:, :, None] * a[None, :, :])
+        assert np.array_equal(discretize(a, delta).view(np.uint32), want.view(np.uint32))
 
     def test_rejects_nonpositive_delta(self):
         a = -np.ones((1, 1), dtype=np.float32)
@@ -172,6 +183,141 @@ class TestSelectiveScan:
         params = random_head(rng, e=4, n=2, r=1)
         with pytest.raises(ValueError, match="feat_dim"):
             selective_scan(np.zeros((5, 3), dtype=np.float32), params)
+
+
+def scan_inputs(rng, length, e, n, special=False):
+    """Random (abar, dx, b, c) for kernels.ssm_scan; ``special`` plants
+    signed zeros, denormals and infinities in every operand."""
+    abar = rng.uniform(0.0, 1.0, (length, e, n)).astype(np.float32)
+    dx = rng.standard_normal((length, e)).astype(np.float32)
+    b = rng.standard_normal((length, n)) * np.exp2(rng.integers(-20, 20, (length, n)))
+    b = b.astype(np.float32)
+    c = rng.standard_normal((length, n)).astype(np.float32)
+    if special:
+        values = np.array([0.0, -0.0, 1e-41, -3e-39, np.inf, -np.inf], np.float32)
+        for arr in (abar, dx, b, c):
+            flat = arr.reshape(-1)
+            spots = rng.choice(flat.size, size=min(flat.size, 4 * length), replace=False)
+            flat[spots] = rng.choice(values, len(spots))
+    return abar, dx, b, c
+
+
+def fallback_scan(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_compiled_ltr", lambda: None)
+        return kernels.ssm_scan(*args, **kwargs)
+
+
+def needs_compiled_scan():
+    if kernels._compiled_ltr() is None:
+        pytest.skip("no compiled library: the numpy fallback is the kernel")
+
+
+class TestCompiledScan:
+    """The compiled recurrence keeps the bits of the numpy fallback."""
+
+    @pytest.mark.parametrize("n", [*range(1, 21), 129, 256])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_selective_scan_matches_fallback(self, monkeypatch, n, direction):
+        needs_compiled_scan()
+        rng = np.random.default_rng(100 + n)
+        params = random_head(rng, e=13, n=n, r=3, direction=direction)
+        for length in (1, 300):
+            x = rng.standard_normal((length, 13)).astype(np.float32)
+            got = selective_scan(x, params, collect_hidden=True)
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "_compiled_ltr", lambda: None)
+                want = selective_scan(x, params, collect_hidden=True)
+            assert_same_bits(got.y, want.y)
+            assert_same_bits(got.hidden, want.hidden)
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 8, 16, 19, 129])
+    def test_signed_zeros_denormals_and_infinities(self, monkeypatch, n):
+        needs_compiled_scan()
+        rng = np.random.default_rng(200 + n)
+        inputs = scan_inputs(rng, 40, 11, n, special=True)
+        with np.errstate(all="ignore"):
+            y, hidden = kernels.ssm_scan(*inputs, collect_hidden=True)
+            want_y, want_hidden = fallback_scan(monkeypatch, *inputs, collect_hidden=True)
+        assert np.isnan(want_y).any() and np.isinf(want_hidden).any()
+        assert_same_bits(y, want_y)
+        assert_same_bits(hidden, want_hidden)
+
+    def test_no_hidden_unless_asked(self):
+        inputs = scan_inputs(np.random.default_rng(7), 5, 3, 4)
+        y, hidden = kernels.ssm_scan(*inputs)
+        assert hidden is None and y.shape == (5, 3)
+
+    def test_shape_mismatch(self):
+        abar, dx, b, c = scan_inputs(np.random.default_rng(8), 5, 3, 4)
+        with pytest.raises(ValueError, match="ssm_scan shape mismatch"):
+            kernels.ssm_scan(abar, dx, b, c[:4])
+        with pytest.raises(ValueError, match=r"\(L, E, N\)"):
+            kernels.ssm_scan(abar[0], dx, b, c)
+
+    def test_flops_by_op_same_on_both_paths(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        params = random_head(rng, e=6, n=5, r=2, direction="backward")
+        x = rng.standard_normal((17, 6)).astype(np.float32)
+        with kernels.count_flops() as compiled:
+            selective_scan(x, params)
+        monkeypatch.setattr(kernels, "_compiled_ltr", lambda: None)
+        with kernels.count_flops() as fallback:
+            selective_scan(x, params)
+        assert compiled.by_op == fallback.by_op
+        with kernels.count_flops() as alone:
+            kernels.ssm_scan(*scan_inputs(rng, 17, 6, 5))
+        size = 17 * 6 * 5
+        assert alone.by_op == {"multiply": 2 * size, "add": size, "rowdot": 2 * size}
+
+    @pytest.mark.parametrize("n", [*range(1, 21), 64, 128, 129, 200, 256, 300])
+    def test_readout_order_is_rowdot(self, n):
+        # With zero decay every token starts afresh, h[t] = dx[t, :, None] * b[t],
+        # so y[t] must be rowdot(h[t], c[t]) bit for bit. Wide exponents
+        # make the summation order visible. Token 0 reads out a state of
+        # -0.0 through positive c: the sum is -0.0, and rowdot gives +0.0.
+        needs_compiled_scan()
+        rng = np.random.default_rng(300 + n)
+        length, e = 64, 9
+        b = rng.standard_normal((length, n)) * np.exp2(rng.integers(-24, 24, (length, n)))
+        b = b.astype(np.float32)
+        c = rng.standard_normal((length, n)).astype(np.float32)
+        dx = np.exp2(rng.integers(-3, 3, (length, e))).astype(np.float32)
+        b[0], c[0] = -0.0, np.abs(c[0])
+        y, _ = kernels.ssm_scan(np.full((length, e, n), -0.0, np.float32), dx, b, c)
+        h = dx[:, :, None] * b[:, None, :]
+        want = np.stack([kernels.rowdot(h[t], c[t]) for t in range(length)])
+        assert_same_bits(y, want)
+        if n >= 8:  # the data tells numpy's pairwise order from a plain running sum
+            running = np.cumsum(h * c[:, None, :], axis=2, dtype=np.float32)[:, :, -1]
+            assert not np.array_equal(y, running)
+
+    def test_concurrent_scans_keep_the_bits(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        jobs = [scan_inputs(rng, 200, 40, 16) for _ in range(2)]
+        want = [fallback_scan(monkeypatch, *job, collect_hidden=True) for job in jobs]
+        results: dict[int, list] = {0: [], 1: []}
+
+        def run(i):
+            for _ in range(10):
+                results[i].append(kernels.ssm_scan(*jobs[i], collect_hidden=True))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(2):
+            assert len(results[i]) == 10
+            for y, hidden in results[i]:
+                assert_same_bits(y, want[i][0])
+                assert_same_bits(hidden, want[i][1])
 
 
 class TestMambaBlock:
