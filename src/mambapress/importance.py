@@ -78,7 +78,8 @@ def score_projection(
         w = as_f32(w)
         if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
             raise ValueError(f"projection shape mismatch: {x.shape} x {w.shape}")
-        proj = kernels._ltr_matmul(x, w)  # uncounted: scoring is free by convention
+        with kernels.uncounted():  # scoring is free by convention
+            proj = kernels.matmul(x, w)
         if total is None:
             total = proj
         elif proj.shape != total.shape:

@@ -7,14 +7,21 @@ that feed bit-reproducibility contracts (:func:`matmul` and
 independently written scalar loop produces the exact same bits. BLAS is
 free to reassociate sums, so it is not used.
 
-Two kernels are C code in one small library (:data:`_LTR_SOURCE`). On
+Three kernels are C code in one small library (:data:`_LTR_SOURCE`). On
 first use it is compiled with the local ``gcc`` (``-O3 -march=native
 -ffp-contract=off``, no fast-math), cached under
 ``$XDG_CACHE_HOME/mambapress`` (default ``~/.cache/mambapress``) and loaded
 through :mod:`ctypes`; where no compiler or cached library is available,
-each kernel runs the same arithmetic as a numpy loop. Both paths give the
-same bits, except that a NaN output may carry a different payload or sign;
+each kernel runs the same arithmetic in numpy. Both paths give the same
+bits, except that a NaN output may carry a different payload or sign;
 where NaNs appear does not change.
+
+The C functions take raw pointers (``ctypes.c_void_p``), which ctypes
+passes without checking. So each Python wrapper first converts every
+operand with ``np.ascontiguousarray(..., dtype=np.float32)`` and checks
+the shapes, then passes ``arr.ctypes.data`` of arrays it keeps referenced
+for the duration of the call. A strided, transposed or float64 operand is
+therefore copied, never read raw.
 
 - ``ltr_matmul`` (:func:`matmul`) tiles rows and columns only: every output
   element still adds k = 0..K-1 in order, a float32 product and then a
@@ -25,14 +32,20 @@ where NaNs appear does not change.
   float32 operations, and reads out sum(h*c) over the state in numpy's
   pairwise order for a contiguous float32 sum, so it matches
   :func:`rowdot`. Fallback: :func:`_ssm_scan_numpy`, a numpy loop over
-  tokens. The decays themselves come from ``np.exp``, which stays in numpy.
+  tokens.
+- ``decay_product`` (:func:`decay`) writes the (L, E, N) products
+  delta[t, i] * a[i, j], one rounded float32 multiply each, for the scan's
+  decays. ``np.exp`` then runs in place over that buffer; it stays in
+  numpy because C cannot reproduce its bits. Fallback: numpy's broadcast
+  multiply.
 
 A lightweight FLOP counter can be armed with :func:`count_flops`; while it
 is active every kernel called from the same thread or task tallies its cost
 under the accounting convention in ``docs/flops_accounting.md``
 (multiply-adds count 2, elementwise ops count 1 per element). Similarity
 and sorting kernels are bookkeeping for the reduction stage and
-deliberately tally nothing.
+deliberately tally nothing; other work the cost model excludes, such as
+importance scoring, runs its kernels under :func:`uncounted`.
 """
 
 from __future__ import annotations
@@ -93,6 +106,21 @@ def count_flops():
     token = _ACTIVE.set(counter)
     try:
         yield counter
+    finally:
+        _ACTIVE.reset(token)
+
+
+@contextmanager
+def uncounted():
+    """Book nothing for the duration of the ``with`` block.
+
+    Kernels called inside tally no FLOPs, even under an armed counter,
+    which is restored on exit. For work that the cost model excludes by
+    convention, such as scoring.
+    """
+    token = _ACTIVE.set(None)
+    try:
+        yield
     finally:
         _ACTIVE.reset(token)
 
@@ -235,15 +263,26 @@ void ssm_scan(const float *abar, const float *dx, const float *b, const float *c
             memcpy(hidden + t * e * n, h, (size_t)(e * n) * sizeof(float));
     }
 }
+
+/* out[t, i, j] = delta[t, i] * a[i, j] over len tokens, e channels, n
+   states: one rounded float32 product per element, written in order. */
+void decay_product(const float *restrict delta, const float *restrict a,
+                   float *restrict out, ptrdiff_t len, ptrdiff_t e, ptrdiff_t n)
+{
+    for (ptrdiff_t t = 0; t < len; t++)
+        for (ptrdiff_t i = 0; i < e; i++) {
+            const float d = delta[t * e + i];
+            const float *ai = a + i * n;
+            float *o = out + (t * e + i) * n;
+            for (ptrdiff_t j = 0; j < n; j++)
+                o[j] = d * ai[j];
+        }
+}
 """
 
 # -ffp-contract=off keeps every product and add separately rounded; the
 # default on some targets would fuse them and change the bits.
 _LTR_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
-
-_MATRIX = np.ctypeslib.ndpointer(np.float32, ndim=2, flags="C_CONTIGUOUS")
-_TENSOR3 = np.ctypeslib.ndpointer(np.float32, ndim=3, flags="C_CONTIGUOUS")
-
 
 def _cpu_flags() -> str:
     """The CPU feature line, so a -march=native build is keyed to its CPU."""
@@ -260,7 +299,10 @@ def _cpu_flags() -> str:
 def _build_ltr(cache_dir: Path, compiler: str):
     """Compile (or reuse) the C kernels in ``cache_dir``; ``None`` on failure.
 
-    Returns the loaded library with ``ltr_matmul`` and ``ssm_scan`` typed.
+    Returns the loaded library with ``ltr_matmul``, ``ssm_scan`` and
+    ``decay_product`` typed. Every array argument is a raw pointer: callers
+    pass ``arr.ctypes.data`` of a C-contiguous float32 array whose shape
+    they have checked.
 
     The library is named by a hash of the source, the flags, the compiler
     version and the CPU flags. It is compiled to a temporary file and
@@ -293,13 +335,13 @@ def _build_ltr(cache_dir: Path, compiler: str):
         lib = ctypes.CDLL(str(lib_path))
     except (OSError, subprocess.SubprocessError):
         return None
-    size = ctypes.c_ssize_t
-    lib.ltr_matmul.argtypes = [_MATRIX, _MATRIX, _MATRIX, size, size, size]
+    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
+    lib.ltr_matmul.argtypes = [ptr, ptr, ptr, size, size, size]
     lib.ltr_matmul.restype = ctypes.c_int
-    # hidden is a raw pointer so that NULL can say "no trajectory".
-    lib.ssm_scan.argtypes = [_TENSOR3, _MATRIX, _MATRIX, _MATRIX, _MATRIX, _MATRIX,
-                             ctypes.c_void_p, size, size, size]
+    lib.ssm_scan.argtypes = [ptr] * 7 + [size] * 3
     lib.ssm_scan.restype = None
+    lib.decay_product.argtypes = [ptr, ptr, ptr, size, size, size]
+    lib.decay_product.restype = None
     return lib
 
 
@@ -343,7 +385,8 @@ def _ltr_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out = np.empty((m, p), dtype=np.float32)
     # ctypes releases the GIL for the call; a, b and out stay referenced here.
-    if out.size and lib.ltr_matmul(a, b, out, m, k, p) != 0:
+    if out.size and lib.ltr_matmul(a.ctypes.data, b.ctypes.data, out.ctypes.data,
+                                   m, k, p) != 0:
         raise MemoryError("ltr_matmul could not allocate its tail panel")
     return out
 
@@ -409,9 +452,37 @@ def ssm_scan(abar, dx, b, c, collect_hidden: bool = False):
     h = np.zeros((e, n), dtype=np.float32)
     y = np.empty((length, e), dtype=np.float32)
     # ctypes releases the GIL for the call; every buffer stays referenced here.
-    lib.ssm_scan(abar, dx, b, c, h, y, None if hidden is None else hidden.ctypes.data,
-                 length, e, n)
+    # A NULL hidden pointer says "no trajectory".
+    lib.ssm_scan(abar.ctypes.data, dx.ctypes.data, b.ctypes.data, c.ctypes.data,
+                 h.ctypes.data, y.ctypes.data,
+                 None if hidden is None else hidden.ctypes.data, length, e, n)
     return y, hidden
+
+
+def decay(delta, a) -> np.ndarray:
+    """Per-token decay factors exp(delta[t, i] * a[i, j]) -> (L, E, N).
+
+    ``delta`` is (L, E) and ``a`` is (E, N). Each product is one rounded
+    float32 multiply, then ``np.exp`` runs in place over the product
+    buffer, so the bits are those of ``np.exp(delta[:, :, None] * a)``.
+    Cost: multiply L*E*N, exp L*E*N.
+    """
+    delta = np.ascontiguousarray(delta, dtype=np.float32)
+    a = np.ascontiguousarray(a, dtype=np.float32)
+    if delta.ndim != 2 or a.ndim != 2 or delta.shape[1] != a.shape[0]:
+        raise ValueError(f"decay shape mismatch: delta {delta.shape}, a {a.shape}")
+    (length, e), n = delta.shape, a.shape[1]
+    _tally("multiply", length * e * n)
+    _tally("exp", length * e * n)
+    lib = _compiled_ltr()
+    if lib is None:
+        out = np.multiply(delta[:, :, None], a[None, :, :])
+    else:
+        out = np.empty((length, e, n), dtype=np.float32)
+        if out.size:
+            lib.decay_product(delta.ctypes.data, a.ctypes.data, out.ctypes.data,
+                              length, e, n)
+    return np.exp(out, out=out)
 
 
 def softplus(x) -> np.ndarray:
@@ -435,12 +506,6 @@ def silu(x) -> np.ndarray:
     _tally("silu", x.size)
     with np.errstate(over="ignore"):
         return x / (F32(1.0) + np.exp(-x))
-
-
-def exp(x, out: np.ndarray | None = None) -> np.ndarray:
-    x = as_f32(x)
-    _tally("exp", x.size)
-    return np.exp(x, out=out)
 
 
 def add(a, b, out: np.ndarray | None = None) -> np.ndarray:
@@ -519,11 +584,13 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     na = np.sqrt(_ltr_matmul(a * a, ones)[:, 0])
     nb = np.sqrt(_ltr_matmul(b * b, ones)[:, 0])
     dots = _ltr_matmul(a, b.T)
-    denom = na[:, None] * nb[None, :]
-    ok = (na >= NORM_FLOOR)[:, None] & (nb >= NORM_FLOOR)[None, :]
-    out = np.zeros_like(dots)
-    np.divide(dots, denom, out=out, where=ok)
-    return out
+    # Rows or columns under the floor may divide by zero or overflow; they
+    # are zeroed next, as are rows or columns with a NaN norm.
+    with np.errstate(all="ignore"):
+        np.divide(dots, na[:, None] * nb[None, :], out=dots)
+    dots[~(na >= NORM_FLOOR)] = 0.0
+    dots[:, ~(nb >= NORM_FLOOR)] = 0.0
+    return dots
 
 
 def argsort_desc(values) -> np.ndarray:

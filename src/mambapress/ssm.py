@@ -140,9 +140,7 @@ def discretize(a: np.ndarray, delta: np.ndarray) -> np.ndarray:
         raise ValueError(f"discretize shape mismatch: a {a.shape}, delta {delta.shape}")
     if not np.all(delta > 0):
         raise ValueError("discretize requires strictly positive timescales")
-    # In place: one (L, E, N) buffer instead of two per call.
-    decay = kernels.multiply(delta[:, :, None], a[None, :, :])
-    return kernels.exp(decay, out=decay)
+    return kernels.decay(delta, a)
 
 
 def selective_scan(

@@ -255,13 +255,20 @@ def test_flops_plan_fidelity(toy_model):
 
 
 def test_throughput_direction(toy_model):
-    """More reduction, more throughput: 10-run four-point curve check."""
+    """More reduction, more throughput: medians of 10 interleaved passes per plan.
+
+    Single passes vary by about 10% on a shared host while neighbouring
+    plans differ by about 12% in cost, so each plan's rate is the median of
+    its 10 passes, and the plans' analytic FLOPs must fall in the same order.
+    """
     fm = FlopsModel.from_config(TOY)
     layers = default_reduction_layers(TOY.depth)
     ratios = (0.0, 0.20, 0.30, 0.40)
     plans = [
         identity_plan(layers) if r == 0.0 else solve_k(fm, r, layers) for r in ratios
     ]
+    flops = [fm.total_flops(plan.k, plan.reduce_at_layers) for plan in plans]
+    assert all(b < a for a, b in zip(flops, flops[1:])), f"FLOPs do not fall: {flops}"
     image = synthetic_image(TOY.image_size, seed=7)
     for plan in plans:  # warmup, untimed
         toy_model.forward(image, plan, collect_diagnostics=False)
@@ -275,19 +282,17 @@ def test_throughput_direction(toy_model):
             rates.append(1.0 / (time.perf_counter() - start))
         runs.append(rates)
 
-    nondecreasing = sum(
-        1 for rates in runs if all(b >= a for a, b in zip(rates, rates[1:]))
-    )
     mean_rates = [float(np.mean([run[i] for run in runs])) for i in range(len(ratios))]
+    median_rates = [float(np.median([run[i] for run in runs])) for i in range(len(ratios))]
     assert mean_rates[-1] > mean_rates[0], (
         f"40% reduction not faster than baseline: {mean_rates}"
     )
-    assert nondecreasing >= 9, (
-        f"only {nondecreasing}/10 runs had a nondecreasing curve; means {mean_rates}"
+    assert all(b > a for a, b in zip(median_rates, median_rates[1:])), (
+        f"median rates do not rise with the reduction: {median_rates}"
     )
     _passed(
-        f"throughput direction ({nondecreasing}/10 runs monotone, "
-        f"baseline {mean_rates[0]:.2f} -> 40% {mean_rates[-1]:.2f} seq/s)"
+        f"throughput direction (median rates {', '.join(f'{r:.2f}' for r in median_rates)} "
+        f"seq/s at FLOPs {', '.join(f'{f / 1e9:.2f}G' for f in flops)})"
     )
 
 

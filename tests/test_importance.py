@@ -13,6 +13,7 @@ from mambapress.importance import (
 )
 from mambapress.ssm import ScanTrace
 from tests import oracles
+from tests.test_kernels import naive_matmul_f32
 
 
 def trace_with_delta(delta: np.ndarray) -> ScanTrace:
@@ -98,6 +99,19 @@ class TestScoreProjection:
                 for h in range(2):
                     acc += float(np.dot(xs[h][t].astype(np.float64), ws[h][:, n].astype(np.float64)))
             assert abs(out.scores[t] - acc / 3) < 1e-6
+
+    @pytest.mark.parametrize("indicator", [Indicator.B_PROJ, Indicator.C_PROJ])
+    def test_books_nothing_and_keeps_bits(self, indicator):
+        rng = np.random.default_rng(7)
+        xs = [rng.standard_normal((11, 6)).astype(np.float32) for _ in range(2)]
+        ws = [rng.standard_normal((6, 4)).astype(np.float32) for _ in range(2)]
+        total = naive_matmul_f32(xs[0], ws[0]) + naive_matmul_f32(xs[1], ws[1])
+        want = total.mean(axis=1, dtype=np.float32)
+        with kernels.count_flops() as counter:
+            out = score_projection(xs, ws, indicator)
+            assert kernels._ACTIVE.get() is counter
+        assert counter.total == 0 and not counter.by_op
+        assert np.array_equal(out.scores.view(np.uint32), want.view(np.uint32))
 
     def test_rejects_wrong_indicator(self):
         x = np.zeros((2, 2), np.float32)

@@ -202,6 +202,23 @@ def scan_inputs(rng, length, e, n, special=False):
     return abar, dx, b, c
 
 
+def relayout(arrays, layout):
+    """Equal values in another memory layout: a transposed copy's transpose,
+    a strided view, or float64."""
+    out = []
+    for arr in arrays:
+        if layout == "transposed":
+            out.append(np.ascontiguousarray(arr.T).T)
+        elif layout == "strided":
+            wide = np.zeros((*arr.shape[:-1], 2 * arr.shape[-1]), np.float32)
+            wide[..., 1::2] = arr
+            out.append(wide[..., 1::2])
+        else:
+            out.append(arr.astype(np.float64))
+        assert not out[-1].flags.c_contiguous or out[-1].dtype != np.float32
+    return out
+
+
 def fallback_scan(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as m:
         m.setattr(kernels, "_compiled_ltr", lambda: None)
@@ -292,6 +309,16 @@ class TestCompiledScan:
             running = np.cumsum(h * c[:, None, :], axis=2, dtype=np.float32)[:, :, -1]
             assert not np.array_equal(y, running)
 
+    @pytest.mark.parametrize("layout", ["transposed", "strided", "float64"])
+    def test_operand_layouts(self, monkeypatch, layout):
+        # Each operand is converted to contiguous float32 before the kernel
+        # reads it through a raw pointer.
+        inputs = scan_inputs(np.random.default_rng(11), 23, 7, 16)
+        want = fallback_scan(monkeypatch, *inputs, collect_hidden=True)
+        got = kernels.ssm_scan(*relayout(inputs, layout), collect_hidden=True)
+        assert_same_bits(got[0], want[0])
+        assert_same_bits(got[1], want[1])
+
     def test_concurrent_scans_keep_the_bits(self, monkeypatch):
         rng = np.random.default_rng(10)
         jobs = [scan_inputs(rng, 200, 40, 16) for _ in range(2)]
@@ -318,6 +345,83 @@ class TestCompiledScan:
             for y, hidden in results[i]:
                 assert_same_bits(y, want[i][0])
                 assert_same_bits(hidden, want[i][1])
+
+
+def decay_inputs(rng, length, e, n, special=False):
+    """Random (delta, a) for kernels.decay; ``special`` plants signed zeros,
+    denormals, infinities and NaNs in both operands."""
+    delta = rng.uniform(0.01, 3.0, (length, e)).astype(np.float32)
+    a = -rng.uniform(0.1, 5.0, (e, n)).astype(np.float32)
+    if special:
+        values = np.array([0.0, -0.0, 1e-41, -3e-39, np.inf, -np.inf, np.nan], np.float32)
+        for arr in (delta, a):
+            flat = arr.reshape(-1)
+            spots = rng.choice(flat.size, size=max(1, flat.size // 3), replace=False)
+            flat[spots] = rng.choice(values, len(spots))
+    return delta, a
+
+
+def fallback_decay(monkeypatch, delta, a):
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_compiled_ltr", lambda: None)
+        return kernels.decay(delta, a)
+
+
+class TestDecayKernel:
+    """The compiled decay product keeps the bits of numpy's broadcast multiply."""
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 17])
+    @pytest.mark.parametrize("length", [1, 29])
+    def test_matches_fallback_and_numpy(self, monkeypatch, n, length):
+        needs_compiled_scan()
+        delta, a = decay_inputs(np.random.default_rng(400 + n), length, 13, n)
+        want = np.exp(delta[:, :, None] * a[None])
+        assert_same_bits(kernels.decay(delta, a), want)
+        assert_same_bits(fallback_decay(monkeypatch, delta, a), want)
+        assert_same_bits(discretize(a, delta), want)
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 17])
+    def test_signed_zeros_denormals_infinities_and_nans(self, monkeypatch, n):
+        needs_compiled_scan()
+        delta, a = decay_inputs(np.random.default_rng(500 + n), 31, 13, n, special=True)
+        with np.errstate(all="ignore"):
+            product = delta[:, :, None] * a[None]
+            want = np.exp(product)
+            got = kernels.decay(delta, a)
+            fallback = fallback_decay(monkeypatch, delta, a)
+            raw = np.empty_like(product)
+            kernels._compiled_ltr().decay_product(
+                delta.ctypes.data, a.ctypes.data, raw.ctypes.data, 31, 13, n)
+        assert np.isnan(want).any() and np.isinf(want).any() and (want == 0).any()
+        # exp maps both zeros to 1, so the product's own bits are checked too.
+        assert (np.signbit(product) & (product == 0)).any()
+        assert ((product != 0) & (np.abs(product) < np.finfo(np.float32).tiny)).any()
+        assert_same_bits(raw, product)
+        assert_same_bits(got, want)
+        assert_same_bits(fallback, want)
+
+    @pytest.mark.parametrize("layout", ["transposed", "strided", "float64"])
+    def test_operand_layouts(self, monkeypatch, layout):
+        delta, a = decay_inputs(np.random.default_rng(12), 23, 7, 16)
+        want = fallback_decay(monkeypatch, delta, a)
+        assert_same_bits(kernels.decay(*relayout((delta, a), layout)), want)
+
+    def test_flops_by_op_same_on_both_paths(self, monkeypatch):
+        delta, a = decay_inputs(np.random.default_rng(13), 17, 6, 5)
+        with kernels.count_flops() as compiled:
+            discretize(a, delta)
+        monkeypatch.setattr(kernels, "_compiled_ltr", lambda: None)
+        with kernels.count_flops() as fallback:
+            discretize(a, delta)
+        assert compiled.by_op == fallback.by_op == {"multiply": 17 * 6 * 5, "exp": 17 * 6 * 5}
+
+    def test_shapes(self):
+        delta, a = decay_inputs(np.random.default_rng(14), 3, 4, 5)
+        assert kernels.decay(delta[:0], a).shape == (0, 4, 5)
+        with pytest.raises(ValueError, match="decay shape mismatch"):
+            kernels.decay(delta, a[:3])
+        with pytest.raises(ValueError, match="decay shape mismatch"):
+            kernels.decay(delta[0], a)
 
 
 class TestMambaBlock:
