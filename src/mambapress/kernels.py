@@ -7,7 +7,7 @@ that feed bit-reproducibility contracts (:func:`matmul` and
 independently written scalar loop produces the exact same bits. BLAS is
 free to reassociate sums, so it is not used.
 
-Three kernels are C code in one small library (:data:`_LTR_SOURCE`). On
+Four kernels are C code in one small library (:data:`_LTR_SOURCE`). On
 first use it is compiled with the local ``gcc`` (``-O3 -march=native
 -ffp-contract=off``, no fast-math), cached under
 ``$XDG_CACHE_HOME/mambapress`` (default ``~/.cache/mambapress``) and loaded
@@ -27,17 +27,24 @@ therefore copied, never read raw.
   element still adds k = 0..K-1 in order, a float32 product and then a
   float32 add, never a fused multiply-add, so it matches the scalar triple
   loop. Fallback: :func:`_ltr_matmul_numpy`, a numpy loop over K.
-- ``ssm_scan`` (:func:`ssm_scan`) is the selective-scan recurrence. Per
-  token and channel it rounds h = abar*h, then h + dx*b, as separate
-  float32 operations, and reads out sum(h*c) over the state in numpy's
-  pairwise order for a contiguous float32 sum, so it matches
-  :func:`rowdot`. Fallback: :func:`_ssm_scan_numpy`, a numpy loop over
-  tokens.
-- ``decay_product`` (:func:`decay`) writes the (L, E, N) products
-  delta[t, i] * a[i, j], one rounded float32 multiply each, for the scan's
-  decays. ``np.exp`` then runs in place over that buffer; it stays in
-  numpy because C cannot reproduce its bits. Fallback: numpy's broadcast
-  multiply.
+- ``decay_product`` writes the scan's decay products delta[t, i] * a[i, j],
+  one rounded float32 multiply each, in (L, N, E) layout: token, state,
+  channel. It reads ``a`` transposed, (N, E). ``np.exp`` then runs in place
+  over that buffer (:func:`_decays`); it stays in numpy because C cannot
+  reproduce its bits.
+- ``ssm_scan`` (:func:`ssm_scan`) is one head's selective scan. It runs
+  over tokens, and within a token over blocks of 16 channels, one channel
+  per vector lane, with the state held as (N, E). Per lane it rounds
+  dx = delta*x, h = abar*h, then h + dx*b, reads out sum(h*c) over the
+  state in numpy's pairwise order for a contiguous float32 sum (so it
+  matches :func:`rowdot`), and adds the skip path, y = (0 + readout) +
+  skip*x, each a separate float32 operation. Fallback: ``np.exp`` of
+  numpy's broadcast product, then :func:`_ssm_scan_numpy`, a numpy loop
+  over tokens.
+- ``causal_conv`` (:func:`causal_conv`) adds each output's taps in order
+  into 0.0, a rounded product and then a rounded add, skipping taps that
+  fall before the sequence start. Fallback: :func:`_causal_conv_numpy`, a
+  numpy loop over taps.
 
 A lightweight FLOP counter can be armed with :func:`count_flops`; while it
 is active every kernel called from the same thread or task tallies its cost
@@ -209,17 +216,36 @@ int ltr_matmul(const float *a, const float *b, float *c,
     return 0;
 }
 
-typedef float v8 __attribute__((vector_size(8 * sizeof(float))));
-typedef float v8u __attribute__((vector_size(8 * sizeof(float)), aligned(sizeof(float))));
-
-/* sum_j h[j]*c[j] in numpy's pairwise order for a contiguous float32 sum:
-   under 8 terms in sequence; up to 128 in 8 accumulators combined as
-   ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in sequence; above
-   128 halved at a multiple of 8. Each product is rounded before its add. */
-static float
-readout(const float *h, const float *c, ptrdiff_t n)
+/* Loads or stores the first rest lanes of a vector; the other lanes load
+   as 0 and are not stored. */
+static inline __attribute__((always_inline)) vf
+vload(const float *p, int rest)
 {
-    float s = -0.0f;
+    if (rest == VW)
+        return *(const vfu *)p;
+    vf v = {0};
+    memcpy(&v, p, (size_t)rest * sizeof(float));
+    return v;
+}
+
+static inline __attribute__((always_inline)) void
+vstore(float *p, vf v, int rest)
+{
+    if (rest == VW)
+        *(vfu *)p = v;
+    else
+        memcpy(p, &v, (size_t)rest * sizeof(float));
+}
+
+/* Per lane, sum_j h[j]*c[j] in numpy's pairwise order for a contiguous
+   float32 sum: under 8 terms in sequence; up to 128 in 8 accumulators
+   combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in
+   sequence; above 128 halved at a multiple of 8. Each product is rounded
+   before its add. h holds n rows of VW lanes, one channel per lane. */
+static vf
+readout(const vf *h, const float *c, ptrdiff_t n)
+{
+    vf s = -(vf){0};
     ptrdiff_t i = 0;
     if (n < 8) {
         for (; i < n; i++)
@@ -227,9 +253,12 @@ readout(const float *h, const float *c, ptrdiff_t n)
         return s;
     }
     if (n <= 128) {
-        v8 r = *(const v8u *)h * *(const v8u *)c;
+        vf r[8];
+        for (int k = 0; k < 8; k++)
+            r[k] = h[k] * c[k];
         for (i = 8; i < n - n % 8; i += 8)
-            r += *(const v8u *)(h + i) * *(const v8u *)(c + i);
+            for (int k = 0; k < 8; k++)
+                r[k] += h[i + k] * c[i + k];
         s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
         for (; i < n; i++)
             s += h[i] * c[i];
@@ -240,43 +269,88 @@ readout(const float *h, const float *c, ptrdiff_t n)
     return readout(h, c, half) + readout(h + half, c + half, n - half);
 }
 
-/* The selective-scan recurrence over len tokens, e channels, n states.
-   Per token t and channel i: h = abar*h, then h = h + dx*b, then
-   y = 0 + readout(h, c). h (e x n) holds the initial state and is updated
-   in place; hidden (len x e x n) receives every state, unless NULL. */
-void ssm_scan(const float *abar, const float *dx, const float *b, const float *c,
-              float *h, float *y, float *hidden, ptrdiff_t len, ptrdiff_t e, ptrdiff_t n)
+/* One token of the scan for the rest <= VW channels at column i: dx =
+   delta*x, per state h = abar*h then h + dx*b, y = (0 + readout) + skip*x,
+   each a separately rounded float32 operation. */
+static inline __attribute__((always_inline)) void
+scan_step(const float *abar, const float *delta, const float *x, const float *b,
+          const float *c, const float *skip, vf *h, float *y, float *hidden,
+          ptrdiff_t i, ptrdiff_t e, ptrdiff_t n, int rest)
 {
-    for (ptrdiff_t t = 0; t < len; t++) {
-        const float *bt = b + t * n, *ct = c + t * n;
-        for (ptrdiff_t i = 0; i < e; i++) {
-            const float *at = abar + (t * e + i) * n;
-            const float d = dx[t * e + i];
-            float *hi = h + i * n;
-            for (ptrdiff_t j = 0; j < n; j++) {
-                float decayed = at[j] * hi[j];
-                hi[j] = decayed + d * bt[j];
-            }
-            y[t * e + i] = 0.0f + readout(hi, ct, n);
-        }
-        if (hidden != NULL)
-            memcpy(hidden + t * e * n, h, (size_t)(e * n) * sizeof(float));
+    const vf xv = vload(x + i, rest);
+    const vf dx = vload(delta + i, rest) * xv;
+    for (ptrdiff_t j = 0; j < n; j++) {
+        vf decayed = vload(abar + j * e + i, rest) * h[j];
+        h[j] = decayed + dx * b[j];
     }
+    vf out = ((vf){0} + readout(h, c, n)) + vload(skip + i, rest) * xv;
+    vstore(y + i, out, rest);
+    if (hidden != NULL)
+        for (int l = 0; l < rest; l++)
+            for (ptrdiff_t j = 0; j < n; j++)
+                hidden[(i + l) * n + j] = h[j][l];
 }
 
-/* out[t, i, j] = delta[t, i] * a[i, j] over len tokens, e channels, n
-   states: one rounded float32 product per element, written in order. */
-void decay_product(const float *restrict delta, const float *restrict a,
+/* The selective scan over len tokens, e channels, n states, from a zero
+   state. abar (len x n x e) holds the decays; delta, x and y are len x e,
+   b and c len x n, skip e. Channels run in blocks of VW vector lanes.
+   hidden (len x e x n) receives every state, unless NULL. Returns 0, or -1
+   when the state cannot be allocated. */
+int ssm_scan(const float *abar, const float *delta, const float *x,
+             const float *b, const float *c, const float *skip, float *y,
+             float *hidden, ptrdiff_t len, ptrdiff_t e, ptrdiff_t n)
+{
+    ptrdiff_t blocks = (e + VW - 1) / VW;
+    vf *state = aligned_alloc(sizeof(vf), (size_t)(blocks * n + 1) * sizeof(vf));
+    if (state == NULL)
+        return -1;
+    memset(state, 0, (size_t)(blocks * n) * sizeof(vf));
+    for (ptrdiff_t t = 0; t < len; t++) {
+        const float *at = abar + t * n * e, *dt = delta + t * e, *xt = x + t * e;
+        const float *bt = b + t * n, *ct = c + t * n;
+        float *yt = y + t * e, *ht = hidden == NULL ? NULL : hidden + t * e * n;
+        ptrdiff_t q = 0;
+        for (; (q + 1) * VW <= e; q++)
+            scan_step(at, dt, xt, bt, ct, skip, state + q * n, yt, ht, q * VW, e, n, VW);
+        if (q * VW < e)
+            scan_step(at, dt, xt, bt, ct, skip, state + q * n, yt, ht, q * VW, e, n,
+                      (int)(e - q * VW));
+    }
+    free(state);
+    return 0;
+}
+
+/* out[t, j, i] = delta[t, i] * at[j, i] over len tokens, n states, e
+   channels, with at the (n x e) transpose of a: one rounded float32
+   product per element, in the (len x n x e) layout the scan reads. */
+void decay_product(const float *restrict delta, const float *restrict at,
                    float *restrict out, ptrdiff_t len, ptrdiff_t e, ptrdiff_t n)
 {
     for (ptrdiff_t t = 0; t < len; t++)
-        for (ptrdiff_t i = 0; i < e; i++) {
-            const float d = delta[t * e + i];
-            const float *ai = a + i * n;
-            float *o = out + (t * e + i) * n;
-            for (ptrdiff_t j = 0; j < n; j++)
-                o[j] = d * ai[j];
+        for (ptrdiff_t j = 0; j < n; j++) {
+            const float *d = delta + t * e, *aj = at + j * e;
+            float *o = out + (t * n + j) * e;
+            for (ptrdiff_t i = 0; i < e; i++)
+                o[i] = d[i] * aj[i];
         }
+}
+
+/* Depthwise causal convolution: out[t, i] adds kt[j, i] * x[t - (w-1) + j, i]
+   for taps j = 0..w-1 in order into 0.0f, skipping taps before the start
+   of the sequence. kt (w x e) is the transpose of the (e x w) kernel. */
+void causal_conv(const float *restrict x, const float *restrict kt,
+                 float *restrict out, ptrdiff_t len, ptrdiff_t e, ptrdiff_t w)
+{
+    for (ptrdiff_t t = 0; t < len; t++) {
+        float *o = out + t * e;
+        for (ptrdiff_t i = 0; i < e; i++)
+            o[i] = 0.0f;
+        for (ptrdiff_t j = t < w - 1 ? w - 1 - t : 0; j < w; j++) {
+            const float *xs = x + (t - (w - 1) + j) * e, *k = kt + j * e;
+            for (ptrdiff_t i = 0; i < e; i++)
+                o[i] = o[i] + k[i] * xs[i];
+        }
+    }
 }
 """
 
@@ -299,10 +373,10 @@ def _cpu_flags() -> str:
 def _build_ltr(cache_dir: Path, compiler: str):
     """Compile (or reuse) the C kernels in ``cache_dir``; ``None`` on failure.
 
-    Returns the loaded library with ``ltr_matmul``, ``ssm_scan`` and
-    ``decay_product`` typed. Every array argument is a raw pointer: callers
-    pass ``arr.ctypes.data`` of a C-contiguous float32 array whose shape
-    they have checked.
+    Returns the loaded library with ``ltr_matmul``, ``ssm_scan``,
+    ``decay_product`` and ``causal_conv`` typed. Every array argument is a
+    raw pointer: callers pass ``arr.ctypes.data`` of a C-contiguous float32
+    array whose shape they have checked.
 
     The library is named by a hash of the source, the flags, the compiler
     version and the CPU flags. It is compiled to a temporary file and
@@ -338,10 +412,11 @@ def _build_ltr(cache_dir: Path, compiler: str):
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
     lib.ltr_matmul.argtypes = [ptr, ptr, ptr, size, size, size]
     lib.ltr_matmul.restype = ctypes.c_int
-    lib.ssm_scan.argtypes = [ptr] * 7 + [size] * 3
-    lib.ssm_scan.restype = None
-    lib.decay_product.argtypes = [ptr, ptr, ptr, size, size, size]
-    lib.decay_product.restype = None
+    lib.ssm_scan.argtypes = [ptr] * 8 + [size] * 3
+    lib.ssm_scan.restype = ctypes.c_int
+    for name in ("decay_product", "causal_conv"):
+        getattr(lib, name).argtypes = [ptr, ptr, ptr, size, size, size]
+        getattr(lib, name).restype = None
     return lib
 
 
@@ -422,67 +497,73 @@ def _ssm_scan_numpy(abar, dx, b, c, hidden):
     return y
 
 
-def ssm_scan(abar, dx, b, c, collect_hidden: bool = False):
-    """The selective-scan recurrence from a zero state.
+def _decays(lib, delta, a) -> np.ndarray:
+    """exp(delta[t, i] * a[i, j]) for the compiled scan, laid out (L, N, E).
 
-    ``abar`` (L, E, N) holds the per-token decays, ``dx`` (L, E) the
-    timescale-scaled inputs, ``b`` and ``c`` (L, N) the per-token input and
-    readout vectors. Per token t: h = abar[t] * h, then h = h + dx[t, :, None]
-    * b[t], each a separately rounded float32 product or add, and
-    y[t] = rowdot(h, c[t]). Returns y (L, E) and, with ``collect_hidden``,
-    every state (L, E, N), else ``None``. Cost: multiply 2*L*E*N (decay and
-    input outer product), add L*E*N, rowdot 2*L*E*N.
-    """
-    abar, dx, b, c = (np.ascontiguousarray(v, dtype=np.float32) for v in (abar, dx, b, c))
-    if abar.ndim != 3:
-        raise ValueError(f"ssm_scan expects (L, E, N) decays, got {abar.shape}")
-    length, e, n = abar.shape
-    if dx.shape != (length, e) or b.shape != (length, n) or c.shape != (length, n):
-        raise ValueError(
-            f"ssm_scan shape mismatch: abar {abar.shape}, dx {dx.shape}, "
-            f"b {b.shape}, c {c.shape}"
-        )
-    _tally("multiply", 2 * abar.size)
-    _tally("add", abar.size)
-    _tally("rowdot", 2 * abar.size)
-    hidden = np.empty(abar.shape, dtype=np.float32) if collect_hidden else None
-    lib = _compiled_ltr()
-    if lib is None:
-        return _ssm_scan_numpy(abar, dx, b, c, hidden), hidden
-    h = np.zeros((e, n), dtype=np.float32)
-    y = np.empty((length, e), dtype=np.float32)
-    # ctypes releases the GIL for the call; every buffer stays referenced here.
-    # A NULL hidden pointer says "no trajectory".
-    lib.ssm_scan(abar.ctypes.data, dx.ctypes.data, b.ctypes.data, c.ctypes.data,
-                 h.ctypes.data, y.ctypes.data,
-                 None if hidden is None else hidden.ctypes.data, length, e, n)
-    return y, hidden
-
-
-def decay(delta, a) -> np.ndarray:
-    """Per-token decay factors exp(delta[t, i] * a[i, j]) -> (L, E, N).
-
-    ``delta`` is (L, E) and ``a`` is (E, N). Each product is one rounded
-    float32 multiply, then ``np.exp`` runs in place over the product
-    buffer, so the bits are those of ``np.exp(delta[:, :, None] * a)``.
-    Cost: multiply L*E*N, exp L*E*N.
+    In that layout the scan reads one state's decays for a block of channels
+    as one vector. The products come from C, one rounded float32 multiply
+    each; ``np.exp`` then runs in place, because C cannot reproduce its bits.
     """
     delta = np.ascontiguousarray(delta, dtype=np.float32)
-    a = np.ascontiguousarray(a, dtype=np.float32)
-    if delta.ndim != 2 or a.ndim != 2 or delta.shape[1] != a.shape[0]:
-        raise ValueError(f"decay shape mismatch: delta {delta.shape}, a {a.shape}")
+    at = np.ascontiguousarray(a.T, dtype=np.float32)
+    (length, e), n = delta.shape, at.shape[0]
+    out = np.empty((length, n, e), dtype=np.float32)
+    # ctypes releases the GIL for the call; delta, at and out stay referenced here.
+    if out.size:
+        lib.decay_product(delta.ctypes.data, at.ctypes.data, out.ctypes.data, length, e, n)
+    return np.exp(out, out=out)
+
+
+def ssm_scan(delta, a, x, b, c, skip, collect_hidden: bool = False):
+    """One head's selective scan from a zero state.
+
+    ``delta`` and ``x`` (L, E) are the timescales and the scan input, ``a``
+    (E, N) the state matrix, ``b`` and ``c`` (L, N) the per-token input and
+    readout vectors and ``skip`` (E,) the pass-through gain. Per token t:
+    abar = exp(delta[t, :, None] * a), dx = delta[t] * x[t], h = abar * h,
+    then h = h + dx[:, None] * b[t], each a separately rounded float32
+    operation, and y[t] = rowdot(h, c[t]) + skip * x[t]. Returns y (L, E)
+    and, with ``collect_hidden``, every state (L, E, N), else ``None``.
+
+    Cost, as the numpy chain books it: decays multiply L*E*N and exp L*E*N;
+    dx multiply L*E; state update multiply 2*L*E*N and add L*E*N; readout
+    rowdot 2*L*E*N; skip path multiply L*E and add L*E.
+    """
+    delta, x, b, c, skip = (np.ascontiguousarray(v, dtype=np.float32)
+                            for v in (delta, x, b, c, skip))
+    a = as_f32(a)
+    if delta.ndim != 2 or a.ndim != 2:
+        raise ValueError(f"ssm_scan expects (L, E) timescales and an (E, N) state "
+                         f"matrix, got {delta.shape} and {a.shape}")
     (length, e), n = delta.shape, a.shape[1]
-    _tally("multiply", length * e * n)
-    _tally("exp", length * e * n)
+    if (a.shape[0] != e or x.shape != (length, e) or b.shape != (length, n)
+            or c.shape != (length, n) or skip.shape != (e,)):
+        raise ValueError(
+            f"ssm_scan shape mismatch: delta {delta.shape}, a {a.shape}, x {x.shape}, "
+            f"b {b.shape}, c {c.shape}, skip {skip.shape}"
+        )
+    size = length * e * n
+    _tally("multiply", 3 * size + 2 * length * e)
+    _tally("exp", size)
+    _tally("add", size + length * e)
+    _tally("rowdot", 2 * size)
+    hidden = np.empty((length, e, n), dtype=np.float32) if collect_hidden else None
     lib = _compiled_ltr()
     if lib is None:
-        out = np.multiply(delta[:, :, None], a[None, :, :])
-    else:
-        out = np.empty((length, e, n), dtype=np.float32)
-        if out.size:
-            lib.decay_product(delta.ctypes.data, a.ctypes.data, out.ctypes.data,
-                              length, e, n)
-    return np.exp(out, out=out)
+        abar = np.exp(delta[:, :, None] * a)
+        y = _ssm_scan_numpy(abar, delta * x, b, c, hidden)
+        return y + skip * x, hidden
+    abar = _decays(lib, delta, a)
+    y = np.empty((length, e), dtype=np.float32)
+    # ctypes releases the GIL for the call; every buffer stays referenced
+    # here. A NULL hidden pointer says "no trajectory".
+    if y.size and lib.ssm_scan(
+        abar.ctypes.data, delta.ctypes.data, x.ctypes.data, b.ctypes.data, c.ctypes.data,
+        skip.ctypes.data, y.ctypes.data, None if hidden is None else hidden.ctypes.data,
+        length, e, n,
+    ) != 0:
+        raise MemoryError("ssm_scan could not allocate its state")
+    return y, hidden
 
 
 def softplus(x) -> np.ndarray:
@@ -491,21 +572,27 @@ def softplus(x) -> np.ndarray:
     For x > SOFTPLUS_CUTOFF the identity branch returns x directly. The
     result is clamped to the smallest positive normal float32 so it is
     strictly positive for every finite input, even where exp() underflows.
+    Every step writes one output buffer in place.
     """
     x = as_f32(x)
     _tally("softplus", x.size)
     cutoff = F32(SOFTPLUS_CUTOFF)
-    out = np.log1p(np.exp(np.minimum(x, cutoff)))
-    out = np.where(x > cutoff, x, out)
-    return np.maximum(out, _TINY)
+    out = np.minimum(x, cutoff, out=np.empty_like(x))
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.copyto(out, x, where=x > cutoff)
+    return np.maximum(out, _TINY, out=out)
 
 
 def silu(x) -> np.ndarray:
-    """Elementwise x * sigmoid(x)."""
+    """Elementwise x * sigmoid(x), as x / (1 + exp(-x)) in one output buffer."""
     x = as_f32(x)
     _tally("silu", x.size)
+    out = np.negative(x, out=np.empty_like(x))
     with np.errstate(over="ignore"):
-        return x / (F32(1.0) + np.exp(-x))
+        np.exp(out, out=out)
+    np.add(F32(1.0), out, out=out)
+    return np.divide(x, out, out=out)
 
 
 def add(a, b, out: np.ndarray | None = None) -> np.ndarray:
@@ -543,14 +630,28 @@ def layernorm(x, scale, bias, eps: float = 1e-5) -> np.ndarray:
     return centered * inv * as_f32(scale) + as_f32(bias)
 
 
+def _causal_conv_numpy(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    length, channels = x.shape
+    width = kernel.shape[1]
+    out = np.zeros((length, channels), dtype=np.float32)
+    for j in range(width):
+        back = width - 1 - j
+        if back == 0:
+            out += kernel[:, j] * x
+        elif back < length:
+            out[back:] += kernel[:, j] * x[: length - back]
+    return out
+
+
 def causal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Depthwise causal convolution along the sequence axis.
 
     out[t, e] = sum_j kernel[e, j] * x[t - (W-1) + j, e], zero-padded before
-    the sequence start; tap j = W-1 multiplies the current token. Cost
-    2*W*L*E.
+    the sequence start; tap j = W-1 multiplies the current token. The taps
+    are added in order j = 0..W-1 into 0.0, each product rounded before its
+    add, and taps before the sequence start are skipped. Cost 2*W*L*E.
     """
-    x = as_f32(x)
+    x = np.ascontiguousarray(x, dtype=np.float32)
     kernel = as_f32(kernel)
     if x.ndim != 2 or kernel.ndim != 2 or x.shape[1] != kernel.shape[0]:
         raise ValueError(
@@ -559,13 +660,15 @@ def causal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     length, channels = x.shape
     width = kernel.shape[1]
     _tally("causal_conv", 2 * width * length * channels)
-    out = np.zeros((length, channels), dtype=np.float32)
-    for j in range(width):
-        back = width - 1 - j
-        if back == 0:
-            out += kernel[:, j] * x
-        elif back < length:
-            out[back:] += kernel[:, j] * x[: length - back]
+    lib = _compiled_ltr()
+    if lib is None:
+        return _causal_conv_numpy(x, kernel)
+    kt = np.ascontiguousarray(kernel.T)
+    out = np.empty((length, channels), dtype=np.float32)
+    # ctypes releases the GIL for the call; x, kt and out stay referenced here.
+    if out.size:
+        lib.causal_conv(x.ctypes.data, kt.ctypes.data, out.ctypes.data,
+                        length, channels, width)
     return out
 
 

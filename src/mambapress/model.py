@@ -19,13 +19,15 @@ from .flops import BlockDims, ReductionPlan
 from .importance import Indicator, compute_scores
 from .kernels import as_f32
 from .reduction import ReductionRecord, Strategy, TokenSequence, reduce_layer
-from .ssm import SsmBlockParams, SsmHeadParams
+from .ssm import NumericError, SsmBlockParams, SsmHeadParams
 
 CLS_POSITIONS = ("middle", "front", "none")
 
-
-class NumericError(RuntimeError):
-    """Raised when a forward pass produces non-finite activations or logits."""
+# The most patch tokens a config may ask for: a 128 x 128 grid, e.g. 2048 px
+# at 16 px patches or 512 px at 4 px. No weight shape depends on the image
+# size, so without a bound a checkpoint's config could ask for an input of
+# any size.
+MAX_PATCH_TOKENS = 128 * 128
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,11 @@ class ModelConfig:
         if self.image_size % self.patch_size != 0:
             raise ValueError(
                 f"image size {self.image_size} not divisible by patch size {self.patch_size}"
+            )
+        if self.patch_tokens > MAX_PATCH_TOKENS:
+            raise ValueError(
+                f"image size {self.image_size} at patch size {self.patch_size} gives "
+                f"{self.patch_tokens} patch tokens, more than {MAX_PATCH_TOKENS}"
             )
         if self.cls_position not in CLS_POSITIONS:
             raise ValueError(f"cls_position must be one of {CLS_POSITIONS}")

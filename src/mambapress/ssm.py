@@ -19,6 +19,10 @@ from .kernels import as_f32
 DIRECTIONS = ("forward", "backward")
 
 
+class NumericError(RuntimeError):
+    """Raised when a forward pass produces non-finite activations or logits."""
+
+
 @dataclass
 class SsmHeadParams:
     """Parameters of one directional scan head.
@@ -128,21 +132,6 @@ class ScanTrace:
     hidden: np.ndarray | None = None  # (L, E, N) state trajectory, on request
 
 
-def discretize(a: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Per-token decay factors exp(delta[t, e] * a[e, n]) -> (L, E, N).
-
-    The matching input transform needs no separate array: scaling the input
-    by its timescale before the state update realizes it implicitly.
-    """
-    a = as_f32(a)
-    delta = as_f32(delta)
-    if delta.ndim != 2 or a.ndim != 2 or delta.shape[1] != a.shape[0]:
-        raise ValueError(f"discretize shape mismatch: a {a.shape}, delta {delta.shape}")
-    if not np.all(delta > 0):
-        raise ValueError("discretize requires strictly positive timescales")
-    return kernels.decay(delta, a)
-
-
 def selective_scan(
     x: np.ndarray, params: SsmHeadParams, collect_hidden: bool = False
 ) -> ScanTrace:
@@ -166,12 +155,15 @@ def selective_scan(
     xs = np.ascontiguousarray(x[::-1]) if backward else x
 
     delta = kernels.softplus(kernels.matmul(kernels.matmul(xs, params.w_1), params.w_2))
+    if not np.all(delta > 0):
+        # softplus is positive wherever its input is a number: a NaN weight
+        # or input is the only way here.
+        if np.isnan(delta).any():
+            raise NumericError(f"non-finite timescales in a {params.scan_direction} scan head")
+        raise ValueError("selective_scan requires strictly positive timescales")
     b = kernels.matmul(xs, params.w_b)  # (L, N)
     c = kernels.matmul(xs, params.w_c)  # (L, N)
-    abar = discretize(params.a, delta)  # (L, E, N)
-    dx = kernels.multiply(delta, xs)
-    y, hidden = kernels.ssm_scan(abar, dx, b, c, collect_hidden)
-    y = kernels.add(y, kernels.multiply(params.skip_d, xs))
+    y, hidden = kernels.ssm_scan(delta, params.a, xs, b, c, params.skip_d, collect_hidden)
 
     if backward:
         y = np.ascontiguousarray(y[::-1])

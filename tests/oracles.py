@@ -55,3 +55,39 @@ def apply_merge_loop(seq, mapping, weighted=True, pruned_rows=()):
         features[survivors.index(t_row)] = merged.astype(np.float32)
         weight[survivors.index(t_row)] = seq.weight[members].sum()
     return features, seq.orig_index[survivors], weight
+
+
+def decay(delta, a) -> np.ndarray:
+    """Per-token decay factors exp(delta[t, i] * a[i, j]) -> (L, E, N): one
+    rounded float32 product per element, then ``np.exp``. The compiled scan
+    computes the same values in (L, N, E) layout."""
+    delta = kernels.as_f32(delta)
+    a = kernels.as_f32(a)
+    if delta.ndim != 2 or a.ndim != 2 or delta.shape[1] != a.shape[0]:
+        raise ValueError(f"decay shape mismatch: delta {delta.shape}, a {a.shape}")
+    return np.exp(delta[:, :, None] * a[None, :, :])
+
+
+def discretize(a, delta) -> np.ndarray:
+    """Zero-order-hold decays for strictly positive timescales."""
+    if not np.all(kernels.as_f32(delta) > 0):
+        raise ValueError("discretize requires strictly positive timescales")
+    return decay(delta, a)
+
+
+def softplus(x) -> np.ndarray:
+    """ln(1+exp(x)), x itself above the cutoff, clamped to the smallest
+    normal float32, one fresh array per step: the bits
+    :func:`mambapress.kernels.softplus` must keep."""
+    x = kernels.as_f32(x)
+    cutoff = np.float32(kernels.SOFTPLUS_CUTOFF)
+    out = np.log1p(np.exp(np.minimum(x, cutoff)))
+    out = np.where(x > cutoff, x, out)
+    return np.maximum(out, np.finfo(np.float32).tiny)
+
+
+def silu(x) -> np.ndarray:
+    """x / (1 + exp(-x)) in fresh arrays: the bits of :func:`mambapress.kernels.silu`."""
+    x = kernels.as_f32(x)
+    with np.errstate(over="ignore"):
+        return x / (np.float32(1.0) + np.exp(-x))

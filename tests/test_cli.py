@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mambapress import cli
+from mambapress.checkpoint import load, save
 from mambapress.mask import TINT, render_mask
 from mambapress.ppm import PpmError, read_ppm, synthetic_image, write_ppm
 
@@ -109,6 +110,39 @@ class TestCraftedCheckpoints:
         path.write_bytes(data)
         assert cli.main(["run", "--ckpt", str(path)]) == 3
         assert "error" in capsys.readouterr().err
+
+
+def with_meta(ckpt_path, **changes) -> bytes:
+    """A valid checkpoint's bytes with fields of its config meta replaced."""
+    data = ckpt_path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", data, 8)
+    meta = json.loads(data[12:12 + meta_len])
+    meta.update(changes)
+    new_meta = json.dumps(meta, sort_keys=True).encode()
+    return data[:8] + struct.pack("<I", len(new_meta)) + new_meta + data[12 + meta_len:]
+
+
+class TestHugeImageSize:
+    """No weight depends on the image size, so a config asking for a huge
+    image passes every shape check; the patch-token bound rejects it."""
+
+    @pytest.mark.parametrize("size", [2**20, 2**40])
+    def test_run_synthetic_exits_3(self, capsys, small_ckpt, tmp_path, size):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(with_meta(small_ckpt, image_size=size))
+        assert cli.main(["run", "--ckpt", str(path), "--synthetic", "1"]) == 3
+        assert "patch tokens" in capsys.readouterr().err
+
+
+def test_nan_weight_exits_4(capsys, small_ckpt, tmp_path):
+    # A NaN in a timescale projection reaches the scan's timescales before
+    # any activation check: still a numeric failure, not a flag error.
+    ckpt = load(small_ckpt)
+    ckpt.entries["blocks.0.heads.1.w_1"][0, 0] = np.nan
+    path = tmp_path / "nan.bin"
+    save(ckpt, path)
+    assert cli.main(["run", "--ckpt", str(path), "--synthetic", "1"]) == 4
+    assert "numeric failure" in capsys.readouterr().err
 
 
 class TestRenderMask:

@@ -2,15 +2,19 @@
 
 Every byte string, arbitrary or a mutation of a valid file, either parses
 into a well-formed object or raises the parser's own typed error, and
-``mambapress run`` maps it to its documented exit code.
+``mambapress run`` maps it to its documented exit code. A second strategy
+edits the checkpoint's JSON meta field by field, which byte mutations that
+keep the meta length cannot do.
 """
 
 import contextlib
 import io
+import json
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mambapress import checkpoint, cli, ppm
@@ -133,3 +137,65 @@ def test_run_with_fuzzed_image_exits_0_or_3(seeds, drawn):
         want = 0 if image.shape == (SMALL.image_size,) * 2 + (3,) else 2
     code = run_cli(["run", "--ckpt", str(seeds["ckpt"]), "--image", str(seeds["scratch"])])
     assert code == want
+
+
+# Values a config field may be given: sizes at and around the limits
+# (512 px at 4 px patches is the most patch tokens a config may ask for),
+# other JSON types, and containers of them.
+SIZES = [-1, 0, 1, 2, 3, 4, 5, 8, 16, 64, 512, 516, 2**20, 2**31, 2**40, 2**63, 2**64 + 1]
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(SIZES), st.floats(),
+    st.text(max_size=8), st.sampled_from(["middle", "front", "none"]),
+)
+VALUES = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+META_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from([*sorted(SMALL.to_json()), "unknown_field"]),
+        st.one_of(
+            st.sampled_from(SIZES).map(lambda v: ("set", v)),
+            VALUES.map(lambda v: ("set", v)),
+            st.just(("delete", None)),
+            st.integers(1, 5000).map(lambda depth: ("nest", depth)),
+            st.integers(1, 1 << 17).map(lambda length: ("long", length)),
+        ),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def edit_meta(data: bytes, edits) -> bytes:
+    """A checkpoint's bytes with its meta edited field by field: a value set,
+    the field deleted, nested ``depth`` lists deep, or a long string."""
+    (meta_len,) = struct.unpack_from("<I", data, 8)
+    doc = json.loads(data[12:12 + meta_len])
+    nested = {}
+    for name, (kind, arg) in edits:
+        if kind == "set":
+            doc[name] = arg
+        elif kind == "delete":
+            doc.pop(name, None)
+        elif kind == "long":
+            doc[name] = "x" * arg
+        else:
+            doc[name] = marker = f"@nest{len(nested)}@"
+            nested[json.dumps(marker)] = "[" * arg + "1" + "]" * arg
+    text = json.dumps(doc, sort_keys=True)
+    for marker, value in nested.items():
+        text = text.replace(marker, value)
+    meta = text.encode()
+    return data[:8] + struct.pack("<I", len(meta)) + meta + data[12 + meta_len:]
+
+
+@settings(FUZZ, max_examples=60)
+@given(edits=META_EDITS)
+@example(edits=[("image_size", ("set", 2**20))])
+@example(edits=[("image_size", ("set", 2**40))])
+def test_run_with_edited_meta_exits_0_3_or_4(seeds, edits):
+    data = edit_meta(seeds["ckpt"].read_bytes(), edits)
+    seeds["scratch"].write_bytes(data)
+    code = run_cli(["run", "--ckpt", str(seeds["scratch"]), "--synthetic", "1"])
+    assert code in (0, 3, 4), data[12:200]

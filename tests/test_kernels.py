@@ -102,6 +102,42 @@ class TestSoftplus:
         assert np.all(np.diff(vals) >= 0.0)
 
 
+def special_grid() -> np.ndarray:
+    """Signed zeros, denormals, infinities, NaN, values on both sides of the
+    softplus cutoff and of exp's overflow, and a dense normal range."""
+    tiny = np.finfo(np.float32).tiny
+    cutoff = np.float32(kernels.SOFTPLUS_CUTOFF)
+    around = [np.nextafter(cutoff, np.float32(-np.inf)), cutoff,
+              np.nextafter(cutoff, np.float32(np.inf))]
+    values = [0.0, -0.0, 1e-45, -1e-45, 1e-41, -3e-39, tiny, -tiny, np.inf, -np.inf,
+              np.nan, 88.7, 88.8, -88.8, -103.9, -104.0, 1e30, -1e30,
+              *around, *(-v for v in around)]
+    dense = np.linspace(-120, 120, 20001, dtype=np.float32)
+    return np.concatenate([np.array(values, np.float32), dense])
+
+
+class TestActivationsMatchOracles:
+    """softplus and silu write one buffer in place with the bits of fresh arrays."""
+
+    @pytest.mark.parametrize("name", ["softplus", "silu"])
+    def test_bitwise_on_special_grid(self, name):
+        grid = special_grid()
+        with np.errstate(invalid="ignore"):
+            for x in (grid, grid.reshape(-1, 5)[:, 1::2], grid[::-3]):
+                got = getattr(kernels, name)(x)
+                assert_same_bits(got, getattr(oracles, name)(x))
+            assert float(getattr(kernels, name)(np.float32(0.5))) == float(
+                getattr(oracles, name)(np.float32(0.5)))
+
+    @pytest.mark.parametrize("name", ["softplus", "silu"])
+    def test_input_untouched(self, name):
+        x = special_grid()
+        before = x.copy()
+        with np.errstate(invalid="ignore"):
+            getattr(kernels, name)(x)
+        assert_same_bits(x, before)
+
+
 class TestCosineSimilarity:
     @staticmethod
     def cosine(a, b) -> float:
@@ -208,6 +244,12 @@ class TestConvAndNorm:
         out = kernels.causal_conv(x, kernel)
         # The impulse at t=2 is visible for width=4 steps starting there.
         assert np.allclose(out[:, 0], [0, 0, 1, 1, 1])
+
+    def test_causal_conv_short_sequence(self):
+        # Fewer tokens than taps: only the taps that reach the sequence count.
+        x = np.array([[2.0], [3.0]], dtype=np.float32)
+        kernel = np.array([[100.0, 10.0, 1.0, 0.5]], dtype=np.float32)
+        assert np.array_equal(kernels.causal_conv(x, kernel)[:, 0], [1.0, 3.5])
 
     def test_layernorm_zero_mean_unit_var(self):
         rng = np.random.default_rng(23)
@@ -354,11 +396,25 @@ def _float64():
 def _scan_inputs():
     rng = np.random.default_rng(59)
     return (
-        rng.uniform(0.0, 1.0, (23, 7, 16)).astype(np.float32),
+        rng.uniform(0.01, 3.0, (23, 7)).astype(np.float32),
+        -rng.uniform(0.1, 5.0, (7, 16)).astype(np.float32),
         rng.standard_normal((23, 7)).astype(np.float32),
         rng.standard_normal((23, 16)).astype(np.float32),
         rng.standard_normal((23, 16)).astype(np.float32),
+        rng.standard_normal(7).astype(np.float32),
     )
+
+
+def _conv_inputs():
+    rng = np.random.default_rng(61)
+    return rng.standard_normal((29, 21)).astype(np.float32), rng.standard_normal(
+        (21, 4)).astype(np.float32)
+
+
+def scan_fallback(delta, a, x, b, c, skip):
+    """The numpy chain the compiled scan must reproduce."""
+    abar = np.exp(delta[:, :, None] * a)
+    return kernels._ssm_scan_numpy(abar, delta * x, b, c, None) + skip * x
 
 
 BIT_CASES = {
@@ -430,20 +486,26 @@ class TestCompiledMatmul:
         with np.errstate(all="ignore"):
             assert_same_bits(out, naive_matmul_f32(a, b))
 
-        # The scan and decay kernels come from the same library file.
-        abar, dx, bv, cv = _scan_inputs()
-        length, e, n = abar.shape
-        state = np.zeros((e, n), np.float32)
+        # The decay, scan and conv kernels come from the same library file.
+        delta, a_state, x, bv, cv, skip = _scan_inputs()
+        (length, e), n = delta.shape, a_state.shape[1]
+        at = np.ascontiguousarray(a_state.T)
+        abar = np.empty((length, n, e), np.float32)
+        lib.decay_product(delta.ctypes.data, at.ctypes.data, abar.ctypes.data, length, e, n)
+        product = delta[:, :, None] * a_state[None]
+        assert_same_bits(abar, np.ascontiguousarray(product.transpose(0, 2, 1)))
+        np.exp(abar, out=abar)
         y = np.empty((length, e), np.float32)
-        lib.ssm_scan(abar.ctypes.data, dx.ctypes.data, bv.ctypes.data, cv.ctypes.data,
-                     state.ctypes.data, y.ctypes.data, None, length, e, n)
-        assert_same_bits(y, kernels._ssm_scan_numpy(abar, dx, bv, cv, None))
+        assert lib.ssm_scan(abar.ctypes.data, delta.ctypes.data, x.ctypes.data,
+                            bv.ctypes.data, cv.ctypes.data, skip.ctypes.data,
+                            y.ctypes.data, None, length, e, n) == 0
+        assert_same_bits(y, scan_fallback(delta, a_state, x, bv, cv, skip))
 
-        a_decay = -abar[0]
-        product = np.empty_like(abar)
-        lib.decay_product(dx.ctypes.data, a_decay.ctypes.data, product.ctypes.data,
-                          length, e, n)
-        assert_same_bits(product, dx[:, :, None] * a_decay[None])
+        x, kernel = _conv_inputs()
+        kt = np.ascontiguousarray(kernel.T)
+        out = np.empty_like(x)
+        lib.causal_conv(x.ctypes.data, kt.ctypes.data, out.ctypes.data, *x.shape, 4)
+        assert_same_bits(out, kernels._causal_conv_numpy(x, kernel))
 
     def test_missing_compiler_falls_back(self, tmp_path, monkeypatch):
         assert kernels._build_ltr(tmp_path, str(tmp_path / "no-such-cc")) is None
@@ -468,15 +530,15 @@ class TestCompiledMatmul:
         a, b = _strided()
         want = naive_matmul_f32(a, b)
         scan = _scan_inputs()
-        want_scan = kernels._ssm_scan_numpy(*scan, None)
-        delta, a_decay = np.abs(scan[1]), -scan[0][0]
-        want_decay = np.exp(delta[:, :, None] * a_decay)
+        want_scan = scan_fallback(*scan)
+        conv = _conv_inputs()
+        want_conv = kernels._causal_conv_numpy(*conv)
         results = []
 
         def use(i):
             # Each third of the threads reaches the library through another kernel.
             calls = [lambda: kernels.matmul(a, b), lambda: kernels.ssm_scan(*scan)[0],
-                     lambda: kernels.decay(delta, a_decay)]
+                     lambda: kernels.causal_conv(*conv)]
             got = {j: calls[j]() for j in ((i + step) % 3 for step in range(3))}
             results.append((got[0], got[1], got[2]))
 
@@ -493,7 +555,77 @@ class TestCompiledMatmul:
         assert not any(t.is_alive() for t in threads)
         assert builds == [tmp_path / "mambapress"]
         assert len(results) == 6
-        for out, y, decays in results:
+        for out, y, convolved in results:
             assert np.array_equal(out, want)
             assert_same_bits(y, want_scan)
-            assert_same_bits(decays, want_decay)
+            assert_same_bits(convolved, want_conv)
+
+
+def fallback_conv(monkeypatch, x, kernel):
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_compiled_ltr", lambda: None)
+        return kernels.causal_conv(x, kernel)
+
+
+class TestCompiledConv:
+    """The compiled causal conv keeps the bits of the numpy tap loop."""
+
+    @pytest.mark.parametrize("width", [1, 4, 7])
+    def test_matches_fallback(self, monkeypatch, width):
+        if kernels._compiled_ltr() is None:
+            pytest.skip("no compiled library: the numpy fallback is the kernel")
+        rng = np.random.default_rng(700 + width)
+        for channels in (1, 13, 16, 33, 384):
+            for length in (*range(1, width + 1), 29, 197):  # includes L < W
+                x = (rng.standard_normal((length, channels))
+                     * np.exp2(rng.integers(-30, 30, (length, channels)))).astype(np.float32)
+                kernel = rng.standard_normal((channels, width)).astype(np.float32)
+                assert_same_bits(kernels.causal_conv(x, kernel),
+                                 fallback_conv(monkeypatch, x, kernel))
+
+    @pytest.mark.parametrize("width", [1, 4, 7])
+    def test_signed_zeros_and_special_values(self, monkeypatch, width):
+        # All-zero windows sum to +0.0 from either zero; a lone -0.0 product
+        # added into 0.0 gives +0.0 too. Infinities and NaNs land in the same
+        # places on both paths.
+        rng = np.random.default_rng(800 + width)
+        x = rng.choice(np.array([0.0, -0.0, 1e-41, -3e-39, 1.5, -2.0, np.inf, -np.inf, np.nan],
+                                np.float32), size=(40, 19))
+        x[:8] = -0.0
+        kernel = rng.choice(np.array([0.0, -0.0, 0.5, -3.0, 1e-41], np.float32), size=(19, width))
+        with np.errstate(all="ignore"):
+            got = kernels.causal_conv(x, kernel)
+            want = fallback_conv(monkeypatch, x, kernel)
+        assert np.isnan(want).any() and (want == 0).any()
+        assert not np.signbit(want[:8]).any()
+        assert_same_bits(got, want)
+
+    def test_operand_layouts(self, monkeypatch):
+        x, kernel = _conv_inputs()
+        want = fallback_conv(monkeypatch, x, kernel)
+        assert_same_bits(kernels.causal_conv(np.asfortranarray(x), kernel.T.copy().T), want)
+        assert_same_bits(
+            kernels.causal_conv(x.astype(np.float64), kernel.astype(np.float64)), want)
+        assert kernels.causal_conv(x[:0], kernel).shape == (0, x.shape[1])
+
+
+def test_toy_pass_books_the_same_flops_by_op():
+    # The FLOPs each op books on a toy pass at ratio 0 and at 40%, as
+    # before the scan and the conv moved into C.
+    config = ModelConfig(image_size=224, patch_size=16, feat_dim=192, depth=24)
+    model = VisionModel.seeded(config, seed=0)
+    layers = default_reduction_layers(config.depth)
+    image = synthetic_image(config.image_size, seed=5)
+    plans = [identity_plan(layers), solve_k(FlopsModel.from_config(config), 0.4, layers)]
+    want = [
+        {"add": 64489738, "causal_conv": 29048832, "exp": 58097664, "layernorm": 6355776,
+         "matmul": 2556006144, "multiply": 183370752, "rowdot": 116195328,
+         "silu": 5446656, "softplus": 3631104},
+        {"add": 38139082, "causal_conv": 17172480, "exp": 34344960, "layernorm": 3757824,
+         "matmul": 1534639872, "multiply": 108401280, "rowdot": 68689920,
+         "silu": 3219840, "softplus": 2146560},
+    ]
+    for plan, by_op in zip(plans, want):
+        with kernels.count_flops() as counter:
+            model.forward(image, plan, collect_diagnostics=False)
+        assert dict(counter.by_op) == by_op

@@ -7,6 +7,7 @@ from mambapress import kernels
 from mambapress.flops import FlopsModel, ReductionPlan, solve_k
 from mambapress.importance import Indicator
 from mambapress.model import (
+    MAX_PATCH_TOKENS,
     ModelConfig,
     NumericError,
     VisionModel,
@@ -33,6 +34,13 @@ class TestConfig:
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
             ModelConfig(image_size=10, patch_size=3, feat_dim=4, depth=1)
+
+    def test_patch_token_limit(self):
+        at_limit = ModelConfig(image_size=512, patch_size=4, feat_dim=4, depth=1)
+        assert at_limit.patch_tokens == MAX_PATCH_TOKENS
+        for size in (516, 2**20, 2**40):
+            with pytest.raises(ValueError, match="patch tokens"):
+                ModelConfig(image_size=size, patch_size=4, feat_dim=4, depth=1)
 
     def test_default_delta_rank(self):
         assert ModelConfig(image_size=8, patch_size=2, feat_dim=192, depth=1).rank == 12

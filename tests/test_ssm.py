@@ -9,12 +9,13 @@ import pytest
 
 from mambapress import kernels
 from mambapress.ssm import (
+    NumericError,
     SsmBlockParams,
     SsmHeadParams,
-    discretize,
     mamba_block,
     selective_scan,
 )
+from tests.oracles import decay, discretize
 from tests.test_kernels import assert_same_bits
 
 
@@ -72,7 +73,14 @@ def scan_oracle(x: np.ndarray, params: SsmHeadParams) -> np.ndarray:
     return y
 
 
+def compiled_decays(delta, a) -> np.ndarray:
+    """The compiled scan's decays, (L, N, E), as a transposed (L, E, N) view."""
+    return kernels._decays(kernels._compiled_ltr(), delta, a).transpose(0, 2, 1)
+
+
 class TestDiscretize:
+    """The oracle's discretization, and the compiled decays' bits against it."""
+
     def test_zero_limit(self):
         a = -np.ones((2, 3), dtype=np.float32)
         delta = np.full((4, 2), 1e-8, dtype=np.float32)
@@ -91,17 +99,31 @@ class TestDiscretize:
         assert np.all(abar > 0.0) and np.all(abar < 1.0)
 
     def test_bits_of_exp_of_product(self):
-        # The decays are computed in place; the bits are those of a fresh exp.
+        # The compiled decays are computed in place; the bits are those of a fresh exp.
+        needs_compiled_scan()
         rng = np.random.default_rng(1)
         a = -rng.uniform(0.1, 5.0, size=(37, 16)).astype(np.float32)
         delta = rng.uniform(0.01, 3.0, size=(29, 37)).astype(np.float32)
         want = np.exp(delta[:, :, None] * a[None, :, :])
         assert np.array_equal(discretize(a, delta).view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(compiled_decays(delta, a).view(np.uint32), want.view(np.uint32))
 
-    def test_rejects_nonpositive_delta(self):
-        a = -np.ones((1, 1), dtype=np.float32)
-        with pytest.raises(ValueError, match="positive"):
-            discretize(a, np.zeros((2, 1), dtype=np.float32))
+    def test_rejects_nonpositive_delta(self, monkeypatch):
+        # softplus never returns a non-positive timescale, so one is planted.
+        rng = np.random.default_rng(2)
+        params = random_head(rng, e=3, n=2, r=1)
+        x = rng.standard_normal((4, 3)).astype(np.float32)
+        for bad in (0.0, -1.0):
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "softplus", lambda v, bad=bad: np.full_like(v, bad))
+                with pytest.raises(ValueError, match="positive"):
+                    selective_scan(x, params)
+            with pytest.raises(ValueError, match="positive"):
+                discretize(params.a, np.full((2, 3), bad, dtype=np.float32))
+        # A NaN timescale comes from a NaN weight or input: a numeric failure.
+        params.w_1[0, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite timescales"):
+            selective_scan(x, params)
 
 
 class TestSelectiveScan:
@@ -186,30 +208,34 @@ class TestSelectiveScan:
 
 
 def scan_inputs(rng, length, e, n, special=False):
-    """Random (abar, dx, b, c) for kernels.ssm_scan; ``special`` plants
-    signed zeros, denormals and infinities in every operand."""
-    abar = rng.uniform(0.0, 1.0, (length, e, n)).astype(np.float32)
-    dx = rng.standard_normal((length, e)).astype(np.float32)
+    """Random (delta, a, x, b, c, skip) for kernels.ssm_scan; ``special``
+    plants signed zeros, denormals and infinities in every operand."""
+    delta = rng.uniform(0.01, 3.0, (length, e)).astype(np.float32)
+    a = -rng.uniform(0.1, 5.0, (e, n)).astype(np.float32)
+    x = rng.standard_normal((length, e)).astype(np.float32)
     b = rng.standard_normal((length, n)) * np.exp2(rng.integers(-20, 20, (length, n)))
     b = b.astype(np.float32)
     c = rng.standard_normal((length, n)).astype(np.float32)
+    skip = rng.standard_normal(e).astype(np.float32)
+    inputs = (delta, a, x, b, c, skip)
     if special:
         values = np.array([0.0, -0.0, 1e-41, -3e-39, np.inf, -np.inf], np.float32)
-        for arr in (abar, dx, b, c):
+        for arr in inputs:
             flat = arr.reshape(-1)
-            spots = rng.choice(flat.size, size=min(flat.size, 4 * length), replace=False)
+            count = min(flat.size, max(1, 4 * length * flat.size // (length * e)))
+            spots = rng.choice(flat.size, size=count, replace=False)
             flat[spots] = rng.choice(values, len(spots))
-    return abar, dx, b, c
+    return inputs
 
 
 def relayout(arrays, layout):
     """Equal values in another memory layout: a transposed copy's transpose,
-    a strided view, or float64."""
+    a strided view, or float64. A vector has no transpose: it is strided."""
     out = []
     for arr in arrays:
-        if layout == "transposed":
+        if layout == "transposed" and arr.ndim > 1:
             out.append(np.ascontiguousarray(arr.T).T)
-        elif layout == "strided":
+        elif layout in ("transposed", "strided"):
             wide = np.zeros((*arr.shape[:-1], 2 * arr.shape[-1]), np.float32)
             wide[..., 1::2] = arr
             out.append(wide[..., 1::2])
@@ -230,35 +256,73 @@ def needs_compiled_scan():
         pytest.skip("no compiled library: the numpy fallback is the kernel")
 
 
-class TestCompiledScan:
-    """The compiled recurrence keeps the bits of the numpy fallback."""
+STATE_DIMS = [*range(1, 21), 64, 128, 129, 200, 256, 300]
 
-    @pytest.mark.parametrize("n", [*range(1, 21), 129, 256])
+
+class TestCompiledScan:
+    """The compiled scan keeps the bits of the numpy fallback."""
+
+    @pytest.mark.parametrize("n", STATE_DIMS)
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_selective_scan_matches_fallback(self, monkeypatch, n, direction):
         needs_compiled_scan()
         rng = np.random.default_rng(100 + n)
-        params = random_head(rng, e=13, n=n, r=3, direction=direction)
-        for length in (1, 300):
-            x = rng.standard_normal((length, 13)).astype(np.float32)
-            got = selective_scan(x, params, collect_hidden=True)
-            with monkeypatch.context() as m:
-                m.setattr(kernels, "_compiled_ltr", lambda: None)
-                want = selective_scan(x, params, collect_hidden=True)
-            assert_same_bits(got.y, want.y)
-            assert_same_bits(got.hidden, want.hidden)
+        for e in (13, 33):  # one partial channel block; two full blocks and a partial one
+            params = random_head(rng, e=e, n=n, r=3, direction=direction)
+            for length in (1, 300):
+                x = rng.standard_normal((length, e)).astype(np.float32)
+                got = selective_scan(x, params, collect_hidden=True)
+                with monkeypatch.context() as m:
+                    m.setattr(kernels, "_compiled_ltr", lambda: None)
+                    want = selective_scan(x, params, collect_hidden=True)
+                assert_same_bits(got.y, want.y)
+                assert_same_bits(got.hidden, want.hidden)
+
+    @pytest.mark.parametrize("n", STATE_DIMS)
+    def test_kernel_matches_fallback_on_grid(self, monkeypatch, n):
+        # Channel counts below, at and beyond one 16-lane block and the toy
+        # width. Grid points above 2**24 state elements are left out to bound
+        # memory (the numpy fallback holds two such arrays); E = 384 still
+        # runs at L = 1 and 29 for them. The trajectory is compared up to
+        # 2**22 elements.
+        needs_compiled_scan()
+        rng = np.random.default_rng(600 + n)
+        for e in (1, 13, 16, 17, 33, 384):
+            for length in (1, 29, 300):
+                if length * e * n > 2**24:
+                    continue
+                inputs = scan_inputs(rng, length, e, n)
+                collect = length * e * n <= 2**22
+                y, hidden = kernels.ssm_scan(*inputs, collect_hidden=collect)
+                want_y, want_hidden = fallback_scan(monkeypatch, *inputs, collect_hidden=collect)
+                assert_same_bits(y, want_y)
+                if collect:
+                    assert_same_bits(hidden, want_hidden)
 
     @pytest.mark.parametrize("n", [1, 4, 7, 8, 16, 19, 129])
     def test_signed_zeros_denormals_and_infinities(self, monkeypatch, n):
         needs_compiled_scan()
         rng = np.random.default_rng(200 + n)
-        inputs = scan_inputs(rng, 40, 11, n, special=True)
-        with np.errstate(all="ignore"):
-            y, hidden = kernels.ssm_scan(*inputs, collect_hidden=True)
-            want_y, want_hidden = fallback_scan(monkeypatch, *inputs, collect_hidden=True)
-        assert np.isnan(want_y).any() and np.isinf(want_hidden).any()
-        assert_same_bits(y, want_y)
-        assert_same_bits(hidden, want_hidden)
+        for e in (11, 37):
+            inputs = scan_inputs(rng, 40, e, n, special=True)
+            with np.errstate(all="ignore"):
+                y, hidden = kernels.ssm_scan(*inputs, collect_hidden=True)
+                want_y, want_hidden = fallback_scan(monkeypatch, *inputs, collect_hidden=True)
+            assert np.isnan(want_y).any() and np.isinf(want_hidden).any()
+            assert_same_bits(y, want_y)
+            assert_same_bits(hidden, want_hidden)
+
+    def test_hidden_layout_is_token_channel_state(self, monkeypatch):
+        # State j of channel i after token t sits at hidden[t, i, j], and the
+        # last state reads out the last output.
+        inputs = scan_inputs(np.random.default_rng(15), 6, 19, 3)
+        y, hidden = kernels.ssm_scan(*inputs, collect_hidden=True)
+        delta, a, x, b, c, skip = inputs
+        h = np.zeros((19, 3), np.float32)
+        for t in range(6):
+            h = np.exp(delta[t][:, None] * a) * h + (delta[t] * x[t])[:, None] * b[t]
+            assert_same_bits(hidden[t], h)
+        assert_same_bits(y[-1], kernels.rowdot(h, c[-1]) + skip * x[-1])
 
     def test_no_hidden_unless_asked(self):
         inputs = scan_inputs(np.random.default_rng(7), 5, 3, 4)
@@ -266,11 +330,17 @@ class TestCompiledScan:
         assert hidden is None and y.shape == (5, 3)
 
     def test_shape_mismatch(self):
-        abar, dx, b, c = scan_inputs(np.random.default_rng(8), 5, 3, 4)
+        delta, a, x, b, c, skip = scan_inputs(np.random.default_rng(8), 5, 3, 4)
         with pytest.raises(ValueError, match="ssm_scan shape mismatch"):
-            kernels.ssm_scan(abar, dx, b, c[:4])
-        with pytest.raises(ValueError, match=r"\(L, E, N\)"):
-            kernels.ssm_scan(abar[0], dx, b, c)
+            kernels.ssm_scan(delta, a, x, b, c[:4], skip)
+        with pytest.raises(ValueError, match="ssm_scan shape mismatch"):
+            kernels.ssm_scan(delta, a[:2], x, b, c, skip)
+        with pytest.raises(ValueError, match="ssm_scan shape mismatch"):
+            kernels.ssm_scan(delta, a, x, b, c, skip[:2])
+        with pytest.raises(ValueError, match=r"\(L, E\)"):
+            kernels.ssm_scan(delta[0], a, x, b, c, skip)
+        y, hidden = kernels.ssm_scan(delta[:0], a, x[:0], b[:0], c[:0], skip, collect_hidden=True)
+        assert y.shape == (0, 3) and hidden.shape == (0, 3, 4)
 
     def test_flops_by_op_same_on_both_paths(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -284,25 +354,27 @@ class TestCompiledScan:
         assert compiled.by_op == fallback.by_op
         with kernels.count_flops() as alone:
             kernels.ssm_scan(*scan_inputs(rng, 17, 6, 5))
-        size = 17 * 6 * 5
-        assert alone.by_op == {"multiply": 2 * size, "add": size, "rowdot": 2 * size}
+        size, rows = 17 * 6 * 5, 17 * 6
+        assert alone.by_op == {"multiply": 3 * size + 2 * rows, "exp": size,
+                               "add": size + rows, "rowdot": 2 * size}
 
-    @pytest.mark.parametrize("n", [*range(1, 21), 64, 128, 129, 200, 256, 300])
+    @pytest.mark.parametrize("n", STATE_DIMS)
     def test_readout_order_is_rowdot(self, n):
-        # With zero decay every token starts afresh, h[t] = dx[t, :, None] * b[t],
-        # so y[t] must be rowdot(h[t], c[t]) bit for bit. Wide exponents
-        # make the summation order visible. Token 0 reads out a state of
-        # -0.0 through positive c: the sum is -0.0, and rowdot gives +0.0.
+        # With a = -inf every decay is exp(-inf) = 0, so every token starts
+        # afresh, h[t] = x[t, :, None] * b[t] (delta = 1, no skip), and y[t]
+        # must be rowdot(h[t], c[t]) bit for bit. Wide exponents make the
+        # summation order visible.
         needs_compiled_scan()
         rng = np.random.default_rng(300 + n)
         length, e = 64, 9
         b = rng.standard_normal((length, n)) * np.exp2(rng.integers(-24, 24, (length, n)))
         b = b.astype(np.float32)
         c = rng.standard_normal((length, n)).astype(np.float32)
-        dx = np.exp2(rng.integers(-3, 3, (length, e))).astype(np.float32)
-        b[0], c[0] = -0.0, np.abs(c[0])
-        y, _ = kernels.ssm_scan(np.full((length, e, n), -0.0, np.float32), dx, b, c)
-        h = dx[:, :, None] * b[:, None, :]
+        x = np.exp2(rng.integers(-3, 3, (length, e))).astype(np.float32)
+        y, _ = kernels.ssm_scan(np.ones((length, e), np.float32),
+                                np.full((e, n), -np.inf, np.float32), x, b, c,
+                                np.zeros(e, np.float32))
+        h = x[:, :, None] * b[:, None, :]
         want = np.stack([kernels.rowdot(h[t], c[t]) for t in range(length)])
         assert_same_bits(y, want)
         if n >= 8:  # the data tells numpy's pairwise order from a plain running sum
@@ -348,7 +420,7 @@ class TestCompiledScan:
 
 
 def decay_inputs(rng, length, e, n, special=False):
-    """Random (delta, a) for kernels.decay; ``special`` plants signed zeros,
+    """Random (delta, a) for the decays; ``special`` plants signed zeros,
     denormals, infinities and NaNs in both operands."""
     delta = rng.uniform(0.01, 3.0, (length, e)).astype(np.float32)
     a = -rng.uniform(0.1, 5.0, (e, n)).astype(np.float32)
@@ -361,67 +433,68 @@ def decay_inputs(rng, length, e, n, special=False):
     return delta, a
 
 
-def fallback_decay(monkeypatch, delta, a):
-    with monkeypatch.context() as m:
-        m.setattr(kernels, "_compiled_ltr", lambda: None)
-        return kernels.decay(delta, a)
-
-
 class TestDecayKernel:
-    """The compiled decay product keeps the bits of numpy's broadcast multiply."""
+    """The compiled decays keep the bits of the oracle's broadcast multiply and exp."""
 
     @pytest.mark.parametrize("n", [1, 4, 16, 17])
     @pytest.mark.parametrize("length", [1, 29])
-    def test_matches_fallback_and_numpy(self, monkeypatch, n, length):
+    def test_matches_fallback_and_numpy(self, n, length):
         needs_compiled_scan()
         delta, a = decay_inputs(np.random.default_rng(400 + n), length, 13, n)
         want = np.exp(delta[:, :, None] * a[None])
-        assert_same_bits(kernels.decay(delta, a), want)
-        assert_same_bits(fallback_decay(monkeypatch, delta, a), want)
+        assert_same_bits(compiled_decays(delta, a), want)
+        assert_same_bits(decay(delta, a), want)
         assert_same_bits(discretize(a, delta), want)
 
     @pytest.mark.parametrize("n", [1, 4, 16, 17])
-    def test_signed_zeros_denormals_infinities_and_nans(self, monkeypatch, n):
+    def test_signed_zeros_denormals_infinities_and_nans(self, n):
         needs_compiled_scan()
         delta, a = decay_inputs(np.random.default_rng(500 + n), 31, 13, n, special=True)
         with np.errstate(all="ignore"):
             product = delta[:, :, None] * a[None]
             want = np.exp(product)
-            got = kernels.decay(delta, a)
-            fallback = fallback_decay(monkeypatch, delta, a)
-            raw = np.empty_like(product)
+            got = compiled_decays(delta, a)
+            oracle = decay(delta, a)
+            raw = np.empty((31, n, 13), np.float32)
+            at = np.ascontiguousarray(a.T)
             kernels._compiled_ltr().decay_product(
-                delta.ctypes.data, a.ctypes.data, raw.ctypes.data, 31, 13, n)
+                delta.ctypes.data, at.ctypes.data, raw.ctypes.data, 31, 13, n)
         assert np.isnan(want).any() and np.isinf(want).any() and (want == 0).any()
-        # exp maps both zeros to 1, so the product's own bits are checked too.
+        # exp maps both zeros to 1, so the product's own bits are checked too,
+        # in the (L, N, E) layout the kernel writes.
         assert (np.signbit(product) & (product == 0)).any()
         assert ((product != 0) & (np.abs(product) < np.finfo(np.float32).tiny)).any()
-        assert_same_bits(raw, product)
+        assert_same_bits(raw, np.ascontiguousarray(product.transpose(0, 2, 1)))
         assert_same_bits(got, want)
-        assert_same_bits(fallback, want)
+        assert_same_bits(oracle, want)
 
     @pytest.mark.parametrize("layout", ["transposed", "strided", "float64"])
-    def test_operand_layouts(self, monkeypatch, layout):
+    def test_operand_layouts(self, layout):
+        needs_compiled_scan()
         delta, a = decay_inputs(np.random.default_rng(12), 23, 7, 16)
-        want = fallback_decay(monkeypatch, delta, a)
-        assert_same_bits(kernels.decay(*relayout((delta, a), layout)), want)
+        want = decay(delta, a)
+        assert_same_bits(compiled_decays(*relayout((delta, a), layout)), want)
 
     def test_flops_by_op_same_on_both_paths(self, monkeypatch):
-        delta, a = decay_inputs(np.random.default_rng(13), 17, 6, 5)
+        # The decays book multiply L*E*N and exp L*E*N inside the scan, on
+        # either path.
+        inputs = scan_inputs(np.random.default_rng(13), 17, 6, 5)
         with kernels.count_flops() as compiled:
-            discretize(a, delta)
-        monkeypatch.setattr(kernels, "_compiled_ltr", lambda: None)
+            kernels.ssm_scan(*inputs)
         with kernels.count_flops() as fallback:
-            discretize(a, delta)
-        assert compiled.by_op == fallback.by_op == {"multiply": 17 * 6 * 5, "exp": 17 * 6 * 5}
+            fallback_scan(monkeypatch, *inputs)
+        assert compiled.by_op == fallback.by_op
+        assert compiled.by_op["exp"] == 17 * 6 * 5
 
     def test_shapes(self):
         delta, a = decay_inputs(np.random.default_rng(14), 3, 4, 5)
-        assert kernels.decay(delta[:0], a).shape == (0, 4, 5)
+        assert decay(delta[:0], a).shape == (0, 4, 5)
+        if kernels._compiled_ltr() is not None:
+            assert compiled_decays(delta[:0], a).shape == (0, 4, 5)
         with pytest.raises(ValueError, match="decay shape mismatch"):
-            kernels.decay(delta, a[:3])
+            decay(delta, a[:3])
         with pytest.raises(ValueError, match="decay shape mismatch"):
-            kernels.decay(delta[0], a)
+            decay(delta[0], a)
 
 
 class TestMambaBlock:
