@@ -100,13 +100,14 @@ class TestDiscretize:
 
     def test_bits_of_exp_of_product(self):
         # The compiled decays are computed in place; the bits are those of a fresh exp.
-        needs_compiled_scan()
         rng = np.random.default_rng(1)
         a = -rng.uniform(0.1, 5.0, size=(37, 16)).astype(np.float32)
         delta = rng.uniform(0.01, 3.0, size=(29, 37)).astype(np.float32)
         want = np.exp(delta[:, :, None] * a[None, :, :])
         assert np.array_equal(discretize(a, delta).view(np.uint32), want.view(np.uint32))
-        assert np.array_equal(compiled_decays(delta, a).view(np.uint32), want.view(np.uint32))
+        if kernels._compiled_ltr() is not None:
+            got = compiled_decays(delta, a)
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_rejects_nonpositive_delta(self, monkeypatch):
         # softplus never returns a non-positive timescale, so one is planted.
@@ -361,9 +362,11 @@ class TestCompiledScan:
     @pytest.mark.parametrize("n", STATE_DIMS)
     def test_readout_order_is_rowdot(self, n):
         # With a = -inf every decay is exp(-inf) = 0, so every token starts
-        # afresh, h[t] = x[t, :, None] * b[t] (delta = 1, no skip), and y[t]
-        # must be rowdot(h[t], c[t]) bit for bit. Wide exponents make the
-        # summation order visible.
+        # afresh, h[t] = x[t, :, None] * b[t] (delta = 1), and y[t] must be
+        # rowdot(h[t], c[t]) + skip * x[t] bit for bit. Wide exponents make
+        # the summation order visible. Tokens 0 and 40 have b = 0 and c < 0:
+        # every product is -0.0, so the readout sums to -0.0, and with
+        # skip = -0.0 only the (0 + readout) step makes y = +0.0, as rowdot does.
         needs_compiled_scan()
         rng = np.random.default_rng(300 + n)
         length, e = 64, 9
@@ -371,12 +374,15 @@ class TestCompiledScan:
         b = b.astype(np.float32)
         c = rng.standard_normal((length, n)).astype(np.float32)
         x = np.exp2(rng.integers(-3, 3, (length, e))).astype(np.float32)
+        skip = np.full(e, -0.0, np.float32)
+        for t in (0, 40):
+            b[t], c[t] = 0.0, -1.0 - np.abs(c[t])
         y, _ = kernels.ssm_scan(np.ones((length, e), np.float32),
-                                np.full((e, n), -np.inf, np.float32), x, b, c,
-                                np.zeros(e, np.float32))
+                                np.full((e, n), -np.inf, np.float32), x, b, c, skip)
         h = x[:, :, None] * b[:, None, :]
-        want = np.stack([kernels.rowdot(h[t], c[t]) for t in range(length)])
+        want = np.stack([kernels.rowdot(h[t], c[t]) + skip * x[t] for t in range(length)])
         assert_same_bits(y, want)
+        assert not np.signbit(y[[0, 40]]).any()
         if n >= 8:  # the data tells numpy's pairwise order from a plain running sum
             running = np.cumsum(h * c[:, None, :], axis=2, dtype=np.float32)[:, :, -1]
             assert not np.array_equal(y, running)
