@@ -105,7 +105,7 @@ class FlopsModel:
     @classmethod
     def from_config(cls, config: "ModelConfig") -> "FlopsModel":
         d = config.feat_dim
-        patch_in = config.patch_size * config.patch_size * config.channels
+        patch_in = config.patch_inputs
         patches = config.patch_tokens
         return cls(
             dims=config.block_dims(),

@@ -7,7 +7,7 @@ that feed bit-reproducibility contracts (:func:`matmul` and
 independently written scalar loop produces the exact same bits. BLAS is
 free to reassociate sums, so it is not used.
 
-Four kernels are C code in one small library (:data:`_LTR_SOURCE`). On
+Five kernels are C code in one small library (:data:`_LTR_SOURCE`). On
 first use it is compiled with the local ``gcc`` (``-O3 -march=native
 -ffp-contract=off``, no fast-math), cached under
 ``$XDG_CACHE_HOME/mambapress`` (default ``~/.cache/mambapress``) and loaded
@@ -23,28 +23,43 @@ the shapes, then passes ``arr.ctypes.data`` of arrays it keeps referenced
 for the duration of the call. A strided, transposed or float64 operand is
 therefore copied, never read raw.
 
+The engine has its own float32 exp, written twice: ``vexp`` in C, per
+vector lane, and :func:`_exp_numpy`, its numpy twin. Both use only rounded
+float32 adds and multiplies and integer ops, in the same order, so their
+bits are equal and do not depend on numpy's SIMD dispatch, as ``np.exp``'s
+do. Recipe: clamp x to [-104, 88.75] (a NaN passes); n = rint(16x/ln 2)
+by adding and subtracting 1.5*2^23; r = x - n*C1 - n*C2 with ln 2/16 =
+C1 + C2 and n*C1 exact; p = ((r*(1/24) + 1/6)*r + 1/2)*r*r + r, left to
+right, which is expm1(r); t = 2^((n & 15)/16) from a 16-entry float32
+table; p = t*p + t; the result is (p*2^e1)*2^e2 with e1 + e2 = n >> 4,
+both factors normal, so a subnormal result is rounded once. It is within
+0.986 ULP of exp over the normal range, exp(-inf) = 0, exp(+-0) = 1 and
+exp(+inf) = inf.
+
 - ``ltr_matmul`` (:func:`matmul`) tiles rows and columns only: every output
   element still adds k = 0..K-1 in order, a float32 product and then a
   float32 add, never a fused multiply-add, so it matches the scalar triple
   loop. Fallback: :func:`_ltr_matmul_numpy`, a numpy loop over K.
-- ``decay_product`` writes the scan's decay products delta[t, i] * a[i, j],
-  one rounded float32 multiply each, in (L, N, E) layout: token, state,
-  channel. It reads ``a`` transposed, (N, E). ``np.exp`` then runs in place
-  over that buffer (:func:`_decays`); it stays in numpy because C cannot
-  reproduce its bits.
 - ``ssm_scan`` (:func:`ssm_scan`) is one head's selective scan. It runs
   over tokens, and within a token over blocks of 16 channels, one channel
   per vector lane, with the state held as (N, E). Per lane it rounds
-  dx = delta*x, h = abar*h, then h + dx*b, reads out sum(h*c) over the
-  state in numpy's pairwise order for a contiguous float32 sum (so it
-  matches :func:`rowdot`), and adds the skip path, y = (0 + readout) +
-  skip*x, each a separate float32 operation. Fallback: ``np.exp`` of
+  dx = delta*x, then for each state the decay abar = exp(delta*a) in
+  registers (a rounded product, then ``vexp``; it reads ``a`` transposed,
+  (N, E)), h = abar*h and h + dx*b. It reads out sum(h*c) over the state
+  in numpy's pairwise order for a contiguous float32 sum (so it matches
+  :func:`rowdot`), and adds the skip path, y = (0 + readout) + skip*x,
+  each a separate float32 operation. Fallback: :func:`_exp_numpy` of
   numpy's broadcast product, then :func:`_ssm_scan_numpy`, a numpy loop
   over tokens.
 - ``causal_conv`` (:func:`causal_conv`) adds each output's taps in order
   into 0.0, a rounded product and then a rounded add, skipping taps that
   fall before the sequence start. Fallback: :func:`_causal_conv_numpy`, a
   numpy loop over taps.
+- ``silu`` (:func:`silu`) is x / (1 + exp(-x)) in one pass, each step
+  rounded. Fallback: the same chain in numpy over :func:`_exp_numpy`.
+- ``exp_f32`` is the exp of :func:`softplus`, in place over its buffer.
+  Fallback: :func:`_exp_numpy`. The rest of softplus is numpy, including
+  ``np.log1p``, whose bits still depend on the SIMD dispatch.
 
 A lightweight FLOP counter can be armed with :func:`count_flops`; while it
 is active every kernel called from the same thread or task tallies its cost
@@ -150,6 +165,8 @@ _LTR_SOURCE = r"""
 #define VW 16
 typedef float vf __attribute__((vector_size(VW * sizeof(float))));
 typedef float vfu __attribute__((vector_size(VW * sizeof(float)), aligned(sizeof(float))));
+typedef int vi __attribute__((vector_size(VW * sizeof(int))));
+typedef unsigned vu __attribute__((vector_size(VW * sizeof(unsigned))));
 
 /* One mr x (nv*VW) tile of c. Each element is summed over t = 0..k-1 in
    order, a float32 product then a float32 add (-ffp-contract=off: no FMA). */
@@ -237,6 +254,66 @@ vstore(float *p, vf v, int rest)
         memcpy(p, &v, (size_t)rest * sizeof(float));
 }
 
+/* 2^(i/16) for i = 0..15, rounded to float32. */
+static const vf exp2_sixteenths = {
+    0x1p+0f, 0x1.0b5586p+0f, 0x1.172b84p+0f, 0x1.2387a6p+0f,
+    0x1.306fe0p+0f, 0x1.3dea64p+0f, 0x1.4bfdaep+0f, 0x1.5ab07ep+0f,
+    0x1.6a09e6p+0f, 0x1.7a1148p+0f, 0x1.8ace54p+0f, 0x1.9c4918p+0f,
+    0x1.ae89fap+0f, 0x1.c199bep+0f, 0x1.d5818ep+0f, 0x1.ea4afap+0f,
+};
+
+/* Lanes of a where m is set, else lanes of b. */
+static inline __attribute__((always_inline)) vf
+pick(vi m, vf a, vf b)
+{
+    return (vf)(((vi)a & m) | ((vi)b & ~m));
+}
+
+/* The pinned float32 exp, per lane (recipe in the module docstring);
+   _exp_numpy repeats every step. n carries a bias of 254*16: n & 15 stays
+   as it is, and the exponents e1 and e2 of the two scale factors come out
+   with their float32 bias of 127. */
+static inline __attribute__((always_inline)) vf
+vexp(vf x)
+{
+    const vf magic = (vf){0} + 0x1.8p+23f;
+    x = pick(x < -104.0f, (vf){0} - 104.0f, x);
+    x = pick(x > 88.75f, (vf){0} + 88.75f, x);
+    vf km = x * 0x1.715476p+4f + magic;
+    vf k = km - magic;
+    vi n = (vi)km - (0x4b400000 - 254 * 16);
+    vf r = x - k * 0x1.62ep-5f;
+    r = r - k * 0x1.0bfbe8p-19f;
+    vf p = r * 0x1.555556p-5f + 0x1.555556p-3f;
+    p = p * r + 0.5f;
+    p = p * r;
+    p = p * r + r;
+    vf t = __builtin_shuffle(exp2_sixteenths, n & 15);
+    p = t * p + t;
+    vi e = n >> 4, e1 = e >> 1, e2 = e - e1;
+    return (p * (vf)((vu)e1 << 23)) * (vf)((vu)e2 << 23);
+}
+
+/* out[i] = exp(x[i]) with the pinned exp over len floats; out may be x. */
+void exp_f32(const float *x, float *out, ptrdiff_t len)
+{
+    for (ptrdiff_t i = 0; i < len; i += VW) {
+        int rest = len - i < VW ? (int)(len - i) : VW;
+        vstore(out + i, vexp(vload(x + i, rest)), rest);
+    }
+}
+
+/* out[i] = x[i] / (1 + exp(-x[i])) over len floats, each step a rounded
+   float32 operation, with the pinned exp. */
+void silu(const float *x, float *out, ptrdiff_t len)
+{
+    for (ptrdiff_t i = 0; i < len; i += VW) {
+        int rest = len - i < VW ? (int)(len - i) : VW;
+        vf v = vload(x + i, rest);
+        vstore(out + i, v / (1.0f + vexp(-v)), rest);
+    }
+}
+
 /* Per lane, sum_j h[j]*c[j] in numpy's pairwise order for a contiguous
    float32 sum: under 8 terms in sequence; up to 128 in 8 accumulators
    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in
@@ -270,17 +347,18 @@ readout(const vf *h, const float *c, ptrdiff_t n)
 }
 
 /* One token of the scan for the rest <= VW channels at column i: dx =
-   delta*x, per state h = abar*h then h + dx*b, y = (0 + readout) + skip*x,
-   each a separately rounded float32 operation. */
+   delta*x, per state abar = exp(delta*a), h = abar*h then h + dx*b, y =
+   (0 + readout) + skip*x, each a separately rounded float32 operation. */
 static inline __attribute__((always_inline)) void
-scan_step(const float *abar, const float *delta, const float *x, const float *b,
+scan_step(const float *delta, const float *at, const float *x, const float *b,
           const float *c, const float *skip, vf *h, float *y, float *hidden,
           ptrdiff_t i, ptrdiff_t e, ptrdiff_t n, int rest)
 {
     const vf xv = vload(x + i, rest);
-    const vf dx = vload(delta + i, rest) * xv;
+    const vf dv = vload(delta + i, rest);
+    const vf dx = dv * xv;
     for (ptrdiff_t j = 0; j < n; j++) {
-        vf decayed = vload(abar + j * e + i, rest) * h[j];
+        vf decayed = vexp(dv * vload(at + j * e + i, rest)) * h[j];
         h[j] = decayed + dx * b[j];
     }
     vf out = ((vf){0} + readout(h, c, n)) + vload(skip + i, rest) * xv;
@@ -292,11 +370,13 @@ scan_step(const float *abar, const float *delta, const float *x, const float *b,
 }
 
 /* The selective scan over len tokens, e channels, n states, from a zero
-   state. abar (len x n x e) holds the decays; delta, x and y are len x e,
-   b and c len x n, skip e. Channels run in blocks of VW vector lanes.
-   hidden (len x e x n) receives every state, unless NULL. Returns 0, or -1
-   when the state cannot be allocated. */
-int ssm_scan(const float *abar, const float *delta, const float *x,
+   state. delta, x and y are len x e, at (n x e) is the transpose of the
+   state matrix a, b and c are len x n, skip e. Each token's decays are
+   computed in registers right before the recurrence reads them. Channels
+   run in blocks of VW vector lanes. hidden (len x e x n) receives every
+   state, unless NULL. Returns 0, or -1 when the state cannot be
+   allocated. */
+int ssm_scan(const float *delta, const float *at, const float *x,
              const float *b, const float *c, const float *skip, float *y,
              float *hidden, ptrdiff_t len, ptrdiff_t e, ptrdiff_t n)
 {
@@ -306,33 +386,18 @@ int ssm_scan(const float *abar, const float *delta, const float *x,
         return -1;
     memset(state, 0, (size_t)(blocks * n) * sizeof(vf));
     for (ptrdiff_t t = 0; t < len; t++) {
-        const float *at = abar + t * n * e, *dt = delta + t * e, *xt = x + t * e;
+        const float *dt = delta + t * e, *xt = x + t * e;
         const float *bt = b + t * n, *ct = c + t * n;
         float *yt = y + t * e, *ht = hidden == NULL ? NULL : hidden + t * e * n;
         ptrdiff_t q = 0;
         for (; (q + 1) * VW <= e; q++)
-            scan_step(at, dt, xt, bt, ct, skip, state + q * n, yt, ht, q * VW, e, n, VW);
+            scan_step(dt, at, xt, bt, ct, skip, state + q * n, yt, ht, q * VW, e, n, VW);
         if (q * VW < e)
-            scan_step(at, dt, xt, bt, ct, skip, state + q * n, yt, ht, q * VW, e, n,
+            scan_step(dt, at, xt, bt, ct, skip, state + q * n, yt, ht, q * VW, e, n,
                       (int)(e - q * VW));
     }
     free(state);
     return 0;
-}
-
-/* out[t, j, i] = delta[t, i] * at[j, i] over len tokens, n states, e
-   channels, with at the (n x e) transpose of a: one rounded float32
-   product per element, in the (len x n x e) layout the scan reads. */
-void decay_product(const float *restrict delta, const float *restrict at,
-                   float *restrict out, ptrdiff_t len, ptrdiff_t e, ptrdiff_t n)
-{
-    for (ptrdiff_t t = 0; t < len; t++)
-        for (ptrdiff_t j = 0; j < n; j++) {
-            const float *d = delta + t * e, *aj = at + j * e;
-            float *o = out + (t * n + j) * e;
-            for (ptrdiff_t i = 0; i < e; i++)
-                o[i] = d[i] * aj[i];
-        }
 }
 
 /* Depthwise causal convolution: out[t, i] adds kt[j, i] * x[t - (w-1) + j, i]
@@ -374,7 +439,7 @@ def _build_ltr(cache_dir: Path, compiler: str):
     """Compile (or reuse) the C kernels in ``cache_dir``; ``None`` on failure.
 
     Returns the loaded library with ``ltr_matmul``, ``ssm_scan``,
-    ``decay_product`` and ``causal_conv`` typed. Every array argument is a
+    ``causal_conv``, ``exp_f32`` and ``silu`` typed. Every array argument is a
     raw pointer: callers pass ``arr.ctypes.data`` of a C-contiguous float32
     array whose shape they have checked.
 
@@ -414,8 +479,10 @@ def _build_ltr(cache_dir: Path, compiler: str):
     lib.ltr_matmul.restype = ctypes.c_int
     lib.ssm_scan.argtypes = [ptr] * 8 + [size] * 3
     lib.ssm_scan.restype = ctypes.c_int
-    for name in ("decay_product", "causal_conv"):
-        getattr(lib, name).argtypes = [ptr, ptr, ptr, size, size, size]
+    lib.causal_conv.argtypes = [ptr, ptr, ptr, size, size, size]
+    lib.causal_conv.restype = None
+    for name in ("exp_f32", "silu"):
+        getattr(lib, name).argtypes = [ptr, ptr, size]
         getattr(lib, name).restype = None
     return lib
 
@@ -483,6 +550,50 @@ def matmul(a, b) -> np.ndarray:
     return _ltr_matmul(a, b)
 
 
+# The constants of the C ``vexp``, spelled the same way.
+_EXP2_SIXTEENTHS = np.array([float.fromhex(h) for h in (
+    "0x1p+0", "0x1.0b5586p+0", "0x1.172b84p+0", "0x1.2387a6p+0",
+    "0x1.306fe0p+0", "0x1.3dea64p+0", "0x1.4bfdaep+0", "0x1.5ab07ep+0",
+    "0x1.6a09e6p+0", "0x1.7a1148p+0", "0x1.8ace54p+0", "0x1.9c4918p+0",
+    "0x1.ae89fap+0", "0x1.c199bep+0", "0x1.d5818ep+0", "0x1.ea4afap+0",
+)], dtype=np.float32)
+_EXP_LO, _EXP_HI = F32(-104.0), F32(88.75)
+_EXP_MAGIC = F32(float.fromhex("0x1.8p+23"))
+_EXP_SCALE = F32(float.fromhex("0x1.715476p+4"))  # 16 / ln 2
+_EXP_LN2_HI = F32(float.fromhex("0x1.62ep-5"))  # ln 2 / 16, in two parts
+_EXP_LN2_LO = F32(float.fromhex("0x1.0bfbe8p-19"))
+_EXP_C4 = F32(float.fromhex("0x1.555556p-5"))  # 1/24
+_EXP_C3 = F32(float.fromhex("0x1.555556p-3"))  # 1/6
+
+
+def _exp_numpy(x) -> np.ndarray:
+    """The pinned float32 exp in numpy: the C ``vexp`` step for step, so the
+    bits are equal and depend on no SIMD dispatch (see the module
+    docstring). Books no FLOPs; its callers do."""
+    x = as_f32(x)
+    # A signalling NaN input raises "invalid" and a large x overflows, as
+    # exp should; neither is an error. 1-D, so integer ops wrap silently.
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.clip(x.reshape(-1), _EXP_LO, _EXP_HI)
+        km = v * _EXP_SCALE + _EXP_MAGIC
+        k = km - _EXP_MAGIC
+        n = km.view(np.int32) - np.int32(0x4B400000 - 254 * 16)
+        r = v - k * _EXP_LN2_HI
+        r = r - k * _EXP_LN2_LO
+        p = r * _EXP_C4 + _EXP_C3
+        p = p * r + F32(0.5)
+        p = p * r
+        p = p * r + r
+        t = _EXP2_SIXTEENTHS[n & 15]
+        p = t * p + t
+        e = n >> 4
+        e1 = e >> 1
+        e2 = e - e1
+        s1 = (e1.astype(np.uint32) << 23).view(np.float32)
+        s2 = (e2.astype(np.uint32) << 23).view(np.float32)
+        return ((p * s1) * s2).reshape(x.shape)
+
+
 def _ssm_scan_numpy(abar, dx, b, c, hidden):
     length, e, n = abar.shape
     h = np.zeros((e, n), dtype=np.float32)
@@ -495,23 +606,6 @@ def _ssm_scan_numpy(abar, dx, b, c, hidden):
         if hidden is not None:
             hidden[t] = h
     return y
-
-
-def _decays(lib, delta, a) -> np.ndarray:
-    """exp(delta[t, i] * a[i, j]) for the compiled scan, laid out (L, N, E).
-
-    In that layout the scan reads one state's decays for a block of channels
-    as one vector. The products come from C, one rounded float32 multiply
-    each; ``np.exp`` then runs in place, because C cannot reproduce its bits.
-    """
-    delta = np.ascontiguousarray(delta, dtype=np.float32)
-    at = np.ascontiguousarray(a.T, dtype=np.float32)
-    (length, e), n = delta.shape, at.shape[0]
-    out = np.empty((length, n, e), dtype=np.float32)
-    # ctypes releases the GIL for the call; delta, at and out stay referenced here.
-    if out.size:
-        lib.decay_product(delta.ctypes.data, at.ctypes.data, out.ctypes.data, length, e, n)
-    return np.exp(out, out=out)
 
 
 def ssm_scan(delta, a, x, b, c, skip, collect_hidden: bool = False):
@@ -550,15 +644,15 @@ def ssm_scan(delta, a, x, b, c, skip, collect_hidden: bool = False):
     hidden = np.empty((length, e, n), dtype=np.float32) if collect_hidden else None
     lib = _compiled_ltr()
     if lib is None:
-        abar = np.exp(delta[:, :, None] * a)
+        abar = _exp_numpy(delta[:, :, None] * a)
         y = _ssm_scan_numpy(abar, delta * x, b, c, hidden)
         return y + skip * x, hidden
-    abar = _decays(lib, delta, a)
+    at = np.ascontiguousarray(a.T)
     y = np.empty((length, e), dtype=np.float32)
     # ctypes releases the GIL for the call; every buffer stays referenced
     # here. A NULL hidden pointer says "no trajectory".
     if y.size and lib.ssm_scan(
-        abar.ctypes.data, delta.ctypes.data, x.ctypes.data, b.ctypes.data, c.ctypes.data,
+        delta.ctypes.data, at.ctypes.data, x.ctypes.data, b.ctypes.data, c.ctypes.data,
         skip.ctypes.data, y.ctypes.data, None if hidden is None else hidden.ctypes.data,
         length, e, n,
     ) != 0:
@@ -572,27 +666,40 @@ def softplus(x) -> np.ndarray:
     For x > SOFTPLUS_CUTOFF the identity branch returns x directly. The
     result is clamped to the smallest positive normal float32 so it is
     strictly positive for every finite input, even where exp() underflows.
-    Every step writes one output buffer in place.
+    The exp is the engine's own (C ``exp_f32`` in place, or
+    :func:`_exp_numpy`); ``np.log1p`` is numpy's. Every step writes one
+    output buffer.
     """
     x = as_f32(x)
     _tally("softplus", x.size)
     cutoff = F32(SOFTPLUS_CUTOFF)
-    out = np.minimum(x, cutoff, out=np.empty_like(x))
-    np.exp(out, out=out)
+    out = np.minimum(x, cutoff, out=np.empty(x.shape, dtype=np.float32))
+    lib = _compiled_ltr()
+    if lib is None:
+        out[...] = _exp_numpy(out)
+    elif out.size:
+        lib.exp_f32(out.ctypes.data, out.ctypes.data, out.size)
     np.log1p(out, out=out)
     np.copyto(out, x, where=x > cutoff)
     return np.maximum(out, _TINY, out=out)
 
 
 def silu(x) -> np.ndarray:
-    """Elementwise x * sigmoid(x), as x / (1 + exp(-x)) in one output buffer."""
+    """Elementwise x * sigmoid(x), as x / (1 + exp(-x)) with the pinned exp,
+    each step a rounded float32 operation."""
     x = as_f32(x)
     _tally("silu", x.size)
-    out = np.negative(x, out=np.empty_like(x))
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    np.add(F32(1.0), out, out=out)
-    return np.divide(x, out, out=out)
+    lib = _compiled_ltr()
+    if lib is None:
+        out = _exp_numpy(np.negative(x))
+        np.add(F32(1.0), out, out=out)
+        return np.divide(x, out, out=out)
+    src = np.ascontiguousarray(x)
+    out = np.empty(x.shape, dtype=np.float32)
+    # ctypes releases the GIL for the call; src and out stay referenced here.
+    if out.size:
+        lib.silu(src.ctypes.data, out.ctypes.data, out.size)
+    return out
 
 
 def add(a, b, out: np.ndarray | None = None) -> np.ndarray:

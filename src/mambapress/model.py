@@ -29,6 +29,12 @@ CLS_POSITIONS = ("middle", "front", "none")
 # any size.
 MAX_PATCH_TOKENS = 128 * 128
 
+# The most inputs one patch may have, patch_size**2 * channels: e.g. a 64 x 64
+# patch of 4 channels. Each input is one row of the patch projection, so
+# without a bound a config could ask for weights of any size, even at one
+# patch token.
+MAX_PATCH_INPUTS = 64 * 64 * 4
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -60,6 +66,11 @@ class ModelConfig:
                 f"image size {self.image_size} at patch size {self.patch_size} gives "
                 f"{self.patch_tokens} patch tokens, more than {MAX_PATCH_TOKENS}"
             )
+        if self.patch_inputs > MAX_PATCH_INPUTS:
+            raise ValueError(
+                f"patch size {self.patch_size} with {self.channels} channels gives "
+                f"{self.patch_inputs} patch inputs, more than {MAX_PATCH_INPUTS}"
+            )
         if self.cls_position not in CLS_POSITIONS:
             raise ValueError(f"cls_position must be one of {CLS_POSITIONS}")
 
@@ -70,6 +81,10 @@ class ModelConfig:
     @property
     def patch_tokens(self) -> int:
         return self.grid * self.grid
+
+    @property
+    def patch_inputs(self) -> int:
+        return self.patch_size * self.patch_size * self.channels
 
     @property
     def inner_dim(self) -> int:
@@ -134,9 +149,8 @@ class ModelParams:
 
     def validate_against(self, config: ModelConfig) -> None:
         d = config.feat_dim
-        patch_in = config.patch_size * config.patch_size * config.channels
         checks = [
-            ("patch_w", self.patch_w.shape, (patch_in, d)),
+            ("patch_w", self.patch_w.shape, (config.patch_inputs, d)),
             ("patch_b", self.patch_b.shape, (d,)),
             ("head_norm_scale", self.head_norm_scale.shape, (d,)),
             ("head_norm_bias", self.head_norm_bias.shape, (d,)),
@@ -169,7 +183,7 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     """
     rng = np.random.default_rng(seed)
     d, e, n, r = config.feat_dim, config.inner_dim, config.state_dim, config.rank
-    patch_in = config.patch_size * config.patch_size * config.channels
+    patch_in = config.patch_inputs
 
     def proj(fan_in: int, *shape: int) -> np.ndarray:
         return (rng.standard_normal(shape) / math.sqrt(fan_in)).astype(np.float32)
@@ -224,7 +238,7 @@ def patch_embed(image: np.ndarray, params: ModelParams, config: ModelConfig) -> 
     g, ps, c = config.grid, config.patch_size, config.channels
     patches = np.ascontiguousarray(
         image.reshape(g, ps, g, ps, c).transpose(0, 2, 1, 3, 4)
-    ).reshape(config.patch_tokens, ps * ps * c)
+    ).reshape(config.patch_tokens, config.patch_inputs)
     feats = kernels.add(kernels.matmul(patches, params.patch_w), params.patch_b)
     slot = config.cls_slot
     if slot is not None:

@@ -64,7 +64,7 @@ class SsmHeadParams:
             raise ValueError(f"conv kernel shape {self.conv_kernel.shape} != ({e}, W)")
         if self.scan_direction not in DIRECTIONS:
             raise ValueError(f"unknown scan direction {self.scan_direction!r}")
-        self.a = -np.exp(self.a_log)
+        self.a = -kernels._exp_numpy(self.a_log)  # the engine's own exp, as the scan uses
 
     @property
     def feat_dim(self) -> int:

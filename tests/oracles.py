@@ -59,13 +59,13 @@ def apply_merge_loop(seq, mapping, weighted=True, pruned_rows=()):
 
 def decay(delta, a) -> np.ndarray:
     """Per-token decay factors exp(delta[t, i] * a[i, j]) -> (L, E, N): one
-    rounded float32 product per element, then ``np.exp``. The compiled scan
-    computes the same values in (L, N, E) layout."""
+    rounded float32 product per element, then the pinned exp's numpy twin.
+    The compiled scan computes the same values in registers."""
     delta = kernels.as_f32(delta)
     a = kernels.as_f32(a)
     if delta.ndim != 2 or a.ndim != 2 or delta.shape[1] != a.shape[0]:
         raise ValueError(f"decay shape mismatch: delta {delta.shape}, a {a.shape}")
-    return np.exp(delta[:, :, None] * a[None, :, :])
+    return kernels._exp_numpy(delta[:, :, None] * a[None, :, :])
 
 
 def discretize(a, delta) -> np.ndarray:
@@ -76,18 +76,18 @@ def discretize(a, delta) -> np.ndarray:
 
 
 def softplus(x) -> np.ndarray:
-    """ln(1+exp(x)), x itself above the cutoff, clamped to the smallest
-    normal float32, one fresh array per step: the bits
+    """ln(1+exp(x)) with the pinned exp, x itself above the cutoff, clamped
+    to the smallest normal float32, one fresh array per step: the bits
     :func:`mambapress.kernels.softplus` must keep."""
     x = kernels.as_f32(x)
     cutoff = np.float32(kernels.SOFTPLUS_CUTOFF)
-    out = np.log1p(np.exp(np.minimum(x, cutoff)))
+    out = np.log1p(kernels._exp_numpy(np.minimum(x, cutoff)))
     out = np.where(x > cutoff, x, out)
     return np.maximum(out, np.finfo(np.float32).tiny)
 
 
 def silu(x) -> np.ndarray:
-    """x / (1 + exp(-x)) in fresh arrays: the bits of :func:`mambapress.kernels.silu`."""
+    """x / (1 + exp(-x)) with the pinned exp, in fresh arrays: the bits of
+    :func:`mambapress.kernels.silu`."""
     x = kernels.as_f32(x)
-    with np.errstate(over="ignore"):
-        return x / (np.float32(1.0) + np.exp(-x))
+    return x / (np.float32(1.0) + kernels._exp_numpy(-x))

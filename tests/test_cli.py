@@ -134,6 +134,30 @@ class TestHugeImageSize:
         assert "patch tokens" in capsys.readouterr().err
 
 
+class TestHugePatchSize:
+    """One patch token can still ask for huge weights: each patch input is a
+    row of the patch projection, so the patch-input bound rejects the config
+    before any weight is drawn."""
+
+    HUGE = ["--image-size", "4096", "--patch-size", "4096"]
+
+    def test_init_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.bin"
+        assert cli.main(["init", "--out", str(path), *self.HUGE]) == 2
+        assert "patch inputs" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_bench_exits_2(self, capsys):
+        assert cli.main(["bench", *self.HUGE, "--ratios", "0"]) == 2
+        assert "patch inputs" in capsys.readouterr().err
+
+    def test_checkpoint_exits_3(self, capsys, small_ckpt, tmp_path):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(with_meta(small_ckpt, image_size=4096, patch_size=4096))
+        assert cli.main(["run", "--ckpt", str(path), "--synthetic", "1"]) == 3
+        assert "patch inputs" in capsys.readouterr().err
+
+
 def test_nan_weight_exits_4(capsys, small_ckpt, tmp_path):
     # A NaN in a timescale projection reaches the scan's timescales before
     # any activation check: still a numeric failure, not a flag error.

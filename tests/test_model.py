@@ -7,6 +7,7 @@ from mambapress import kernels
 from mambapress.flops import FlopsModel, ReductionPlan, solve_k
 from mambapress.importance import Indicator
 from mambapress.model import (
+    MAX_PATCH_INPUTS,
     MAX_PATCH_TOKENS,
     ModelConfig,
     NumericError,
@@ -41,6 +42,14 @@ class TestConfig:
         for size in (516, 2**20, 2**40):
             with pytest.raises(ValueError, match="patch tokens"):
                 ModelConfig(image_size=size, patch_size=4, feat_dim=4, depth=1)
+
+    def test_patch_input_limit(self):
+        at_limit = ModelConfig(image_size=64, patch_size=64, feat_dim=4, depth=1, channels=4)
+        assert at_limit.patch_inputs == MAX_PATCH_INPUTS
+        for size, channels in ((64, 5), (4096, 3), (2**40, 1)):
+            with pytest.raises(ValueError, match="patch inputs"):
+                ModelConfig(image_size=size, patch_size=size, feat_dim=4, depth=1,
+                            channels=channels)
 
     def test_default_delta_rank(self):
         assert ModelConfig(image_size=8, patch_size=2, feat_dim=192, depth=1).rank == 12

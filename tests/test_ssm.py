@@ -74,8 +74,22 @@ def scan_oracle(x: np.ndarray, params: SsmHeadParams) -> np.ndarray:
 
 
 def compiled_decays(delta, a) -> np.ndarray:
-    """The compiled scan's decays, (L, N, E), as a transposed (L, E, N) view."""
-    return kernels._decays(kernels._compiled_ltr(), delta, a).transpose(0, 2, 1)
+    """The compiled scan's decays exp(delta[t, i] * a[i, j]), (L, E, N), read
+    from its state: per row of delta, a two-token scan. Token 0 (delta 1,
+    x 1, b 1) sets every state to exp(a) * 0 + 1 = 1; token 1 (the row, x 0,
+    b 0) multiplies it by the row's decays and adds a zero. So exp(a) must
+    be finite (no +inf or NaN in a), and the row must be finite, or that
+    zero would be a NaN."""
+    delta, a = kernels.as_f32(delta), kernels.as_f32(a)
+    e, n = a.shape
+    ones, zeros = np.ones(e, np.float32), np.zeros(e, np.float32)
+    b = np.stack([np.ones(n, np.float32), np.zeros(n, np.float32)])
+    out = np.empty((delta.shape[0], e, n), np.float32)
+    for t, row in enumerate(delta):
+        _, hidden = kernels.ssm_scan(np.stack([ones, row]), a, np.stack([ones, zeros]), b,
+                                     np.zeros((2, n), np.float32), zeros, collect_hidden=True)
+        out[t] = hidden[1]
+    return out
 
 
 class TestDiscretize:
@@ -99,11 +113,12 @@ class TestDiscretize:
         assert np.all(abar > 0.0) and np.all(abar < 1.0)
 
     def test_bits_of_exp_of_product(self):
-        # The compiled decays are computed in place; the bits are those of a fresh exp.
+        # The compiled decays are computed in registers; the bits are those
+        # of the pinned exp over the rounded product.
         rng = np.random.default_rng(1)
         a = -rng.uniform(0.1, 5.0, size=(37, 16)).astype(np.float32)
         delta = rng.uniform(0.01, 3.0, size=(29, 37)).astype(np.float32)
-        want = np.exp(delta[:, :, None] * a[None, :, :])
+        want = kernels._exp_numpy(delta[:, :, None] * a[None, :, :])
         assert np.array_equal(discretize(a, delta).view(np.uint32), want.view(np.uint32))
         if kernels._compiled_ltr() is not None:
             got = compiled_decays(delta, a)
@@ -313,6 +328,29 @@ class TestCompiledScan:
             assert_same_bits(y, want_y)
             assert_same_bits(hidden, want_hidden)
 
+    @pytest.mark.parametrize("n", [1, 4, 16, 17])
+    def test_decays_beyond_the_exp_clamp(self, monkeypatch, n):
+        # Products delta*a below -104 decay to 0 and above 88.75 to inf; on
+        # every fourth token (delta 1) they sit on and next to both edges.
+        needs_compiled_scan()
+        rng = np.random.default_rng(900 + n)
+        edges = [np.nextafter(np.float32(v), np.float32(d))
+                 for v in (-104.0, 88.75) for d in (-np.inf, np.inf)]
+        a_values = np.array([-104.0, 88.75, *edges, -500.0, -60.0, -1.0, 30.0, 200.0],
+                            np.float32)
+        for e in (13, 33):
+            delta, _, x, b, c, skip = scan_inputs(rng, 40, e, n)
+            a = np.resize(rng.permutation(a_values), (e, n))
+            delta[::4] = 1.0
+            with np.errstate(all="ignore"):
+                y, hidden = kernels.ssm_scan(delta, a, x, b, c, skip, collect_hidden=True)
+                want_y, want_hidden = fallback_scan(monkeypatch, delta, a, x, b, c, skip,
+                                                    collect_hidden=True)
+                product = delta[:, :, None] * a
+            assert (product < -104).any() and (product > 88.75).any()
+            assert_same_bits(y, want_y)
+            assert_same_bits(hidden, want_hidden)
+
     def test_hidden_layout_is_token_channel_state(self, monkeypatch):
         # State j of channel i after token t sits at hidden[t, i, j], and the
         # last state reads out the last output.
@@ -321,7 +359,7 @@ class TestCompiledScan:
         delta, a, x, b, c, skip = inputs
         h = np.zeros((19, 3), np.float32)
         for t in range(6):
-            h = np.exp(delta[t][:, None] * a) * h + (delta[t] * x[t])[:, None] * b[t]
+            h = kernels._exp_numpy(delta[t][:, None] * a) * h + (delta[t] * x[t])[:, None] * b[t]
             assert_same_bits(hidden[t], h)
         assert_same_bits(y[-1], kernels.rowdot(h, c[-1]) + skip * x[-1])
 
@@ -427,27 +465,32 @@ class TestCompiledScan:
 
 def decay_inputs(rng, length, e, n, special=False):
     """Random (delta, a) for the decays; ``special`` plants signed zeros,
-    denormals, infinities and NaNs in both operands."""
+    denormals and values whose products fall beyond the exp's clamp, and
+    -inf in ``a``. What :func:`compiled_decays` cannot read is left out:
+    +inf and NaN in ``a``, and non-finite timescales."""
     delta = rng.uniform(0.01, 3.0, (length, e)).astype(np.float32)
     a = -rng.uniform(0.1, 5.0, (e, n)).astype(np.float32)
     if special:
-        values = np.array([0.0, -0.0, 1e-41, -3e-39, np.inf, -np.inf, np.nan], np.float32)
-        for arr in (delta, a):
+        planted = {0.0, -0.0, 1e-41, -3e-39}
+        for arr, extra in ((delta, {200.0}), (a, {-np.inf, 50.0})):
+            values = np.array(sorted(planted | extra), np.float32)
             flat = arr.reshape(-1)
-            spots = rng.choice(flat.size, size=max(1, flat.size // 3), replace=False)
-            flat[spots] = rng.choice(values, len(spots))
+            spots = rng.choice(flat.size, size=max(len(values), flat.size // 3), replace=False)
+            flat[spots] = np.resize(values, len(spots))  # every value at least once
+        delta[0] = -0.0  # meets a's -inf: a NaN decay
     return delta, a
 
 
 class TestDecayKernel:
-    """The compiled decays keep the bits of the oracle's broadcast multiply and exp."""
+    """The compiled scan's decays keep the bits of the oracle's broadcast
+    multiply and pinned exp."""
 
     @pytest.mark.parametrize("n", [1, 4, 16, 17])
     @pytest.mark.parametrize("length", [1, 29])
     def test_matches_fallback_and_numpy(self, n, length):
         needs_compiled_scan()
         delta, a = decay_inputs(np.random.default_rng(400 + n), length, 13, n)
-        want = np.exp(delta[:, :, None] * a[None])
+        want = kernels._exp_numpy(delta[:, :, None] * a[None])
         assert_same_bits(compiled_decays(delta, a), want)
         assert_same_bits(decay(delta, a), want)
         assert_same_bits(discretize(a, delta), want)
@@ -458,19 +501,13 @@ class TestDecayKernel:
         delta, a = decay_inputs(np.random.default_rng(500 + n), 31, 13, n, special=True)
         with np.errstate(all="ignore"):
             product = delta[:, :, None] * a[None]
-            want = np.exp(product)
+            want = kernels._exp_numpy(product)
             got = compiled_decays(delta, a)
             oracle = decay(delta, a)
-            raw = np.empty((31, n, 13), np.float32)
-            at = np.ascontiguousarray(a.T)
-            kernels._compiled_ltr().decay_product(
-                delta.ctypes.data, at.ctypes.data, raw.ctypes.data, 31, 13, n)
         assert np.isnan(want).any() and np.isinf(want).any() and (want == 0).any()
-        # exp maps both zeros to 1, so the product's own bits are checked too,
-        # in the (L, N, E) layout the kernel writes.
+        assert (product < -104).any() and (product > 88.75).any()
         assert (np.signbit(product) & (product == 0)).any()
         assert ((product != 0) & (np.abs(product) < np.finfo(np.float32).tiny)).any()
-        assert_same_bits(raw, np.ascontiguousarray(product.transpose(0, 2, 1)))
         assert_same_bits(got, want)
         assert_same_bits(oracle, want)
 
