@@ -217,12 +217,12 @@ x, u = (rng.standard_normal((length, e)).astype(np.float32) * 4 for _ in range(2
 b, c = (rng.standard_normal((length, n)).astype(np.float32) for _ in range(2))
 y, hidden = kernels.ssm_scan(delta, a, x, b, c, np.ones(e, np.float32), True)
 grid = np.arange(0, 2**32, 65537, dtype=np.uint64).astype(np.uint32).view(np.float32)
+saved = dict(y=y, hidden=hidden, silu=kernels.silu(u), twin=kernels._exp_numpy(grid))
 lib = kernels._compiled_ltr()
-compiled = np.empty_like(grid)
 if lib is not None:
-    lib.exp_f32(grid.ctypes.data, compiled.ctypes.data, grid.size)
-np.savez(sys.argv[1], y=y, hidden=hidden, silu=kernels.silu(u),
-         twin=kernels._exp_numpy(grid), compiled=compiled)
+    saved["compiled"] = np.empty_like(grid)
+    lib.exp_f32(grid.ctypes.data, saved["compiled"].ctypes.data, grid.size)
+np.savez(sys.argv[1], **saved)
 """
 
 

@@ -73,21 +73,24 @@ def scan_oracle(x: np.ndarray, params: SsmHeadParams) -> np.ndarray:
     return y
 
 
-def compiled_decays(delta, a) -> np.ndarray:
+def compiled_decays(delta, a, layout=None) -> np.ndarray:
     """The compiled scan's decays exp(delta[t, i] * a[i, j]), (L, E, N), read
     from its state: per row of delta, a two-token scan. Token 0 (delta 1,
     x 1, b 1) sets every state to exp(a) * 0 + 1 = 1; token 1 (the row, x 0,
     b 0) multiplies it by the row's decays and adds a zero. So exp(a) must
     be finite (no +inf or NaN in a), and the row must be finite, or that
-    zero would be a NaN."""
-    delta, a = kernels.as_f32(delta), kernels.as_f32(a)
+    zero would be a NaN. ``layout`` names a :func:`relayout` applied to the
+    scan's operands before the kernel reads them."""
     e, n = a.shape
     ones, zeros = np.ones(e, np.float32), np.zeros(e, np.float32)
     b = np.stack([np.ones(n, np.float32), np.zeros(n, np.float32)])
     out = np.empty((delta.shape[0], e, n), np.float32)
     for t, row in enumerate(delta):
-        _, hidden = kernels.ssm_scan(np.stack([ones, row]), a, np.stack([ones, zeros]), b,
-                                     np.zeros((2, n), np.float32), zeros, collect_hidden=True)
+        operands = (np.stack([ones, row]), a, np.stack([ones, zeros]), b,
+                    np.zeros((2, n), np.float32), zeros)
+        if layout is not None:
+            operands = relayout(operands, layout)
+        _, hidden = kernels.ssm_scan(*operands, collect_hidden=True)
         out[t] = hidden[1]
     return out
 
@@ -351,6 +354,36 @@ class TestCompiledScan:
             assert_same_bits(y, want_y)
             assert_same_bits(hidden, want_hidden)
 
+    @pytest.mark.parametrize("n", [1, 4, 16, 17])
+    def test_nans_and_infinities_in_delta_and_a(self, monkeypatch, n):
+        # Quiet and signalling NaNs of both signs, with and without a
+        # payload, and both infinities reach the in-register exp through
+        # delta and a; row 0 and state 0 hold only these values. NaN
+        # payloads are not compared, NaN positions are.
+        needs_compiled_scan()
+        rng = np.random.default_rng(950 + n)
+        nans = np.array([0x7FC00000, 0xFFC00000, 0x7FC12345, 0x7F800001, 0xFF800001,
+                         0x7FA00000, 0xFFBFFFFF], np.uint32).view(np.float32)
+        values = np.concatenate([nans, np.array([np.inf, -np.inf], np.float32)])
+        for e in (13, 33):
+            delta, a, x, b, c, skip = scan_inputs(rng, 40, e, n)
+            for arr in (delta, a):
+                flat = arr.reshape(-1)
+                spots = rng.choice(flat.size, size=flat.size // 4, replace=False)
+                flat[spots] = np.resize(values, len(spots))
+            delta[0] = np.resize(rng.permutation(values), e)
+            a[:, 0] = np.resize(rng.permutation(values), e)
+            with np.errstate(all="ignore"):
+                y, hidden = kernels.ssm_scan(delta, a, x, b, c, skip, collect_hidden=True)
+                want_y, want_hidden = fallback_scan(monkeypatch, delta, a, x, b, c, skip,
+                                                    collect_hidden=True)
+                product = delta[:, :, None] * a
+            assert np.isnan(product).any() and np.isinf(product).any()
+            assert (product == np.inf).any() and (product == -np.inf).any()
+            assert np.isnan(want_y).any() and np.isnan(want_hidden).any()
+            assert_same_bits(y, want_y)
+            assert_same_bits(hidden, want_hidden)
+
     def test_hidden_layout_is_token_channel_state(self, monkeypatch):
         # State j of channel i after token t sits at hidden[t, i, j], and the
         # last state reads out the last output.
@@ -516,7 +549,7 @@ class TestDecayKernel:
         needs_compiled_scan()
         delta, a = decay_inputs(np.random.default_rng(12), 23, 7, 16)
         want = decay(delta, a)
-        assert_same_bits(compiled_decays(*relayout((delta, a), layout)), want)
+        assert_same_bits(compiled_decays(delta, a, layout), want)
 
     def test_flops_by_op_same_on_both_paths(self, monkeypatch):
         # The decays book multiply L*E*N and exp L*E*N inside the scan, on
@@ -532,8 +565,6 @@ class TestDecayKernel:
     def test_shapes(self):
         delta, a = decay_inputs(np.random.default_rng(14), 3, 4, 5)
         assert decay(delta[:0], a).shape == (0, 4, 5)
-        if kernels._compiled_ltr() is not None:
-            assert compiled_decays(delta[:0], a).shape == (0, 4, 5)
         with pytest.raises(ValueError, match="decay shape mismatch"):
             decay(delta, a[:3])
         with pytest.raises(ValueError, match="decay shape mismatch"):
