@@ -2,12 +2,15 @@
 
 The primary indicator is the timescale: a token whose scan timescale is
 large overwrites more of the running state, so it carries more information
-for downstream tokens. The remaining indicators (input-projection scores,
-raw hidden features, similarity to the classification token) exist for
-ablation and share the same aggregation shape: sum across heads first,
-then average across channels.
+for downstream tokens. The remaining indicators (the scan's input-dependent
+B and C, raw hidden features, similarity to the classification token) exist
+for ablation. Timescales, B and C come from each head's :class:`ScanTrace`
+and share one aggregation: sum across heads first, then average across
+channels. For a backward head the trace's B and C are reversed views; the
+head sum reads them in original token order all the same.
 
-Scoring is diagnostic bookkeeping; it is excluded from the FLOPs model.
+Every indicator reads quantities the forward pass already computed, so
+scoring calls no kernel that books FLOPs and is outside the FLOPs model.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import as_f32
-from .ssm import ScanTrace, SsmHeadParams
+from .ssm import ScanTrace
 
 
 class Indicator(str, Enum):
@@ -42,52 +45,39 @@ class ImportanceScores:
         return len(self.scores)
 
 
+def _head_sum_channel_mean(
+    per_head: Sequence[np.ndarray], indicator: Indicator
+) -> ImportanceScores:
+    """Sum one (L, K) quantity across heads, then average it over K."""
+    if not per_head:
+        raise ValueError(f"{indicator.value} scoring needs at least one head trace")
+    shape = per_head[0].shape
+    for arr in per_head[1:]:
+        if arr.shape != shape:
+            raise ValueError(f"head {indicator.value} shapes differ: {arr.shape} vs {shape}")
+    total = per_head[0].astype(np.float32, copy=True)
+    for arr in per_head[1:]:
+        total = total + arr
+    return ImportanceScores(total.mean(axis=1, dtype=np.float32), indicator)
+
+
 def score_delta(traces: Sequence[ScanTrace]) -> ImportanceScores:
     """Head-summed timescales averaged across channels.
 
     Timescales are softplus outputs, so every score is strictly positive.
     """
-    if not traces:
-        raise ValueError("score_delta needs at least one head trace")
-    shape = traces[0].delta.shape
-    for trace in traces[1:]:
-        if trace.delta.shape != shape:
-            raise ValueError(
-                f"head delta shapes differ: {trace.delta.shape} vs {shape}"
-            )
-    total = traces[0].delta.astype(np.float32, copy=True)
-    for trace in traces[1:]:
-        total = total + trace.delta
-    return ImportanceScores(total.mean(axis=1, dtype=np.float32), Indicator.DELTA)
+    return _head_sum_channel_mean([t.delta for t in traces], Indicator.DELTA)
 
 
-def score_projection(
-    inputs: Sequence[np.ndarray],
-    weights: Sequence[np.ndarray],
-    indicator: Indicator,
-) -> ImportanceScores:
-    """Input-projection score: per head x @ w, summed across heads, then
-    averaged over the projection dimension."""
-    if indicator not in (Indicator.B_PROJ, Indicator.C_PROJ):
-        raise ValueError(f"score_projection cannot produce {indicator}")
-    if not inputs or len(inputs) != len(weights):
-        raise ValueError("inputs and weights must pair up, one per head")
-    total: np.ndarray | None = None
-    for x, w in zip(inputs, weights):
-        x = as_f32(x)
-        w = as_f32(w)
-        if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-            raise ValueError(f"projection shape mismatch: {x.shape} x {w.shape}")
-        with kernels.uncounted():  # scoring is free by convention
-            proj = kernels.matmul(x, w)
-        if total is None:
-            total = proj
-        elif proj.shape != total.shape:
-            raise ValueError(f"head projection shapes differ: {proj.shape} vs {total.shape}")
-        else:
-            total = total + proj
-    assert total is not None
-    return ImportanceScores(total.mean(axis=1, dtype=np.float32), indicator)
+def score_projection(traces: Sequence[ScanTrace], indicator: Indicator) -> ImportanceScores:
+    """Input-projection score: each head's B (or C), as its scan computed it,
+    summed across heads, then averaged over the state dimension."""
+    indicator = Indicator(indicator)
+    if indicator is Indicator.B_PROJ:
+        return _head_sum_channel_mean([t.b for t in traces], indicator)
+    if indicator is Indicator.C_PROJ:
+        return _head_sum_channel_mean([t.c for t in traces], indicator)
+    raise ValueError(f"score_projection cannot produce {indicator}")
 
 
 def score_hidden(x: np.ndarray) -> ImportanceScores:
@@ -120,7 +110,6 @@ def compute_scores(
     block_input: np.ndarray,
     block_output: np.ndarray,
     traces: Sequence[ScanTrace],
-    heads: Sequence[SsmHeadParams],
     cls_row: int | None,
 ) -> ImportanceScores:
     """Dispatch one indicator against a block's recorded quantities.
@@ -132,10 +121,7 @@ def compute_scores(
     if indicator is Indicator.DELTA:
         return score_delta(traces)
     if indicator in (Indicator.B_PROJ, Indicator.C_PROJ):
-        ws = [
-            h.w_b if indicator is Indicator.B_PROJ else h.w_c for h in heads
-        ]
-        return score_projection([t.scan_input for t in traces], ws, indicator)
+        return score_projection(traces, indicator)
     if indicator is Indicator.HIDDEN_X:
         return score_hidden(block_input)
     if indicator is Indicator.CLS_SIM:

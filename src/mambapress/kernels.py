@@ -47,10 +47,10 @@ exp(+inf) = inf.
   registers (a rounded product, then ``vexp``; it reads ``a`` transposed,
   (N, E)), h = abar*h and h + dx*b. It reads out sum(h*c) over the state
   in numpy's pairwise order for a contiguous float32 sum (so it matches
-  :func:`rowdot`), and adds the skip path, y = (0 + readout) + skip*x,
-  each a separate float32 operation. Fallback: :func:`_exp_numpy` of
-  numpy's broadcast product, then :func:`_ssm_scan_numpy`, a numpy loop
-  over tokens.
+  ``(h * c).sum(axis=1, dtype=float32)``), and adds the skip path,
+  y = (0 + readout) + skip*x, each a separate float32 operation.
+  Fallback: :func:`_exp_numpy` of numpy's broadcast product, then
+  :func:`_ssm_scan_numpy`, a numpy loop over tokens.
 - ``causal_conv`` (:func:`causal_conv`) adds each output's taps in order
   into 0.0, a rounded product and then a rounded add, skipping taps that
   fall before the sequence start. Fallback: :func:`_causal_conv_numpy`, a
@@ -66,8 +66,7 @@ is active every kernel called from the same thread or task tallies its cost
 under the accounting convention in ``docs/flops_accounting.md``
 (multiply-adds count 2, elementwise ops count 1 per element). Similarity
 and sorting kernels are bookkeeping for the reduction stage and
-deliberately tally nothing; other work the cost model excludes, such as
-importance scoring, runs its kernels under :func:`uncounted`.
+deliberately tally nothing.
 """
 
 from __future__ import annotations
@@ -128,21 +127,6 @@ def count_flops():
     token = _ACTIVE.set(counter)
     try:
         yield counter
-    finally:
-        _ACTIVE.reset(token)
-
-
-@contextmanager
-def uncounted():
-    """Book nothing for the duration of the ``with`` block.
-
-    Kernels called inside tally no FLOPs, even under an armed counter,
-    which is restored on exit. For work that the cost model excludes by
-    convention, such as scoring.
-    """
-    token = _ACTIVE.set(None)
-    try:
-        yield
     finally:
         _ACTIVE.reset(token)
 
@@ -616,8 +600,9 @@ def ssm_scan(delta, a, x, b, c, skip, collect_hidden: bool = False):
     readout vectors and ``skip`` (E,) the pass-through gain. Per token t:
     abar = exp(delta[t, :, None] * a), dx = delta[t] * x[t], h = abar * h,
     then h = h + dx[:, None] * b[t], each a separately rounded float32
-    operation, and y[t] = rowdot(h, c[t]) + skip * x[t]. Returns y (L, E)
-    and, with ``collect_hidden``, every state (L, E, N), else ``None``.
+    operation, and y[t] = (h * c[t]).sum(axis=1) + skip * x[t]. Returns y
+    (L, E) and, with ``collect_hidden``, every state (L, E, N), else
+    ``None``.
 
     Cost, as the numpy chain books it: decays multiply L*E*N and exp L*E*N;
     dx multiply L*E; state update multiply 2*L*E*N and add L*E*N; readout
@@ -712,12 +697,6 @@ def multiply(a, b, out: np.ndarray | None = None) -> np.ndarray:
     r = np.multiply(a, b, out=out)
     _tally("multiply", r.size)
     return r
-
-
-def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row dot product: (M, N) against (N,) -> (M,). Cost 2*M*N."""
-    _tally("rowdot", 2 * a.shape[0] * a.shape[1])
-    return (a * b).sum(axis=1, dtype=np.float32)
 
 
 def mean_rows(x: np.ndarray) -> np.ndarray:

@@ -35,6 +35,12 @@ MAX_PATCH_TOKENS = 128 * 128
 # patch token.
 MAX_PATCH_INPUTS = 64 * 64 * 4
 
+# The most float32 weights a config may imply (512 MiB): the toy model has
+# about 6.9 million. feat_dim, depth, expand, state_dim and class_count each
+# multiply the count, so without a bound flags alone could ask for weights
+# of any size.
+MAX_WEIGHTS = 2**27
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -73,6 +79,10 @@ class ModelConfig:
             )
         if self.cls_position not in CLS_POSITIONS:
             raise ValueError(f"cls_position must be one of {CLS_POSITIONS}")
+        if self.weight_count > MAX_WEIGHTS:
+            raise ValueError(
+                f"config implies {self.weight_count} weights, more than {MAX_WEIGHTS}"
+            )
 
     @property
     def grid(self) -> int:
@@ -106,6 +116,18 @@ class ModelConfig:
     @property
     def token_count(self) -> int:
         return self.patch_tokens + (0 if self.cls_slot is None else 1)
+
+    @property
+    def weight_count(self) -> int:
+        """Float32 values in the parameters of this config: the sizes of the
+        arrays :func:`init_params` draws, summed."""
+        dims = self.block_dims()
+        d, e, n, r = self.feat_dim, self.inner_dim, self.state_dim, self.rank
+        head = e * (3 * n + 2 * r + 1 + dims.conv_width)  # a_log, w_b, w_c, w_1, w_2, skip, conv
+        block = 2 * d + 3 * d * e + dims.head_count * head  # norm, in_proj, out_proj, heads
+        cls = 0 if self.cls_slot is None else d
+        classifier = 2 * d + (d + 1) * self.class_count  # norm, weights and bias
+        return (self.patch_inputs + 1) * d + cls + self.depth * block + classifier
 
     def block_dims(self) -> BlockDims:
         return BlockDims(
@@ -167,12 +189,16 @@ class ModelParams:
         if len(self.blocks) != config.depth:
             raise ValueError(f"{len(self.blocks)} blocks != depth {config.depth}")
         e, n, r = config.inner_dim, config.state_dim, config.rank
+        width = config.block_dims().conv_width
         for i, block in enumerate(self.blocks):
             if block.feat_dim != d or block.inner_dim != e:
                 raise ValueError(f"block {i} dims inconsistent with config")
             for head in block.heads:
-                if (head.state_dim, head.delta_rank) != (n, r):
-                    raise ValueError(f"block {i} head dims inconsistent with config")
+                got = (head.state_dim, head.delta_rank, head.conv_kernel.shape[1])
+                if got != (n, r, width):
+                    raise ValueError(
+                        f"block {i} head (state, rank, conv width) {got} != {(n, r, width)}"
+                    )
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
@@ -183,6 +209,7 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     """
     rng = np.random.default_rng(seed)
     d, e, n, r = config.feat_dim, config.inner_dim, config.state_dim, config.rank
+    width = config.block_dims().conv_width
     patch_in = config.patch_inputs
 
     def proj(fan_in: int, *shape: int) -> np.ndarray:
@@ -209,7 +236,7 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
                     w_1=proj(e, e, r),
                     w_2=proj(r, r, e),
                     skip_d=np.ones(e, dtype=np.float32),
-                    conv_kernel=proj(4, e, 4),
+                    conv_kernel=proj(width, e, width),
                     scan_direction=direction,
                 )
             )
@@ -312,7 +339,6 @@ class VisionModel:
                     block_input=seq.features,
                     block_output=y,
                     traces=traces,
-                    heads=block.heads,
                     cls_row=seq.cls_row,
                 )
                 new_seq, record = reduce_layer(

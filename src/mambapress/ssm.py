@@ -3,8 +3,8 @@
 One block normalizes its input, projects it into a gated stream pair,
 runs one depthwise-convolved selective scan per direction (head), sums the
 head outputs, gates, projects back out and adds the residual. Every head's
-scan keeps its timescale activations around in a :class:`ScanTrace` so the
-scoring stage can read them without recomputation.
+scan keeps its timescales and its input-dependent B and C in a
+:class:`ScanTrace`, so the scoring stage reads them without recomputation.
 """
 
 from __future__ import annotations
@@ -119,16 +119,20 @@ class SsmBlockParams:
 
 @dataclass
 class ScanTrace:
-    """Per-head scan outputs, always in original token order.
+    """Per-head scan quantities, always in original token order.
 
-    ``scan_input`` is the convolved, activated stream the scan consumed;
-    the timescales satisfy delta == softplus(scan_input @ w_1 @ w_2)
-    bitwise, whichever direction the head runs.
+    ``b`` and ``c`` are the input-dependent B and C the recurrence read: for
+    the ``x`` given to :func:`selective_scan` they equal ``x @ w_b`` and
+    ``x @ w_c`` bitwise, and ``delta`` equals ``softplus(x @ w_1 @ w_2)``,
+    whichever direction the head runs. For a backward head ``b``, ``c`` and ``hidden``
+    are reversed views of the scan's arrays; ``y`` and ``delta`` are always
+    contiguous.
     """
 
     y: np.ndarray  # (L, E)
     delta: np.ndarray  # (L, E), strictly positive
-    scan_input: np.ndarray  # (L, E)
+    b: np.ndarray  # (L, N)
+    c: np.ndarray  # (L, N)
     hidden: np.ndarray | None = None  # (L, E, N) state trajectory, on request
 
 
@@ -141,7 +145,9 @@ def selective_scan(
     state decays by the discretized factor and absorbs the timescale-scaled
     input through B, and the output reads the state through C plus the
     skip path. Backward heads scan the reversed sequence; their outputs are
-    re-reversed so the trace is in original token order.
+    re-reversed so the trace is in original token order. A backward head's
+    ``x`` may be the reversed view of a contiguous array: it is then scanned
+    without a copy.
     """
     x = as_f32(x)
     if x.ndim != 2 or x.shape[1] != params.feat_dim:
@@ -168,9 +174,9 @@ def selective_scan(
     if backward:
         y = np.ascontiguousarray(y[::-1])
         delta = np.ascontiguousarray(delta[::-1])
-        if hidden is not None:
-            hidden = np.ascontiguousarray(hidden[::-1])
-    return ScanTrace(y=y, delta=delta, scan_input=x, hidden=hidden)
+        b, c = b[::-1], c[::-1]
+        hidden = None if hidden is None else hidden[::-1]
+    return ScanTrace(y=y, delta=delta, b=b, c=c, hidden=hidden)
 
 
 def mamba_block(
@@ -197,9 +203,9 @@ def mamba_block(
         backward = head.scan_direction == "backward"
         stream = np.ascontiguousarray(u[::-1]) if backward else u
         act = kernels.silu(kernels.causal_conv(stream, head.conv_kernel))
-        if backward:
-            act = np.ascontiguousarray(act[::-1])
-        traces.append(selective_scan(act, head, collect_hidden=collect_hidden))
+        # In original order again; selective_scan reverses it back, no copy.
+        scan_input = act[::-1] if backward else act
+        traces.append(selective_scan(scan_input, head, collect_hidden=collect_hidden))
 
     y_sum = traces[0].y
     for trace in traces[1:]:

@@ -18,6 +18,12 @@ def ltr_dot(a: np.ndarray, b: np.ndarray) -> np.float32:
     return np.cumsum(prod, dtype=np.float32)[-1]
 
 
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row dot product (M, N) . (N,) -> (M,), summed in numpy's pairwise
+    order for a contiguous float32 sum: the order of the scan's readout."""
+    return (a * b).sum(axis=1, dtype=np.float32)
+
+
 def cosine_similarity(a, b) -> float:
     """Cosine of the angle between two vectors; 0 if either norm < 1e-12.
 

@@ -219,7 +219,7 @@ def test_delta_score_properties():
             for _ in range(2)
         ]
         traces = [
-            ScanTrace(y=np.zeros_like(d), delta=d, scan_input=np.zeros_like(d))
+            ScanTrace(y=np.zeros_like(d), delta=d, b=np.zeros_like(d), c=np.zeros_like(d))
             for d in deltas
         ]
         scores = score_delta(traces)
@@ -227,7 +227,7 @@ def test_delta_score_properties():
         lam = float(np.exp(rng.uniform(-4, 4)))
         scaled = score_delta(
             [
-                ScanTrace(y=t.y, delta=(t.delta * np.float32(lam)), scan_input=t.scan_input)
+                ScanTrace(y=t.y, delta=(t.delta * np.float32(lam)), b=t.b, c=t.c)
                 for t in traces
             ]
         )

@@ -158,6 +158,43 @@ class TestHugePatchSize:
         assert "patch inputs" in capsys.readouterr().err
 
 
+class TestHugeWeightCount:
+    """Flags alone can ask for any number of weights; the weight bound
+    rejects the config before any weight is drawn."""
+
+    @pytest.mark.parametrize(
+        "flags", [["--dim", "100000000"], ["--depth", "100000000", "--dim", "8"]],
+        ids=["dim", "depth"],
+    )
+    def test_init_exits_2(self, capsys, tmp_path, flags):
+        path = tmp_path / "huge.bin"
+        assert cli.main(["init", "--out", str(path), *flags]) == 2
+        assert "weights" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_bench_exits_2(self, capsys):
+        assert cli.main(["bench", "--dim", "100000000", "--ratios", "0"]) == 2
+        assert "weights" in capsys.readouterr().err
+
+    def test_checkpoint_exits_3(self, capsys, small_ckpt, tmp_path):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(with_meta(small_ckpt, feat_dim=100000000))
+        assert cli.main(["run", "--ckpt", str(path), "--synthetic", "1"]) == 3
+        assert "weights" in capsys.readouterr().err
+
+
+def test_narrow_conv_kernels_exit_3(capsys, small_ckpt, tmp_path):
+    # The FLOPs model counts 4 conv taps; 2-tap kernels would run and book
+    # other FLOPs than it reports.
+    ckpt = load(small_ckpt)
+    for name in [n for n in ckpt.entries if n.endswith(".conv_kernel")]:
+        ckpt.entries[name] = ckpt.entries[name][:, 2:].copy()
+    path = tmp_path / "narrow.bin"
+    save(ckpt, path)
+    assert cli.main(["run", "--ckpt", str(path), "--synthetic", "1"]) == 3
+    assert "conv width" in capsys.readouterr().err
+
+
 def test_nan_weight_exits_4(capsys, small_ckpt, tmp_path):
     # A NaN in a timescale projection reaches the scan's timescales before
     # any activation check: still a numeric failure, not a flag error.

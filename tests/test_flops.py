@@ -13,6 +13,7 @@ from mambapress.flops import (
     per_token_block_flops,
     solve_k,
 )
+from mambapress.importance import Indicator
 from mambapress.model import ModelConfig, VisionModel, init_params
 from mambapress.reduction import Strategy
 from mambapress.ssm import mamba_block
@@ -92,9 +93,12 @@ class TestModelFlops:
         fm = FlopsModel.from_config(config)
         plan = ReductionPlan((1, 2), 0.3, Strategy.MERGE, 0.0, 0.0)
         image = np.random.default_rng(6).random((16, 16, 3), dtype=np.float32)
-        with kernels.count_flops() as counter:
-            _, diag = model.forward(image, plan)
-        assert counter.total == fm.total_from_counts(diag.token_counts)
+        # Scoring books nothing, whichever indicator reads the block.
+        for indicator in Indicator:
+            with kernels.count_flops() as counter:
+                _, diag = model.forward(image, plan, indicator)
+            assert diag.token_counts[-1] < diag.token_counts[0]
+            assert counter.total == fm.total_from_counts(diag.token_counts), indicator
 
     def test_token_count_simulation(self):
         fm = FlopsModel.from_config(TOY)

@@ -1,5 +1,7 @@
 """Indicator scoring: arithmetic examples, loop oracles, ordering properties."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,29 @@ from mambapress.importance import (
     score_hidden,
     score_projection,
 )
-from mambapress.ssm import ScanTrace
+from mambapress.ssm import DIRECTIONS, ScanTrace, selective_scan
 from tests import oracles
 from tests.test_kernels import naive_matmul_f32
+from tests.test_ssm import random_head
 
 
 def trace_with_delta(delta: np.ndarray) -> ScanTrace:
     delta = np.asarray(delta, dtype=np.float32)
     zeros = np.zeros_like(delta)
-    return ScanTrace(y=zeros, delta=delta, scan_input=zeros)
+    return ScanTrace(y=zeros, delta=delta, b=zeros, c=zeros)
+
+
+def projection_traces(xs, ws, indicator) -> list[ScanTrace]:
+    """One scan per head, forward and backward in turn, whose B (or C)
+    projection weights are ``ws``."""
+    rng = np.random.default_rng(len(xs))
+    name = "w_b" if indicator is Indicator.B_PROJ else "w_c"
+    traces = []
+    for i, (x, w) in enumerate(zip(xs, ws)):
+        head = replace(random_head(rng, x.shape[1], w.shape[1], 1), **{name: w},
+                       scan_direction=DIRECTIONS[i % 2])
+        traces.append(selective_scan(x, head))
+    return traces
 
 
 class TestScoreDelta:
@@ -78,21 +94,22 @@ class TestScoreDelta:
 class TestScoreProjection:
     def test_zero_weights(self):
         x = np.random.default_rng(4).standard_normal((5, 3)).astype(np.float32)
-        out = score_projection([x], [np.zeros((3, 2), np.float32)], Indicator.B_PROJ)
+        traces = projection_traces([x], [np.zeros((3, 2), np.float32)], Indicator.B_PROJ)
+        out = score_projection(traces, Indicator.B_PROJ)
         assert np.array_equal(out.scores, np.zeros(5, dtype=np.float32))
 
     def test_selector_column(self):
         x = np.random.default_rng(5).standard_normal((4, 3)).astype(np.float32)
         w = np.zeros((3, 1), dtype=np.float32)
         w[0, 0] = 1.0
-        out = score_projection([x], [w], Indicator.C_PROJ)
+        out = score_projection(projection_traces([x], [w], Indicator.C_PROJ), Indicator.C_PROJ)
         assert np.allclose(out.scores, x[:, 0], atol=1e-7)
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(6)
         xs = [rng.standard_normal((7, 4)).astype(np.float32) for _ in range(2)]
         ws = [rng.standard_normal((4, 3)).astype(np.float32) for _ in range(2)]
-        out = score_projection(xs, ws, Indicator.B_PROJ)
+        out = score_projection(projection_traces(xs, ws, Indicator.B_PROJ), Indicator.B_PROJ)
         for t in range(7):
             acc = 0.0
             for n in range(3):
@@ -102,27 +119,31 @@ class TestScoreProjection:
 
     @pytest.mark.parametrize("indicator", [Indicator.B_PROJ, Indicator.C_PROJ])
     def test_books_nothing_and_keeps_bits(self, indicator):
+        # A forward and a backward head: the backward trace's B and C are
+        # reversed views, and still sum in original token order.
         rng = np.random.default_rng(7)
         xs = [rng.standard_normal((11, 6)).astype(np.float32) for _ in range(2)]
         ws = [rng.standard_normal((6, 4)).astype(np.float32) for _ in range(2)]
+        traces = projection_traces(xs, ws, indicator)
         total = naive_matmul_f32(xs[0], ws[0]) + naive_matmul_f32(xs[1], ws[1])
         want = total.mean(axis=1, dtype=np.float32)
         with kernels.count_flops() as counter:
-            out = score_projection(xs, ws, indicator)
+            out = score_projection(traces, indicator)
             assert kernels._ACTIVE.get() is counter
         assert counter.total == 0 and not counter.by_op
         assert np.array_equal(out.scores.view(np.uint32), want.view(np.uint32))
 
     def test_rejects_wrong_indicator(self):
         x = np.zeros((2, 2), np.float32)
+        traces = projection_traces([x], [np.zeros((2, 1), np.float32)], Indicator.B_PROJ)
         with pytest.raises(ValueError, match="cannot produce"):
-            score_projection([x], [np.zeros((2, 1), np.float32)], Indicator.DELTA)
+            score_projection(traces, Indicator.DELTA)
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            score_projection(
-                [np.zeros((2, 3), np.float32)], [np.zeros((4, 1), np.float32)], Indicator.B_PROJ
-            )
+        xs = [np.zeros((2, 3), np.float32), np.zeros((2, 3), np.float32)]
+        ws = [np.zeros((3, 1), np.float32), np.zeros((3, 2), np.float32)]
+        with pytest.raises(ValueError, match="differ"):
+            score_projection(projection_traces(xs, ws, Indicator.B_PROJ), Indicator.B_PROJ)
 
 
 class TestScoreHidden:
@@ -184,8 +205,9 @@ class TestPermutationEquivariance:
         x = rng.standard_normal((9, 4)).astype(np.float32)
         w = rng.standard_normal((4, 3)).astype(np.float32)
         perm = rng.permutation(9)
-        base = score_projection([x], [w], Indicator.B_PROJ)
-        permuted = score_projection([x[perm]], [w], Indicator.B_PROJ)
+        (trace,) = projection_traces([x], [w], Indicator.B_PROJ)
+        base = score_projection([trace], Indicator.B_PROJ)
+        permuted = score_projection([replace(trace, b=trace.b[perm])], Indicator.B_PROJ)
         assert np.array_equal(permuted.scores, base.scores[perm])
 
     def test_hidden(self):

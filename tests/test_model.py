@@ -1,5 +1,7 @@
 """Patch embedding, forward-pass wiring, diagnostics, determinism."""
 
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from mambapress import kernels
 from mambapress.flops import FlopsModel, ReductionPlan, solve_k
 from mambapress.importance import Indicator
 from mambapress.model import (
+    CLS_POSITIONS,
     MAX_PATCH_INPUTS,
     MAX_PATCH_TOKENS,
+    MAX_WEIGHTS,
     ModelConfig,
     NumericError,
     VisionModel,
@@ -19,6 +23,18 @@ from mambapress.model import (
 from mambapress.reduction import Strategy
 
 SMALL = ModelConfig(image_size=16, patch_size=4, feat_dim=8, depth=4, state_dim=4)
+
+
+def array_size(obj) -> int:
+    """Values in every array an object holds, walking lists and the
+    constructor fields of dataclasses (so derived fields count once)."""
+    if isinstance(obj, np.ndarray):
+        return obj.size
+    if isinstance(obj, list):
+        return sum(array_size(item) for item in obj)
+    if is_dataclass(obj):
+        return sum(array_size(getattr(obj, f.name)) for f in fields(obj) if f.init)
+    return 0
 
 
 def unfold_oracle(image: np.ndarray, patch_size: int) -> np.ndarray:
@@ -50,6 +66,30 @@ class TestConfig:
             with pytest.raises(ValueError, match="patch inputs"):
                 ModelConfig(image_size=size, patch_size=size, feat_dim=4, depth=1,
                             channels=channels)
+
+    @pytest.mark.parametrize("cls_position", CLS_POSITIONS)
+    def test_weight_count_is_the_size_of_init_params(self, cls_position):
+        for config in (
+            ModelConfig(16, 4, 8, 2, cls_position=cls_position),
+            ModelConfig(32, 8, 12, 3, expand=1, state_dim=3, delta_rank=2, class_count=7,
+                        cls_position=cls_position),
+            ModelConfig(8, 2, 5, 1, channels=1, expand=3, state_dim=1, class_count=1,
+                        cls_position=cls_position),
+        ):
+            assert config.weight_count == array_size(init_params(config))
+
+    def test_weight_limit(self):
+        # Every size field multiplies the count; none of these draws a weight.
+        small = dict(image_size=16, patch_size=4, feat_dim=8, depth=1)
+        for name in ("feat_dim", "depth", "expand", "state_dim", "class_count", "delta_rank"):
+            with pytest.raises(ValueError, match="weights"):
+                ModelConfig(**{**small, name: 10**8})
+        one, two = ModelConfig(**small), ModelConfig(**{**small, "depth": 2})
+        per_block = two.weight_count - one.weight_count
+        depth = (MAX_WEIGHTS - one.weight_count) // per_block + 1
+        assert ModelConfig(**{**small, "depth": depth}).weight_count <= MAX_WEIGHTS
+        with pytest.raises(ValueError, match="weights"):
+            ModelConfig(**{**small, "depth": depth + 1})
 
     def test_default_delta_rank(self):
         assert ModelConfig(image_size=8, patch_size=2, feat_dim=192, depth=1).rank == 12

@@ -15,7 +15,7 @@ from mambapress.ssm import (
     mamba_block,
     selective_scan,
 )
-from tests.oracles import decay, discretize
+from tests.oracles import decay, discretize, rowdot
 from tests.test_kernels import assert_same_bits
 
 
@@ -196,17 +196,26 @@ class TestSelectiveScan:
         assert np.array_equal(got.y, via_reverse.y[::-1])
         assert np.array_equal(got.delta, via_reverse.delta[::-1])
 
-    def test_delta_recomputes_bitwise_from_scan_input(self):
+    def test_delta_recomputes_bitwise_from_scan_input(self, monkeypatch):
+        # The trace's timescales, B and C are the scan input's projections,
+        # row for row, so a backward head's reversal moves no bit; on the
+        # compiled path and on the numpy fallback.
         rng = np.random.default_rng(4)
-        for direction in ("forward", "backward"):
-            params = random_head(rng, e=5, n=3, r=2, direction=direction)
-            x = rng.standard_normal((6, 5)).astype(np.float32)
-            trace = selective_scan(x, params)
-            recomputed = kernels.softplus(
-                kernels.matmul(kernels.matmul(trace.scan_input, params.w_1), params.w_2)
-            )
-            assert np.array_equal(trace.delta, recomputed)
-            assert np.all(trace.delta > 0.0)
+        for compiled in (True, False):
+            with monkeypatch.context() as m:
+                if not compiled:
+                    m.setattr(kernels, "_compiled_ltr", lambda: None)
+                for direction in ("forward", "backward"):
+                    params = random_head(rng, e=5, n=3, r=2, direction=direction)
+                    x = rng.standard_normal((6, 5)).astype(np.float32)
+                    trace = selective_scan(x, params)
+                    recomputed = kernels.softplus(
+                        kernels.matmul(kernels.matmul(x, params.w_1), params.w_2)
+                    )
+                    assert_same_bits(trace.delta, recomputed)
+                    assert np.all(trace.delta > 0.0)
+                    assert_same_bits(trace.b, kernels.matmul(x, params.w_b))
+                    assert_same_bits(trace.c, kernels.matmul(x, params.w_c))
 
     def test_state_contracts_after_inputs_stop(self):
         rng = np.random.default_rng(5)
@@ -276,6 +285,13 @@ def needs_compiled_scan():
 
 
 STATE_DIMS = [*range(1, 21), 64, 128, 129, 200, 256, 300]
+
+
+def test_rowdot_matches_einsum():
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((8, 5)).astype(np.float32)
+    b = rng.standard_normal(5).astype(np.float32)
+    assert np.allclose(rowdot(a, b), np.einsum("ij,j->i", a, b), atol=1e-6)
 
 
 class TestCompiledScan:
@@ -394,7 +410,7 @@ class TestCompiledScan:
         for t in range(6):
             h = kernels._exp_numpy(delta[t][:, None] * a) * h + (delta[t] * x[t])[:, None] * b[t]
             assert_same_bits(hidden[t], h)
-        assert_same_bits(y[-1], kernels.rowdot(h, c[-1]) + skip * x[-1])
+        assert_same_bits(y[-1], rowdot(h, c[-1]) + skip * x[-1])
 
     def test_no_hidden_unless_asked(self):
         inputs = scan_inputs(np.random.default_rng(7), 5, 3, 4)
@@ -451,7 +467,7 @@ class TestCompiledScan:
         y, _ = kernels.ssm_scan(np.ones((length, e), np.float32),
                                 np.full((e, n), -np.inf, np.float32), x, b, c, skip)
         h = x[:, :, None] * b[:, None, :]
-        want = np.stack([kernels.rowdot(h[t], c[t]) + skip * x[t] for t in range(length)])
+        want = np.stack([rowdot(h[t], c[t]) + skip * x[t] for t in range(length)])
         assert_same_bits(y, want)
         assert not np.signbit(y[[0, 40]]).any()
         if n >= 8:  # the data tells numpy's pairwise order from a plain running sum
