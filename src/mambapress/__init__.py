@@ -2,8 +2,9 @@
 
 The engine scores token importance from the scan's per-token timescales,
 groups tokens into keep/target/source tiers, absorbs sources into their
-most similar targets (or prunes them), restores original order, and sizes
-the whole schedule from a global FLOPs-reduction target.
+most similar targets (or prunes them) in place, so survivors keep their
+original order, and sizes the whole schedule from a global FLOPs-reduction
+target.
 """
 
 from .checkpoint import Checkpoint, load, load_model, save, save_model
@@ -17,7 +18,6 @@ from .reduction import (
     TokenSequence,
     partition,
     reduce_layer,
-    reorder,
 )
 from .ssm import ScanTrace, SsmBlockParams, SsmHeadParams, mamba_block, selective_scan
 
@@ -48,7 +48,6 @@ __all__ = [
     "mamba_block",
     "partition",
     "reduce_layer",
-    "reorder",
     "save",
     "save_model",
     "selective_scan",

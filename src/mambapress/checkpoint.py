@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelConfig, ModelParams, VisionModel
-from .ssm import SsmBlockParams, SsmHeadParams
+from .ssm import DIRECTIONS, SsmBlockParams, SsmHeadParams
 
 MAGIC = b"MTRC"
 VERSION = 1
@@ -221,7 +221,6 @@ def checkpoint_to_model(ckpt: Checkpoint) -> VisionModel:
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"checkpoint meta does not describe a model config: {err}") from err
     e = ckpt.entries
-    directions = ("forward", "backward")
     try:
         blocks = []
         for i in range(config.depth):
@@ -235,9 +234,9 @@ def checkpoint_to_model(ckpt: Checkpoint) -> VisionModel:
                     w_2=_take_entry(e, f"{prefix}.heads.{j}.w_2"),
                     skip_d=_take_entry(e, f"{prefix}.heads.{j}.skip_d"),
                     conv_kernel=_take_entry(e, f"{prefix}.heads.{j}.conv_kernel"),
-                    scan_direction=directions[j % 2],
+                    scan_direction=direction,
                 )
-                for j in range(2)
+                for j, direction in enumerate(DIRECTIONS)
             ]
             blocks.append(
                 SsmBlockParams(

@@ -35,6 +35,21 @@ def _ratio(text: str) -> float:
     return value
 
 
+def _count(least: int):
+    """An argparse type for integers no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
+        return value
+
+    return parse
+
+
 def _ratio_list(text: str) -> list[float]:
     return [_ratio(part) for part in text.split(",") if part != ""]
 
@@ -233,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="sweep reduction ratios, print CSV")
     p_bench.add_argument("--ratios", type=_ratio_list, default=[0.0, 0.2, 0.3, 0.4])
-    p_bench.add_argument("--batch", type=int, default=1)
-    p_bench.add_argument("--repeats", type=int, default=3)
-    p_bench.add_argument("--warmup", type=int, default=1)
+    p_bench.add_argument("--batch", type=_count(1), default=1)
+    p_bench.add_argument("--repeats", type=_count(1), default=3)
+    p_bench.add_argument("--warmup", type=_count(0), default=1)
     p_bench.add_argument("--ckpt", default=None, help="checkpoint (default: seeded toy model)")
     p_bench.add_argument("--no-diag", action="store_true", help="skip diagnostics in timed runs")
     p_bench.add_argument(

@@ -1,11 +1,10 @@
 """Dense float32 kernels that every other module builds on.
 
 All kernels take and return row-major float32 ndarrays and never mutate
-their inputs unless an explicit ``out=`` buffer is passed. The reductions
-that feed bit-reproducibility contracts (:func:`matmul` and
-:func:`cosine_matrix`) accumulate strictly left to right in float32, so an
-independently written scalar loop produces the exact same bits. BLAS is
-free to reassociate sums, so it is not used.
+their inputs. The reductions that feed bit-reproducibility contracts
+(:func:`matmul` and :func:`cosine_matrix`) accumulate strictly left to
+right in float32, so an independently written scalar loop produces the
+exact same bits. BLAS is free to reassociate sums, so it is not used.
 
 Five kernels are C code in one small library (:data:`_LTR_SOURCE`). On
 first use it is compiled with the local ``gcc`` (``-O3 -march=native
@@ -687,14 +686,14 @@ def silu(x) -> np.ndarray:
     return out
 
 
-def add(a, b, out: np.ndarray | None = None) -> np.ndarray:
-    r = np.add(a, b, out=out)
+def add(a, b) -> np.ndarray:
+    r = np.add(a, b)
     _tally("add", r.size)
     return r
 
 
-def multiply(a, b, out: np.ndarray | None = None) -> np.ndarray:
-    r = np.multiply(a, b, out=out)
+def multiply(a, b) -> np.ndarray:
+    r = np.multiply(a, b)
     _tally("multiply", r.size)
     return r
 
@@ -705,14 +704,14 @@ def mean_rows(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=0, dtype=np.float32)
 
 
-def layernorm(x, scale, bias, eps: float = 1e-5) -> np.ndarray:
-    """Row-wise layer normalization. Cost convention: 7 per element."""
+def layernorm(x, scale, bias) -> np.ndarray:
+    """Row-wise layer normalization with eps 1e-5. Cost convention: 7 per element."""
     x = as_f32(x)
     _tally("layernorm", 7 * x.size)
     mean = x.mean(axis=-1, keepdims=True, dtype=np.float32)
     centered = x - mean
     var = np.mean(centered * centered, axis=-1, keepdims=True, dtype=np.float32)
-    inv = F32(1.0) / np.sqrt(var + F32(eps))
+    inv = F32(1.0) / np.sqrt(var + F32(1e-5))
     return centered * inv * as_f32(scale) + as_f32(bias)
 
 

@@ -135,7 +135,7 @@ class ModelConfig:
             inner_dim=self.inner_dim,
             state_dim=self.state_dim,
             delta_rank=self.rank,
-            head_count=2,
+            head_count=len(ssm.DIRECTIONS),
             conv_width=4,
         )
 
@@ -227,7 +227,7 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
         norm_bias = np.zeros(d, dtype=np.float32)
         in_proj = proj(d, d, 2 * e)
         heads = []
-        for direction in ("forward", "backward"):
+        for direction in ssm.DIRECTIONS:
             heads.append(
                 SsmHeadParams(
                     a_log=np.log(rng.uniform(0.5, 4.0, size=(e, n))).astype(np.float32),
@@ -340,7 +340,7 @@ class VisionModel:
                     block_output=y,
                     traces=traces,
                     cls_row=seq.cls_row,
-                )
+                ).scores
                 new_seq, record = reduce_layer(
                     new_seq, scores, plan.k, plan.strategy, weighted=weighted_merge
                 )

@@ -1,13 +1,13 @@
-"""Order-preserving token reduction: group, merge or prune, reorder.
+"""Order-preserving token reduction: group, then merge or prune in place.
 
 Tokens are ranked by importance and split into three groups: the top
 ``floor(k * L_r)`` are kept untouched, the bottom ``floor(k * L_r)``
 ("source") are pruned or absorbed into the middle ("target") group by
-bipartite soft matching, and the survivors are re-sorted by original
-sequence position. The scan downstream is order-sensitive, so the final
-reorder is load-bearing, not cosmetic. Every strategy takes the same path
-through :func:`apply_merge`; the strategy only sets how many sources are
-pruned rather than merged.
+bipartite soft matching. Survivors keep their original sequence order
+because rows are dropped and folded in place, never moved: the scan
+downstream is order-sensitive, so this is load-bearing, not cosmetic.
+Every strategy takes the same path through :func:`apply_merge`; the
+strategy only sets how many sources are pruned rather than merged.
 
 Merging tracks a per-row multiplicity weight so that repeated reductions
 keep producing means over *original* tokens rather than means of means.
@@ -23,7 +23,6 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .importance import ImportanceScores
 
 
 class Strategy(str, Enum):
@@ -110,9 +109,7 @@ def group_size(k: float, reducible_count: int) -> int:
     return int(math.floor(k * reducible_count))
 
 
-def partition(
-    scores: ImportanceScores | np.ndarray, k: float, cls_row: int | None = None
-) -> GroupPartition:
+def partition(scores: np.ndarray, k: float, cls_row: int | None = None) -> GroupPartition:
     """Split rows into keep/target/source by descending importance.
 
     Ties rank the earlier row first (rows are expected in original order,
@@ -120,7 +117,7 @@ def partition(
     given, is excluded from all three groups. k >= 0.5 would leave no
     target group and is rejected.
     """
-    s = scores.scores if isinstance(scores, ImportanceScores) else np.asarray(scores)
+    s = np.asarray(scores)
     if not 0.0 <= k < 0.5:
         raise ValueError(f"grouping ratio must lie in [0, 0.5), got {k}")
     rows = np.arange(len(s), dtype=np.int64)
@@ -172,7 +169,7 @@ def apply_merge(
     The merged feature is the multiplicity-weighted mean of the target and
     its sources (plain mean with ``weighted=False``); the merged weight is
     the participants' weight sum; the target keeps its original index.
-    Rows not involved are copied bitwise.
+    Rows not involved are copied bitwise, and survivors keep their row order.
     """
     n = len(seq)
     edges = np.array(mapping.edges, dtype=np.int64).reshape(-1, 2)
@@ -203,56 +200,45 @@ def apply_merge(
     if len(edges) == 0:
         return TokenSequence(features, orig, weight, seq.cls_orig)
 
-    # Group g is targets[g] followed by its sources in edge order. The sum
-    # runs member rank by member rank from 0, across all groups at once: the
-    # same float64 order as summing each group's rows along axis 0.
-    order = np.argsort(tgt, kind="stable")
-    targets, first, size = np.unique(tgt[order], return_index=True, return_counts=True)
-    group = np.repeat(np.arange(len(targets)), size)
-    rank = np.arange(len(order)) - first[group]
+    # Group g is targets[g] followed by its sources in edge order. add.at
+    # applies the edges one at a time, so each group sums from +0.0 in that
+    # order: the same float64 order as summing its rows along axis 0.
+    targets, group = np.unique(tgt, return_inverse=True)
     terms = seq.features.astype(np.float64)
     if weighted:
         terms *= seq.weight[:, None]
     acc = np.zeros((len(targets), terms.shape[1]))
     acc += terms[targets]
-    for r in range(size.max()):
-        at = rank == r
-        acc[group[at]] += terms[src[order[at]]]
-    wsum = seq.weight[targets] + np.add.reduceat(seq.weight[src[order]], first)
-    denom = wsum.astype(np.float64) if weighted else (size + 1).astype(np.float64)
+    np.add.at(acc, group, terms[src])
+    wsum = seq.weight[targets]
+    np.add.at(wsum, group, seq.weight[src])
+    denom = wsum.astype(np.float64) if weighted else np.bincount(group) + 1.0
     features[new_row[targets]] = (acc / denom[:, None]).astype(np.float32)
     weight[new_row[targets]] = wsum
     return TokenSequence(features, orig, weight, seq.cls_orig)
 
 
-def reorder(seq: TokenSequence) -> TokenSequence:
-    """Sort rows ascending by original index; features untouched."""
-    orig = seq.orig_index
-    if len(np.unique(orig)) != len(orig):
-        raise ValueError("corrupt sequence: duplicate original indices")
-    order = np.argsort(orig, kind="stable")
-    return TokenSequence(
-        seq.features[order], orig[order], seq.weight[order], seq.cls_orig
-    )
-
-
 def reduce_layer(
     seq: TokenSequence,
-    scores: ImportanceScores | np.ndarray,
+    scores: np.ndarray,
     k: float,
     strategy: Strategy,
     weighted: bool = True,
 ) -> tuple[TokenSequence, ReductionRecord]:
-    """One full reduction: partition -> prune and merge -> reorder.
+    """One full reduction: partition -> prune and merge, in original order.
 
-    The strategy only sets how many of the lowest-scored sources are pruned
-    outright: none for MERGE, all for PRUNE, half (rounded down) for HYBRID.
-    The rest are matched to targets and merged. The classification token
-    never joins a group and survives at its original position. With k = 0
-    the output is bitwise identical to the input (rows are expected in
-    original-index order, as every block input is).
+    Rows must arrive in strictly increasing original-index order, as every
+    block input does; survivors leave in that order because
+    :func:`apply_merge` drops and folds rows in place. The strategy only
+    sets how many of the lowest-scored sources are pruned outright: none for
+    MERGE, all for PRUNE, half (rounded down) for HYBRID. The rest are
+    matched to targets and merged. The classification token never joins a
+    group and survives at its original position. With k = 0 the output is
+    bitwise identical to the input.
     """
     strategy = Strategy(strategy)
+    if np.any(seq.orig_index[1:] <= seq.orig_index[:-1]):
+        raise ValueError("corrupt sequence: original indices not strictly increasing")
     part = partition(scores, k, seq.cls_row)
     src = part.source_idx  # score-descending, so pruning takes the tail
     n_pruned = {Strategy.MERGE: 0, Strategy.PRUNE: len(src), Strategy.HYBRID: len(src) // 2}
@@ -272,4 +258,4 @@ def reduce_layer(
         pruned_orig=orig[pruned].tolist(),
         edges_orig=[(s, t) for s, t in edges_orig],
     )
-    return reorder(out), record
+    return out, record

@@ -179,9 +179,7 @@ def selective_scan(
     return ScanTrace(y=y, delta=delta, b=b, c=c, hidden=hidden)
 
 
-def mamba_block(
-    x: np.ndarray, params: SsmBlockParams, collect_hidden: bool = False
-) -> tuple[np.ndarray, list[ScanTrace]]:
+def mamba_block(x: np.ndarray, params: SsmBlockParams) -> tuple[np.ndarray, list[ScanTrace]]:
     """Full block: norm, split projection, per-head conv + scan, gate, residual.
 
     Returns the block output (same shape as x) and one trace per head. The
@@ -205,7 +203,7 @@ def mamba_block(
         act = kernels.silu(kernels.causal_conv(stream, head.conv_kernel))
         # In original order again; selective_scan reverses it back, no copy.
         scan_input = act[::-1] if backward else act
-        traces.append(selective_scan(scan_input, head, collect_hidden=collect_hidden))
+        traces.append(selective_scan(scan_input, head))
 
     y_sum = traces[0].y
     for trace in traces[1:]:

@@ -328,6 +328,23 @@ class TestBench:
     def test_malformed_ratio_exits_2(self, capsys):
         assert cli.main(["bench", "--ratios", "abc"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--batch", "0", "at least 1"),
+            ("--batch", "-2", "at least 1"),
+            ("--repeats", "0", "at least 1"),
+            ("--warmup", "-1", "at least 0"),
+            ("--batch", "1.5", "not an integer"),
+        ],
+    )
+    def test_bad_count_exits_2(self, capsys, flag, value, message):
+        argv = ["bench", *SMALL_FLAGS, "--ratios", "0", "--repeats", "1", "--warmup", "0"]
+        assert cli.main([*argv, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestMask:
     def test_zero_k_mask_is_input_image(self, capsys, small_ckpt, tmp_path):

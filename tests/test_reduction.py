@@ -1,4 +1,4 @@
-"""Grouping, matching, merging, reordering: oracles and conservation laws."""
+"""Grouping, matching, merging, order: oracles and conservation laws."""
 
 import math
 
@@ -15,7 +15,6 @@ from mambapress.reduction import (
     match_sources,
     partition,
     reduce_layer,
-    reorder,
 )
 from tests import oracles
 
@@ -335,53 +334,6 @@ class TestVectorisedAssembly:
                 apply_merge(seq, MergeMapping(mapping), pruned_rows=pruned)
 
 
-class TestReorder:
-    def test_interleaves_by_original_index(self):
-        feats = np.arange(8, dtype=np.float32).reshape(4, 2)
-        seq = TokenSequence(feats, np.array([5, 0, 7, 2]), np.ones(4, dtype=np.int64))
-        out = reorder(seq)
-        assert list(out.orig_index) == [0, 2, 5, 7]
-        assert np.array_equal(out.features[0], feats[1])
-
-    def test_identity_when_sorted(self):
-        seq = make_seq(np.random.default_rng(10), 6)
-        out = reorder(seq)
-        assert np.array_equal(out.features, seq.features)
-        assert np.array_equal(out.orig_index, seq.orig_index)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(11)
-        seq = TokenSequence(
-            rng.standard_normal((7, 3)).astype(np.float32),
-            rng.permutation(20)[:7].astype(np.int64),
-            np.ones(7, dtype=np.int64),
-        )
-        once = reorder(seq)
-        twice = reorder(once)
-        assert np.array_equal(once.features, twice.features)
-        assert np.array_equal(once.orig_index, twice.orig_index)
-
-    def test_random_permutation_restores_order(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            n = int(rng.integers(1, 30))
-            orig = rng.permutation(100)[:n].astype(np.int64)
-            feats = rng.standard_normal((n, 2)).astype(np.float32)
-            out = reorder(TokenSequence(feats, orig, np.ones(n, dtype=np.int64)))
-            assert np.all(np.diff(out.orig_index) > 0)
-            # Content-preserving: every (orig, feature) pair survives.
-            for i in range(n):
-                j = np.nonzero(out.orig_index == orig[i])[0][0]
-                assert np.array_equal(out.features[j], feats[i])
-
-    def test_duplicate_indices_rejected(self):
-        seq = TokenSequence(
-            np.zeros((2, 2), np.float32), np.array([3, 3]), np.ones(2, dtype=np.int64)
-        )
-        with pytest.raises(ValueError, match="duplicate"):
-            reorder(seq)
-
-
 def reference_reduce(seq, scores, k, strategy, cls_row=None):
     """Monolithic float64 re-statement of the whole reduction algorithm.
 
@@ -475,6 +427,21 @@ class TestReduceLayer:
                 scores = rng.standard_normal(n).astype(np.float32)
                 out, _ = reduce_layer(seq, scores, float(rng.uniform(0, 0.49)), strategy)
                 assert np.all(np.diff(out.orig_index) > 0)
+
+    @pytest.mark.parametrize(
+        "orig", [[0, 2, 1, 3, 4, 5], [5, 4, 3, 2, 1, 0], [0, 1, 1, 2, 3, 4]],
+        ids=["swapped", "reversed", "repeated"],
+    )
+    def test_rejects_rows_out_of_original_order(self, orig):
+        rng = np.random.default_rng(20)
+        seq = TokenSequence(
+            rng.standard_normal((6, 3)).astype(np.float32), np.array(orig), np.ones(6, np.int64)
+        )
+        scores = rng.standard_normal(6).astype(np.float32)
+        for strategy in Strategy:
+            for k in (0.0, 0.3):
+                with pytest.raises(ValueError, match="strictly increasing"):
+                    reduce_layer(seq, scores, k, strategy)
 
     def test_keep_rows_bitwise_unchanged(self):
         rng = np.random.default_rng(17)
