@@ -51,7 +51,10 @@ def _count(least: int):
 
 
 def _ratio_list(text: str) -> list[float]:
-    return [_ratio(part) for part in text.split(",") if part != ""]
+    ratios = [_ratio(part) for part in text.split(",") if part != ""]
+    if not ratios:
+        raise argparse.ArgumentTypeError(f"no ratio in {text!r}")
+    return ratios
 
 
 def _layers_csv(text: str) -> tuple[int, ...]:

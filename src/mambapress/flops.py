@@ -74,16 +74,6 @@ class ReductionPlan:
             "achieved": self.achieved_reduction,
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "ReductionPlan":
-        return cls(
-            reduce_at_layers=tuple(int(i) for i in doc["layers"]),
-            k=float(doc["k"]),
-            strategy=Strategy(doc["strategy"]),
-            target_reduction=float(doc["target"]),
-            achieved_reduction=float(doc["achieved"]),
-        )
-
 
 def default_reduction_layers(depth: int) -> tuple[int, ...]:
     """Every fifth block starting at index 5 (configurable elsewhere)."""

@@ -6,8 +6,7 @@ for downstream tokens. The remaining indicators (the scan's input-dependent
 B and C, raw hidden features, similarity to the classification token) exist
 for ablation. Timescales, B and C come from each head's :class:`ScanTrace`
 and share one aggregation: sum across heads first, then average across
-channels. For a backward head the trace's B and C are reversed views; the
-head sum reads them in original token order all the same.
+channels.
 
 Every indicator reads quantities the forward pass already computed, so
 scoring calls no kernel that books FLOPs and is outside the FLOPs model.

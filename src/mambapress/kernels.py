@@ -40,11 +40,12 @@ exp(+inf) = inf.
   float32 add, never a fused multiply-add, so it matches the scalar triple
   loop. Fallback: :func:`_ltr_matmul_numpy`, a numpy loop over K.
 - ``ssm_scan`` (:func:`ssm_scan`) is one head's selective scan. It runs
-  over tokens, and within a token over blocks of 16 channels, one channel
-  per vector lane, with the state held as (N, E). Per lane it rounds
-  dx = delta*x, then for each state the decay abar = exp(delta*a) in
-  registers (a rounded product, then ``vexp``; it reads ``a`` transposed,
-  (N, E)), h = abar*h and h + dx*b. It reads out sum(h*c) over the state
+  over tokens, first to last or (``reverse``) last to first, reading and
+  writing every array in token order, and within a token over blocks of
+  16 channels, one channel per vector lane, with the state held as
+  (N, E). Per lane it rounds dx = delta*x, then for each state the decay
+  abar = exp(delta*a) in registers (a rounded product, then ``vexp``; it
+  reads ``a`` transposed, (N, E)), h = abar*h and h + dx*b. It reads out sum(h*c) over the state
   in numpy's pairwise order for a contiguous float32 sum (so it matches
   ``(h * c).sum(axis=1, dtype=float32)``), and adds the skip path,
   y = (0 + readout) + skip*x, each a separate float32 operation.
@@ -52,8 +53,10 @@ exp(+inf) = inf.
   :func:`_ssm_scan_numpy`, a numpy loop over tokens.
 - ``causal_conv`` (:func:`causal_conv`) adds each output's taps in order
   into 0.0, a rounded product and then a rounded add, skipping taps that
-  fall before the sequence start. Fallback: :func:`_causal_conv_numpy`, a
-  numpy loop over taps.
+  fall before the sequence start; with ``reverse`` the taps run back from
+  the sequence end, tap j reading token t + (W-1) - j, and those past the
+  end are skipped. Fallback: :func:`_causal_conv_numpy`, a numpy loop over
+  taps. These two are the only kernels that know a head's scan direction.
 - ``silu`` (:func:`silu`) is x / (1 + exp(-x)) in one pass, each step
   rounded. Fallback: the same chain in numpy over :func:`_exp_numpy`.
 - ``exp_f32`` is the exp of :func:`softplus`, in place over its buffer.
@@ -353,22 +356,24 @@ scan_step(const float *delta, const float *at, const float *x, const float *b,
 }
 
 /* The selective scan over len tokens, e channels, n states, from a zero
-   state. delta, x and y are len x e, at (n x e) is the transpose of the
-   state matrix a, b and c are len x n, skip e. Each token's decays are
-   computed in registers right before the recurrence reads them. Channels
-   run in blocks of VW vector lanes. hidden (len x e x n) receives every
-   state, unless NULL. Returns 0, or -1 when the state cannot be
-   allocated. */
+   state, visiting tokens first to last, or last to first when reverse is
+   set. delta, x and y are len x e, at (n x e) is the transpose of the
+   state matrix a, b and c are len x n, skip e, all in token order. Each
+   token's decays are computed in registers right before the recurrence
+   reads them. Channels run in blocks of VW vector lanes. hidden (len x e
+   x n) receives the state after each token, unless NULL. Returns 0, or -1
+   when the state cannot be allocated. */
 int ssm_scan(const float *delta, const float *at, const float *x,
              const float *b, const float *c, const float *skip, float *y,
-             float *hidden, ptrdiff_t len, ptrdiff_t e, ptrdiff_t n)
+             float *hidden, ptrdiff_t len, ptrdiff_t e, ptrdiff_t n, int reverse)
 {
     ptrdiff_t blocks = (e + VW - 1) / VW;
     vf *state = aligned_alloc(sizeof(vf), (size_t)(blocks * n + 1) * sizeof(vf));
     if (state == NULL)
         return -1;
     memset(state, 0, (size_t)(blocks * n) * sizeof(vf));
-    for (ptrdiff_t t = 0; t < len; t++) {
+    for (ptrdiff_t s = 0; s < len; s++) {
+        ptrdiff_t t = reverse ? len - 1 - s : s;
         const float *dt = delta + t * e, *xt = x + t * e;
         const float *bt = b + t * n, *ct = c + t * n;
         float *yt = y + t * e, *ht = hidden == NULL ? NULL : hidden + t * e * n;
@@ -385,16 +390,21 @@ int ssm_scan(const float *delta, const float *at, const float *x,
 
 /* Depthwise causal convolution: out[t, i] adds kt[j, i] * x[t - (w-1) + j, i]
    for taps j = 0..w-1 in order into 0.0f, skipping taps before the start
-   of the sequence. kt (w x e) is the transpose of the (e x w) kernel. */
+   of the sequence. With reverse set, causal in the other direction: the
+   taps read x[t + (w-1) - j, i], skipping those past the end. kt (w x e)
+   is the transpose of the (e x w) kernel. */
 void causal_conv(const float *restrict x, const float *restrict kt,
-                 float *restrict out, ptrdiff_t len, ptrdiff_t e, ptrdiff_t w)
+                 float *restrict out, ptrdiff_t len, ptrdiff_t e, ptrdiff_t w,
+                 int reverse)
 {
+    const ptrdiff_t step = reverse ? -1 : 1;
     for (ptrdiff_t t = 0; t < len; t++) {
         float *o = out + t * e;
+        ptrdiff_t room = reverse ? len - 1 - t : t;  /* tokens before t in scan order */
         for (ptrdiff_t i = 0; i < e; i++)
             o[i] = 0.0f;
-        for (ptrdiff_t j = t < w - 1 ? w - 1 - t : 0; j < w; j++) {
-            const float *xs = x + (t - (w - 1) + j) * e, *k = kt + j * e;
+        for (ptrdiff_t j = room < w - 1 ? w - 1 - room : 0; j < w; j++) {
+            const float *xs = x + (t + step * (j - (w - 1))) * e, *k = kt + j * e;
             for (ptrdiff_t i = 0; i < e; i++)
                 o[i] = o[i] + k[i] * xs[i];
         }
@@ -460,9 +470,9 @@ def _build_ltr(cache_dir: Path, compiler: str):
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
     lib.ltr_matmul.argtypes = [ptr, ptr, ptr, size, size, size]
     lib.ltr_matmul.restype = ctypes.c_int
-    lib.ssm_scan.argtypes = [ptr] * 8 + [size] * 3
+    lib.ssm_scan.argtypes = [ptr] * 8 + [size] * 3 + [ctypes.c_int]
     lib.ssm_scan.restype = ctypes.c_int
-    lib.causal_conv.argtypes = [ptr, ptr, ptr, size, size, size]
+    lib.causal_conv.argtypes = [ptr, ptr, ptr, size, size, size, ctypes.c_int]
     lib.causal_conv.restype = None
     for name in ("exp_f32", "silu"):
         getattr(lib, name).argtypes = [ptr, ptr, size]
@@ -577,12 +587,12 @@ def _exp_numpy(x) -> np.ndarray:
         return ((p * s1) * s2).reshape(x.shape)
 
 
-def _ssm_scan_numpy(abar, dx, b, c, hidden):
+def _ssm_scan_numpy(abar, dx, b, c, hidden, reverse=False):
     length, e, n = abar.shape
     h = np.zeros((e, n), dtype=np.float32)
     y = np.empty((length, e), dtype=np.float32)
     dxb = dx[:, :, None] * b[:, None, :]
-    for t in range(length):
+    for t in range(length - 1, -1, -1) if reverse else range(length):
         np.multiply(abar[t], h, out=h)
         np.add(h, dxb[t], out=h)
         y[t] = (h * c[t]).sum(axis=1, dtype=np.float32)
@@ -591,7 +601,7 @@ def _ssm_scan_numpy(abar, dx, b, c, hidden):
     return y
 
 
-def ssm_scan(delta, a, x, b, c, skip, collect_hidden: bool = False):
+def ssm_scan(delta, a, x, b, c, skip, collect_hidden: bool = False, reverse: bool = False):
     """One head's selective scan from a zero state.
 
     ``delta`` and ``x`` (L, E) are the timescales and the scan input, ``a``
@@ -599,9 +609,10 @@ def ssm_scan(delta, a, x, b, c, skip, collect_hidden: bool = False):
     readout vectors and ``skip`` (E,) the pass-through gain. Per token t:
     abar = exp(delta[t, :, None] * a), dx = delta[t] * x[t], h = abar * h,
     then h = h + dx[:, None] * b[t], each a separately rounded float32
-    operation, and y[t] = (h * c[t]).sum(axis=1) + skip * x[t]. Returns y
-    (L, E) and, with ``collect_hidden``, every state (L, E, N), else
-    ``None``.
+    operation, and y[t] = (h * c[t]).sum(axis=1) + skip * x[t]. Tokens are
+    visited first to last, or last to first with ``reverse``; every array,
+    in and out, stays in token order. Returns y (L, E) and, with
+    ``collect_hidden``, the state after each token (L, E, N), else ``None``.
 
     Cost, as the numpy chain books it: decays multiply L*E*N and exp L*E*N;
     dx multiply L*E; state update multiply 2*L*E*N and add L*E*N; readout
@@ -629,7 +640,7 @@ def ssm_scan(delta, a, x, b, c, skip, collect_hidden: bool = False):
     lib = _compiled_ltr()
     if lib is None:
         abar = _exp_numpy(delta[:, :, None] * a)
-        y = _ssm_scan_numpy(abar, delta * x, b, c, hidden)
+        y = _ssm_scan_numpy(abar, delta * x, b, c, hidden, reverse)
         return y + skip * x, hidden
     at = np.ascontiguousarray(a.T)
     y = np.empty((length, e), dtype=np.float32)
@@ -638,7 +649,7 @@ def ssm_scan(delta, a, x, b, c, skip, collect_hidden: bool = False):
     if y.size and lib.ssm_scan(
         delta.ctypes.data, at.ctypes.data, x.ctypes.data, b.ctypes.data, c.ctypes.data,
         skip.ctypes.data, y.ctypes.data, None if hidden is None else hidden.ctypes.data,
-        length, e, n,
+        length, e, n, bool(reverse),
     ) != 0:
         raise MemoryError("ssm_scan could not allocate its state")
     return y, hidden
@@ -715,7 +726,7 @@ def layernorm(x, scale, bias) -> np.ndarray:
     return centered * inv * as_f32(scale) + as_f32(bias)
 
 
-def _causal_conv_numpy(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _causal_conv_numpy(x: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.ndarray:
     length, channels = x.shape
     width = kernel.shape[1]
     out = np.zeros((length, channels), dtype=np.float32)
@@ -723,18 +734,22 @@ def _causal_conv_numpy(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         back = width - 1 - j
         if back == 0:
             out += kernel[:, j] * x
+        elif back < length and reverse:
+            out[: length - back] += kernel[:, j] * x[back:]
         elif back < length:
             out[back:] += kernel[:, j] * x[: length - back]
     return out
 
 
-def causal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def causal_conv(x: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Depthwise causal convolution along the sequence axis.
 
     out[t, e] = sum_j kernel[e, j] * x[t - (W-1) + j, e], zero-padded before
     the sequence start; tap j = W-1 multiplies the current token. The taps
     are added in order j = 0..W-1 into 0.0, each product rounded before its
-    add, and taps before the sequence start are skipped. Cost 2*W*L*E.
+    add, and taps before the sequence start are skipped. With ``reverse``
+    the convolution is causal from the end: tap j reads x[t + (W-1) - j],
+    and taps past the sequence end are skipped. Cost 2*W*L*E.
     """
     x = np.ascontiguousarray(x, dtype=np.float32)
     kernel = as_f32(kernel)
@@ -747,13 +762,13 @@ def causal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     _tally("causal_conv", 2 * width * length * channels)
     lib = _compiled_ltr()
     if lib is None:
-        return _causal_conv_numpy(x, kernel)
+        return _causal_conv_numpy(x, kernel, reverse)
     kt = np.ascontiguousarray(kernel.T)
     out = np.empty((length, channels), dtype=np.float32)
     # ctypes releases the GIL for the call; x, kt and out stay referenced here.
     if out.size:
         lib.causal_conv(x.ctypes.data, kt.ctypes.data, out.ctypes.data,
-                        length, channels, width)
+                        length, channels, width, bool(reverse))
     return out
 
 

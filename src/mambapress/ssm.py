@@ -5,6 +5,9 @@ runs one depthwise-convolved selective scan per direction (head), sums the
 head outputs, gates, projects back out and adds the residual. Every head's
 scan keeps its timescales and its input-dependent B and C in a
 :class:`ScanTrace`, so the scoring stage reads them without recomputation.
+A head's direction is passed to the two recurrences,
+:func:`kernels.causal_conv` and :func:`kernels.ssm_scan`, as ``reverse``;
+every other step and array is in original token order.
 """
 
 from __future__ import annotations
@@ -119,14 +122,13 @@ class SsmBlockParams:
 
 @dataclass
 class ScanTrace:
-    """Per-head scan quantities, always in original token order.
+    """Per-head scan quantities, contiguous and in original token order.
 
     ``b`` and ``c`` are the input-dependent B and C the recurrence read: for
     the ``x`` given to :func:`selective_scan` they equal ``x @ w_b`` and
     ``x @ w_c`` bitwise, and ``delta`` equals ``softplus(x @ w_1 @ w_2)``,
-    whichever direction the head runs. For a backward head ``b``, ``c`` and ``hidden``
-    are reversed views of the scan's arrays; ``y`` and ``delta`` are always
-    contiguous.
+    whichever direction the head runs. ``hidden[t]`` is the state right
+    after the scan visited token t.
     """
 
     y: np.ndarray  # (L, E)
@@ -144,10 +146,8 @@ def selective_scan(
     Per token: B, C and the timescale are projected from the input, the
     state decays by the discretized factor and absorbs the timescale-scaled
     input through B, and the output reads the state through C plus the
-    skip path. Backward heads scan the reversed sequence; their outputs are
-    re-reversed so the trace is in original token order. A backward head's
-    ``x`` may be the reversed view of a contiguous array: it is then scanned
-    without a copy.
+    skip path. Backward heads visit the tokens last to first; ``x`` and the
+    trace stay in original token order either way.
     """
     x = as_f32(x)
     if x.ndim != 2 or x.shape[1] != params.feat_dim:
@@ -157,25 +157,17 @@ def selective_scan(
     length = x.shape[0]
     if length < 1:
         raise ValueError("selective_scan needs at least one token")
-    backward = params.scan_direction == "backward"
-    xs = np.ascontiguousarray(x[::-1]) if backward else x
-
-    delta = kernels.softplus(kernels.matmul(kernels.matmul(xs, params.w_1), params.w_2))
+    delta = kernels.softplus(kernels.matmul(kernels.matmul(x, params.w_1), params.w_2))
     if not np.all(delta > 0):
         # softplus is positive wherever its input is a number: a NaN weight
         # or input is the only way here.
         if np.isnan(delta).any():
             raise NumericError(f"non-finite timescales in a {params.scan_direction} scan head")
         raise ValueError("selective_scan requires strictly positive timescales")
-    b = kernels.matmul(xs, params.w_b)  # (L, N)
-    c = kernels.matmul(xs, params.w_c)  # (L, N)
-    y, hidden = kernels.ssm_scan(delta, params.a, xs, b, c, params.skip_d, collect_hidden)
-
-    if backward:
-        y = np.ascontiguousarray(y[::-1])
-        delta = np.ascontiguousarray(delta[::-1])
-        b, c = b[::-1], c[::-1]
-        hidden = None if hidden is None else hidden[::-1]
+    b = kernels.matmul(x, params.w_b)  # (L, N)
+    c = kernels.matmul(x, params.w_c)  # (L, N)
+    y, hidden = kernels.ssm_scan(delta, params.a, x, b, c, params.skip_d, collect_hidden,
+                                 reverse=params.scan_direction == "backward")
     return ScanTrace(y=y, delta=delta, b=b, c=c, hidden=hidden)
 
 
@@ -183,8 +175,8 @@ def mamba_block(x: np.ndarray, params: SsmBlockParams) -> tuple[np.ndarray, list
     """Full block: norm, split projection, per-head conv + scan, gate, residual.
 
     Returns the block output (same shape as x) and one trace per head. The
-    depthwise convolution is causal in each head's scan direction, so
-    backward heads convolve the reversed stream.
+    depthwise convolution is causal in each head's scan direction: a
+    backward head's taps read the tokens after the current one.
     """
     x = as_f32(x)
     if x.ndim != 2 or x.shape[1] != params.feat_dim:
@@ -194,16 +186,13 @@ def mamba_block(x: np.ndarray, params: SsmBlockParams) -> tuple[np.ndarray, list
     e = params.inner_dim
     normed = kernels.layernorm(x, params.norm_scale, params.norm_bias)
     uz = kernels.matmul(normed, params.in_proj)
-    u, z = uz[:, :e], uz[:, e:]
+    # One contiguous copy of u serves every head's conv, which would copy it otherwise.
+    u, z = np.ascontiguousarray(uz[:, :e]), uz[:, e:]
 
     traces: list[ScanTrace] = []
     for head in params.heads:
-        backward = head.scan_direction == "backward"
-        stream = np.ascontiguousarray(u[::-1]) if backward else u
-        act = kernels.silu(kernels.causal_conv(stream, head.conv_kernel))
-        # In original order again; selective_scan reverses it back, no copy.
-        scan_input = act[::-1] if backward else act
-        traces.append(selective_scan(scan_input, head))
+        conv = kernels.causal_conv(u, head.conv_kernel, reverse=head.scan_direction == "backward")
+        traces.append(selective_scan(kernels.silu(conv), head))
 
     y_sum = traces[0].y
     for trace in traces[1:]:

@@ -327,6 +327,11 @@ class TestBench:
 
     def test_malformed_ratio_exits_2(self, capsys):
         assert cli.main(["bench", "--ratios", "abc"]) == 2
+        # An empty list would bench nothing and print only the CSV header.
+        for ratios in ("", ","):
+            assert cli.main(["bench", *SMALL_FLAGS, "--ratios", ratios]) == 2
+            captured = capsys.readouterr()
+            assert "no ratio" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize(
         "flag, value, message",

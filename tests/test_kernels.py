@@ -500,10 +500,10 @@ def _conv_inputs():
         (21, 4)).astype(np.float32)
 
 
-def scan_fallback(delta, a, x, b, c, skip):
+def scan_fallback(delta, a, x, b, c, skip, reverse=False):
     """The numpy chain the compiled scan must reproduce."""
     abar = kernels._exp_numpy(delta[:, :, None] * a)
-    return kernels._ssm_scan_numpy(abar, delta * x, b, c, None) + skip * x
+    return kernels._ssm_scan_numpy(abar, delta * x, b, c, None, reverse) + skip * x
 
 
 BIT_CASES = {
@@ -580,10 +580,11 @@ class TestCompiledMatmul:
         (length, e), n = delta.shape, a_state.shape[1]
         at = np.ascontiguousarray(a_state.T)
         y = np.empty((length, e), np.float32)
-        assert lib.ssm_scan(delta.ctypes.data, at.ctypes.data, x.ctypes.data,
-                            bv.ctypes.data, cv.ctypes.data, skip.ctypes.data,
-                            y.ctypes.data, None, length, e, n) == 0
-        assert_same_bits(y, scan_fallback(delta, a_state, x, bv, cv, skip))
+        for reverse in (0, 1):
+            assert lib.ssm_scan(delta.ctypes.data, at.ctypes.data, x.ctypes.data,
+                                bv.ctypes.data, cv.ctypes.data, skip.ctypes.data,
+                                y.ctypes.data, None, length, e, n, reverse) == 0
+            assert_same_bits(y, scan_fallback(delta, a_state, x, bv, cv, skip, reverse))
 
         grid = special_grid()
         out = np.empty_like(grid)
@@ -596,8 +597,9 @@ class TestCompiledMatmul:
         x, kernel = _conv_inputs()
         kt = np.ascontiguousarray(kernel.T)
         out = np.empty_like(x)
-        lib.causal_conv(x.ctypes.data, kt.ctypes.data, out.ctypes.data, *x.shape, 4)
-        assert_same_bits(out, kernels._causal_conv_numpy(x, kernel))
+        for reverse in (0, 1):
+            lib.causal_conv(x.ctypes.data, kt.ctypes.data, out.ctypes.data, *x.shape, 4, reverse)
+            assert_same_bits(out, kernels._causal_conv_numpy(x, kernel, reverse))
 
     def test_missing_compiler_falls_back(self, tmp_path, monkeypatch):
         assert kernels._build_ltr(tmp_path, str(tmp_path / "no-such-cc")) is None
@@ -660,10 +662,23 @@ class TestCompiledMatmul:
             assert_same_bits(timescales, want_softplus)
 
 
-def fallback_conv(monkeypatch, x, kernel):
+def fallback_conv(monkeypatch, x, kernel, reverse=False):
     with monkeypatch.context() as m:
         m.setattr(kernels, "_compiled_ltr", lambda: None)
-        return kernels.causal_conv(x, kernel)
+        return kernels.causal_conv(x, kernel, reverse)
+
+
+def conv_both_ways(monkeypatch, x, kernel):
+    """Run the compiled conv forward and with ``reverse``: each must keep the
+    fallback's bits, and ``reverse`` those of flipping the tokens,
+    convolving forward and flipping the output back. Returns the forward
+    fallback's output."""
+    wants = []
+    for reverse in (False, True):
+        wants.append(fallback_conv(monkeypatch, x, kernel, reverse))
+        assert_same_bits(kernels.causal_conv(x, kernel, reverse), wants[-1])
+    assert_same_bits(wants[-1], kernels.causal_conv(x[::-1], kernel)[::-1])
+    return wants[0]
 
 
 class TestCompiledConv:
@@ -679,8 +694,7 @@ class TestCompiledConv:
                 x = (rng.standard_normal((length, channels))
                      * np.exp2(rng.integers(-30, 30, (length, channels)))).astype(np.float32)
                 kernel = rng.standard_normal((channels, width)).astype(np.float32)
-                assert_same_bits(kernels.causal_conv(x, kernel),
-                                 fallback_conv(monkeypatch, x, kernel))
+                conv_both_ways(monkeypatch, x, kernel)
 
     @pytest.mark.parametrize("width", [1, 4, 7])
     def test_signed_zeros_and_special_values(self, monkeypatch, width):
@@ -693,11 +707,9 @@ class TestCompiledConv:
         x[:8] = -0.0
         kernel = rng.choice(np.array([0.0, -0.0, 0.5, -3.0, 1e-41], np.float32), size=(19, width))
         with np.errstate(all="ignore"):
-            got = kernels.causal_conv(x, kernel)
-            want = fallback_conv(monkeypatch, x, kernel)
+            want = conv_both_ways(monkeypatch, x, kernel)
         assert np.isnan(want).any() and (want == 0).any()
         assert not np.signbit(want[:8]).any()
-        assert_same_bits(got, want)
 
     def test_operand_layouts(self, monkeypatch):
         x, kernel = _conv_inputs()

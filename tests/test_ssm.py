@@ -191,15 +191,17 @@ class TestSelectiveScan:
             skip_d=bwd.skip_d, conv_kernel=bwd.conv_kernel, scan_direction="forward",
         )
         x = rng.standard_normal((7, 4)).astype(np.float32)
-        got = selective_scan(x, bwd)
-        via_reverse = selective_scan(np.ascontiguousarray(x[::-1]), fwd)
-        assert np.array_equal(got.y, via_reverse.y[::-1])
-        assert np.array_equal(got.delta, via_reverse.delta[::-1])
+        got = selective_scan(x, bwd, collect_hidden=True)
+        via_reverse = selective_scan(np.ascontiguousarray(x[::-1]), fwd, collect_hidden=True)
+        for name in ("y", "delta", "b", "c", "hidden"):
+            assert_same_bits(getattr(got, name), getattr(via_reverse, name)[::-1])
+            # The trace is the kernels' own arrays in token order, not reversed views.
+            assert getattr(got, name).flags.c_contiguous, name
 
     def test_delta_recomputes_bitwise_from_scan_input(self, monkeypatch):
         # The trace's timescales, B and C are the scan input's projections,
-        # row for row, so a backward head's reversal moves no bit; on the
-        # compiled path and on the numpy fallback.
+        # row for row, in either direction; on the compiled path and on the
+        # numpy fallback.
         rng = np.random.default_rng(4)
         for compiled in (True, False):
             with monkeypatch.context() as m:
@@ -279,6 +281,28 @@ def fallback_scan(monkeypatch, *args, **kwargs):
         return kernels.ssm_scan(*args, **kwargs)
 
 
+def scan_both_ways(monkeypatch, inputs, collect_hidden=True):
+    """Run the compiled scan forward and with ``reverse``: each must keep the
+    fallback's bits, and ``reverse`` those of flipping the tokens, scanning
+    forward and flipping y and the states back. Returns the forward
+    fallback's (y, hidden)."""
+    wants = []
+    for reverse in (False, True):
+        y, hidden = kernels.ssm_scan(*inputs, collect_hidden=collect_hidden, reverse=reverse)
+        wants.append(fallback_scan(monkeypatch, *inputs, collect_hidden=collect_hidden,
+                                   reverse=reverse))
+        assert_same_bits(y, wants[-1][0])
+        if collect_hidden:
+            assert_same_bits(hidden, wants[-1][1])
+    delta, a, x, b, c, skip = inputs
+    flipped_y, flipped_hidden = kernels.ssm_scan(delta[::-1], a, x[::-1], b[::-1], c[::-1], skip,
+                                                 collect_hidden=collect_hidden)
+    assert_same_bits(y, flipped_y[::-1])
+    if collect_hidden:
+        assert_same_bits(hidden, flipped_hidden[::-1])
+    return wants[0]
+
+
 def needs_compiled_scan():
     if kernels._compiled_ltr() is None:
         pytest.skip("no compiled library: the numpy fallback is the kernel")
@@ -327,12 +351,7 @@ class TestCompiledScan:
                 if length * e * n > 2**24:
                     continue
                 inputs = scan_inputs(rng, length, e, n)
-                collect = length * e * n <= 2**22
-                y, hidden = kernels.ssm_scan(*inputs, collect_hidden=collect)
-                want_y, want_hidden = fallback_scan(monkeypatch, *inputs, collect_hidden=collect)
-                assert_same_bits(y, want_y)
-                if collect:
-                    assert_same_bits(hidden, want_hidden)
+                scan_both_ways(monkeypatch, inputs, collect_hidden=length * e * n <= 2**22)
 
     @pytest.mark.parametrize("n", [1, 4, 7, 8, 16, 19, 129])
     def test_signed_zeros_denormals_and_infinities(self, monkeypatch, n):
@@ -341,11 +360,8 @@ class TestCompiledScan:
         for e in (11, 37):
             inputs = scan_inputs(rng, 40, e, n, special=True)
             with np.errstate(all="ignore"):
-                y, hidden = kernels.ssm_scan(*inputs, collect_hidden=True)
-                want_y, want_hidden = fallback_scan(monkeypatch, *inputs, collect_hidden=True)
+                want_y, want_hidden = scan_both_ways(monkeypatch, inputs)
             assert np.isnan(want_y).any() and np.isinf(want_hidden).any()
-            assert_same_bits(y, want_y)
-            assert_same_bits(hidden, want_hidden)
 
     @pytest.mark.parametrize("n", [1, 4, 16, 17])
     def test_decays_beyond_the_exp_clamp(self, monkeypatch, n):
@@ -362,13 +378,9 @@ class TestCompiledScan:
             a = np.resize(rng.permutation(a_values), (e, n))
             delta[::4] = 1.0
             with np.errstate(all="ignore"):
-                y, hidden = kernels.ssm_scan(delta, a, x, b, c, skip, collect_hidden=True)
-                want_y, want_hidden = fallback_scan(monkeypatch, delta, a, x, b, c, skip,
-                                                    collect_hidden=True)
+                scan_both_ways(monkeypatch, (delta, a, x, b, c, skip))
                 product = delta[:, :, None] * a
             assert (product < -104).any() and (product > 88.75).any()
-            assert_same_bits(y, want_y)
-            assert_same_bits(hidden, want_hidden)
 
     @pytest.mark.parametrize("n", [1, 4, 16, 17])
     def test_nans_and_infinities_in_delta_and_a(self, monkeypatch, n):
@@ -390,15 +402,11 @@ class TestCompiledScan:
             delta[0] = np.resize(rng.permutation(values), e)
             a[:, 0] = np.resize(rng.permutation(values), e)
             with np.errstate(all="ignore"):
-                y, hidden = kernels.ssm_scan(delta, a, x, b, c, skip, collect_hidden=True)
-                want_y, want_hidden = fallback_scan(monkeypatch, delta, a, x, b, c, skip,
-                                                    collect_hidden=True)
+                want_y, want_hidden = scan_both_ways(monkeypatch, (delta, a, x, b, c, skip))
                 product = delta[:, :, None] * a
             assert np.isnan(product).any() and np.isinf(product).any()
             assert (product == np.inf).any() and (product == -np.inf).any()
             assert np.isnan(want_y).any() and np.isnan(want_hidden).any()
-            assert_same_bits(y, want_y)
-            assert_same_bits(hidden, want_hidden)
 
     def test_hidden_layout_is_token_channel_state(self, monkeypatch):
         # State j of channel i after token t sits at hidden[t, i, j], and the
