@@ -6,7 +6,7 @@ their inputs. The reductions that feed bit-reproducibility contracts
 right in float32, so an independently written scalar loop produces the
 exact same bits. BLAS is free to reassociate sums, so it is not used.
 
-Five kernels are C code in one small library (:data:`_LTR_SOURCE`). On
+Six kernels are C code in one small library (:data:`_LTR_SOURCE`). On
 first use it is compiled with the local ``gcc`` (``-O3 -march=native
 -ffp-contract=off``, no fast-math), cached under
 ``$XDG_CACHE_HOME/mambapress`` (default ``~/.cache/mambapress``) and loaded
@@ -62,6 +62,13 @@ exp(+inf) = inf.
 - ``exp_f32`` is the exp of :func:`softplus`, in place over its buffer.
   Fallback: :func:`_exp_numpy`. The rest of softplus is numpy, including
   ``np.log1p``, whose bits still depend on the SIMD dispatch.
+- ``cosine_argmax`` (:func:`cosine_argmax`) gives each row of a its most
+  similar row of b without building the similarity matrix. It runs 4 rows
+  against 32 columns at a time: it sums each dot as ``ltr_matmul`` does,
+  divides it by the rounded product of the two norms, zeroes the columns
+  and rows under the norm floor, and keeps a running first maximum per
+  row and lane, so each pick equals the argmax of :func:`cosine_matrix`.
+  Fallback: :func:`cosine_matrix` and ``argmax``.
 
 A lightweight FLOP counter can be armed with :func:`count_flops`; while it
 is active every kernel called from the same thread or task tallies its cost
@@ -154,13 +161,13 @@ typedef float vfu __attribute__((vector_size(VW * sizeof(float)), aligned(sizeof
 typedef int vi __attribute__((vector_size(VW * sizeof(int))));
 typedef unsigned vu __attribute__((vector_size(VW * sizeof(unsigned))));
 
-/* One mr x (nv*VW) tile of c. Each element is summed over t = 0..k-1 in
-   order, a float32 product then a float32 add (-ffp-contract=off: no FMA). */
+/* acc[r][v] = the dots of row r of a (mr x k) with the VW columns of b
+   from v*VW on. Each is summed over t = 0..k-1 in order, a float32
+   product then a float32 add (-ffp-contract=off: no FMA). */
 static inline __attribute__((always_inline)) void
-tile(const float *a, ptrdiff_t k, const float *b, ptrdiff_t ldb,
-     float *c, ptrdiff_t ldc, ptrdiff_t ncols, const int mr, const int nv)
+dots(const float *a, ptrdiff_t k, const float *b, ptrdiff_t ldb, vf acc[4][4],
+     const int mr, const int nv)
 {
-    vf acc[4][4];
     for (int r = 0; r < mr; r++)
         for (int v = 0; v < nv; v++)
             acc[r][v] = (vf){0};
@@ -174,6 +181,15 @@ tile(const float *a, ptrdiff_t k, const float *b, ptrdiff_t ldb,
                 acc[r][v] = acc[r][v] + ar * bv[v];
         }
     }
+}
+
+/* One mr x (nv*VW) tile of c, of which ncols columns are stored. */
+static inline __attribute__((always_inline)) void
+tile(const float *a, ptrdiff_t k, const float *b, ptrdiff_t ldb,
+     float *c, ptrdiff_t ldc, ptrdiff_t ncols, const int mr, const int nv)
+{
+    vf acc[4][4];
+    dots(a, k, b, ldb, acc, mr, nv);
     for (int r = 0; r < mr; r++) {
         if (ncols == nv * VW) {
             for (int v = 0; v < nv; v++)
@@ -410,6 +426,103 @@ void causal_conv(const float *restrict x, const float *restrict kt,
         }
     }
 }
+
+static const vi lanes = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};
+
+/* Folds an mr x (nv*VW) block of cosine similarities, from column col on,
+   into each row's running first maximum. The dots are those of tile(); each
+   is divided by the rounded na*nb. A column or row whose norm is under the
+   floor, or NaN, has similarity +0; lanes from live on, past the last
+   column, have -inf, which never wins. Per row and lane, max and arg hold
+   the greatest similarity so far and the first column holding it: a strict
+   > keeps the first of equal values, -0 and +0 included. A NaN similarity
+   sets the lanes of *nan. */
+static inline __attribute__((always_inline)) void
+best_tile(const float *a, ptrdiff_t k, const float *bt, ptrdiff_t ldb,
+          const float *na, const float *nb, float floor, int col, int live,
+          vf *max, vi *arg, vi *nan, const int mr, const int nv)
+{
+    vf acc[4][4];
+    dots(a, k, bt, ldb, acc, mr, nv);
+    for (int v = 0; v < nv; v++) {
+        const vf nbv = vload(nb + v * VW, live < VW ? live : VW);
+        const vi in = lanes < (vi){0} + (live - v * VW);
+        const vi col_ok = (nbv >= floor) & in;
+        const vi idx = lanes + (col + v * VW);
+        for (int r = 0; r < mr; r++) {
+            vf q = acc[r][v] / (na[r] * nbv);
+            q = pick(na[r] >= floor ? col_ok : (vi){0}, q, (vf){0});
+            q = pick(in, q, (vf){0} - __builtin_inff());
+            *nan |= q != q;
+            const vi gt = q > max[r];
+            max[r] = pick(gt, q, max[r]);
+            arg[r] = (gt & idx) | (~gt & arg[r]);
+        }
+    }
+}
+
+/* For mr rows of a, each row's first column of greatest similarity: the
+   full panels of bt, then the padded tail panel pad (k x VW) if p is not a
+   multiple of VW. */
+static inline __attribute__((always_inline)) void
+best_rows(const float *a, ptrdiff_t k, const float *bt, const float *pad,
+          const float *na, const float *nb, float floor, ptrdiff_t *best,
+          ptrdiff_t p, vi *nan, const int mr)
+{
+    vf max[4];
+    vi arg[4];
+    for (int r = 0; r < mr; r++) {
+        max[r] = (vf){0} - __builtin_inff();
+        arg[r] = (vi){0};
+    }
+    ptrdiff_t j = 0;
+    for (; j + 2 * VW <= p; j += 2 * VW)
+        best_tile(a, k, bt + j, p, na, nb + j, floor, (int)j, 2 * VW, max, arg, nan, mr, 2);
+    for (; j + VW <= p; j += VW)
+        best_tile(a, k, bt + j, p, na, nb + j, floor, (int)j, VW, max, arg, nan, mr, 1);
+    if (j < p)
+        best_tile(a, k, pad, VW, na, nb + j, floor, (int)j, (int)(p - j), max, arg, nan, mr, 1);
+    /* The greatest lane maximum; of equal ones, the first column. */
+    for (int r = 0; r < mr; r++) {
+        int at = 0;
+        for (int l = 1; l < VW; l++)
+            if (max[r][l] > max[r][at] || (max[r][l] == max[r][at] && arg[r][l] < arg[r][at]))
+                at = l;
+        best[r] = arg[r][at];
+    }
+}
+
+/* best[i] = argmax over j of the cosine similarity of row i of a (m x k)
+   and row j of b (p x k, p < 2^31), which bt (k x p) holds transposed: the
+   argmax of row i of cosine_matrix(a, b), without the matrix. na (m) and nb
+   (p) are the rows' norms. Rows run in blocks of 4, each against all
+   columns. Returns 0; 1 when some similarity is NaN; -1 when the padded
+   tail panel cannot be allocated. */
+int cosine_argmax(const float *a, const float *bt, const float *na, const float *nb,
+                  float floor, ptrdiff_t *best, ptrdiff_t m, ptrdiff_t k, ptrdiff_t p)
+{
+    ptrdiff_t j = p - p % VW;
+    float *pad = NULL;
+    if (j < p) {
+        /* Copy the last < VW columns into a zero-padded k x VW panel. */
+        pad = calloc((size_t)(k > 0 ? k : 1) * VW, sizeof(float));
+        if (pad == NULL)
+            return -1;
+        for (ptrdiff_t t = 0; t < k; t++)
+            memcpy(pad + t * VW, bt + t * p + j, (size_t)(p - j) * sizeof(float));
+    }
+    vi nan = {0};
+    ptrdiff_t i = 0;
+    for (; i + 4 <= m; i += 4)
+        best_rows(a + i * k, k, bt, pad, na + i, nb, floor, best + i, p, &nan, 4);
+    for (; i < m; i++)
+        best_rows(a + i * k, k, bt, pad, na + i, nb, floor, best + i, p, &nan, 1);
+    free(pad);
+    for (int l = 0; l < VW; l++)
+        if (nan[l])
+            return 1;
+    return 0;
+}
 """
 
 # -ffp-contract=off keeps every product and add separately rounded; the
@@ -432,9 +545,10 @@ def _build_ltr(cache_dir: Path, compiler: str):
     """Compile (or reuse) the C kernels in ``cache_dir``; ``None`` on failure.
 
     Returns the loaded library with ``ltr_matmul``, ``ssm_scan``,
-    ``causal_conv``, ``exp_f32`` and ``silu`` typed. Every array argument is a
-    raw pointer: callers pass ``arr.ctypes.data`` of a C-contiguous float32
-    array whose shape they have checked.
+    ``causal_conv``, ``exp_f32``, ``silu`` and ``cosine_argmax`` typed.
+    Every array argument is a raw pointer: callers pass ``arr.ctypes.data``
+    of a C-contiguous array whose shape they have checked, float32 except
+    the ``intp`` picks that ``cosine_argmax`` writes.
 
     The library is named by a hash of the source, the flags, the compiler
     version and the CPU flags. It is compiled to a temporary file and
@@ -477,6 +591,8 @@ def _build_ltr(cache_dir: Path, compiler: str):
     for name in ("exp_f32", "silu"):
         getattr(lib, name).argtypes = [ptr, ptr, size]
         getattr(lib, name).restype = None
+    lib.cosine_argmax.argtypes = [ptr] * 4 + [ctypes.c_float, ptr] + [size] * 3
+    lib.cosine_argmax.restype = ctypes.c_int
     return lib
 
 
@@ -772,6 +888,11 @@ def causal_conv(x: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.
     return out
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of x, its squares summed left to right."""
+    return np.sqrt(_ltr_matmul(x * x, np.ones((x.shape[1], 1), dtype=np.float32))[:, 0])
+
+
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All-pairs cosine similarity of the rows of a (M, K) and b (P, K).
 
@@ -783,9 +904,7 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = as_f32(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"cosine_matrix shape mismatch: {a.shape} vs {b.shape}")
-    ones = np.ones((a.shape[1], 1), dtype=np.float32)
-    na = np.sqrt(_ltr_matmul(a * a, ones)[:, 0])
-    nb = np.sqrt(_ltr_matmul(b * b, ones)[:, 0])
+    na, nb = _row_norms(a), _row_norms(b)
     dots = _ltr_matmul(a, b.T)
     # Rows or columns under the floor may divide by zero or overflow; they
     # are zeroed next, as are rows or columns with a NaN norm.
@@ -794,6 +913,44 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dots[~(na >= NORM_FLOOR)] = 0.0
     dots[:, ~(nb >= NORM_FLOOR)] = 0.0
     return dots
+
+
+def cosine_argmax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each row of a (M, K), the index of its most similar row of b (P, K).
+
+    Equal to ``cosine_matrix(a, b).argmax(axis=1)`` index for index: the
+    first of equal similarities wins, -0.0 and +0.0 included, and a row
+    whose norm is under the floor picks row 0. The compiled kernel keeps
+    each row's running maximum and never builds the (M, P) matrix. Raises
+    ``ValueError`` if any similarity is NaN, as it is for infinite features.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float32)
+    b = as_f32(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(f"cosine_argmax shape mismatch: {a.shape} vs {b.shape}")
+    (m, k), p = a.shape, b.shape[0]
+    if not p:
+        raise ValueError("cosine_argmax needs at least one row of b")
+    if p >= 2**31:
+        raise ValueError(f"cosine_argmax takes under 2**31 rows of b, got {p}")
+    lib = _compiled_ltr()
+    if lib is None:
+        sims = cosine_matrix(a, b)
+        best = sims.argmax(axis=1)
+        nan = np.isnan(sims[np.arange(m), best]).any()
+    else:
+        na, nb = _row_norms(a), _row_norms(b)
+        bt = np.ascontiguousarray(b.T)
+        best = np.zeros(m, dtype=np.intp)
+        # ctypes releases the GIL for the call; every operand stays referenced here.
+        status = lib.cosine_argmax(a.ctypes.data, bt.ctypes.data, na.ctypes.data,
+                                   nb.ctypes.data, NORM_FLOOR, best.ctypes.data, m, k, p)
+        if status < 0:
+            raise MemoryError("cosine_argmax could not allocate its tail panel")
+        nan = status == 1
+    if nan:
+        raise ValueError("similarity is NaN: token features are not finite")
+    return best
 
 
 def argsort_desc(values) -> np.ndarray:

@@ -147,14 +147,12 @@ def match_sources(seq: TokenSequence, part: GroupPartition) -> MergeMapping:
         return MergeMapping([])
     if len(tgt) == 0:
         raise ValueError("invalid partition: sources present but target group is empty")
-    # Columns in original-index order: argmax takes the first maximum, so a
-    # tie goes to the lowest original index. Each entry is computed on its
-    # own, so the column order does not change its bits.
+    # Columns in original-index order: the first maximum wins, so a tie goes
+    # to the lowest original index. Rows may come in any order, so this is
+    # not a plain sort of the row numbers. Each similarity is computed on
+    # its own, so the column order does not change its bits.
     tgt = tgt[np.argsort(seq.orig_index[tgt], kind="stable")]
-    sims = kernels.cosine_matrix(seq.features[src], seq.features[tgt])
-    best = sims.argmax(axis=1)
-    if np.isnan(sims[np.arange(len(src)), best]).any():
-        raise ValueError("similarity is NaN: token features are not finite")
+    best = kernels.cosine_argmax(seq.features[src], seq.features[tgt])
     return MergeMapping(list(zip(src.tolist(), tgt[best].tolist())))
 
 
@@ -202,14 +200,16 @@ def apply_merge(
 
     # Group g is targets[g] followed by its sources in edge order. add.at
     # applies the edges one at a time, so each group sums from +0.0 in that
-    # order: the same float64 order as summing its rows along axis 0.
+    # order: the same float64 order as summing its rows along axis 0. Only
+    # the rows that take part are widened and weighted.
     targets, group = np.unique(tgt, return_inverse=True)
-    terms = seq.features.astype(np.float64)
+    rows = np.concatenate([targets, src])
+    terms = seq.features[rows].astype(np.float64)
     if weighted:
-        terms *= seq.weight[:, None]
+        terms *= seq.weight[rows, None]
     acc = np.zeros((len(targets), terms.shape[1]))
-    acc += terms[targets]
-    np.add.at(acc, group, terms[src])
+    acc += terms[: len(targets)]
+    np.add.at(acc, group, terms[len(targets) :])
     wsum = seq.weight[targets]
     np.add.at(wsum, group, seq.weight[src])
     denom = wsum.astype(np.float64) if weighted else np.bincount(group) + 1.0

@@ -16,6 +16,7 @@ from mambapress import kernels
 from mambapress.flops import FlopsModel, default_reduction_layers, solve_k
 from mambapress.model import ModelConfig, VisionModel, identity_plan
 from mambapress.ppm import synthetic_image
+from mambapress.reduction import Strategy
 from tests import oracles
 
 
@@ -305,6 +306,141 @@ class TestCosineSimilarity:
             dtype=np.float32).view(np.uint32))
 
 
+def argmax_oracle(a, b) -> np.ndarray:
+    """``cosine_matrix(a, b).argmax(axis=1)``, raising where the argmax finds a NaN."""
+    with np.errstate(all="ignore"):
+        sims = kernels.cosine_matrix(a, b)
+    best = sims.argmax(axis=1)
+    if np.isnan(sims[np.arange(len(best)), best]).any():
+        raise ValueError("similarity is NaN")
+    return best
+
+
+@pytest.fixture(params=["compiled", "fallback"])
+def path(request, monkeypatch):
+    """Runs a test on the compiled kernels and again on the numpy fallback."""
+    if request.param == "fallback":
+        monkeypatch.setattr(kernels, "_compiled_ltr", lambda: None)
+    elif kernels._compiled_ltr() is None:
+        pytest.skip("no compiled library: the numpy fallback is the kernel")
+    return request.param
+
+
+class TestCosineArgmax:
+    """cosine_argmax picks, index for index, what the argmax of cosine_matrix picks."""
+
+    @staticmethod
+    def check(a, b) -> np.ndarray:
+        want = argmax_oracle(a, b)
+        got = kernels.cosine_argmax(a, b)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        return got
+
+    def test_row_and_column_counts_around_the_tiles(self, path):
+        # Rows run in blocks of 4 and columns in panels of 32, 16 and a padded
+        # tail: cover every remainder, including fewer than 16 columns and 1.
+        rng = np.random.default_rng(70)
+        for m in (1, 2, 3, 4, 5, 7, 9):
+            for p in (1, 2, 15, 16, 17, 31, 32, 33, 47, 48, 65, 100):
+                for k in (0, 1, 3, 32):
+                    a = rng.standard_normal((m, k)).astype(np.float32)
+                    b = rng.standard_normal((p, k)).astype(np.float32)
+                    self.check(a, b)
+        assert kernels.cosine_argmax(np.ones((0, 3)), np.ones((5, 3))).shape == (0,)
+
+    def test_duplicated_targets_go_to_the_lowest_column(self, path):
+        rng = np.random.default_rng(71)
+        a = rng.standard_normal((9, 6)).astype(np.float32)
+        b = rng.standard_normal((70, 6)).astype(np.float32)
+        b[1::3] = b[0]
+        b[40:] = b[39]
+        best = self.check(a, b)
+        assert not np.isin(best, np.r_[1:40:3, 40:70]).any()
+        assert np.array_equal(kernels.cosine_argmax(a, np.tile(a[:1], (35, 1))), np.zeros(9))
+
+    def test_negative_zero_ties_positive_zero(self, path):
+        # A tiny negative dot over a large norm rounds to -0.0; a zero dot or
+        # a column under the norm floor gives +0.0. All are equal, so the
+        # first column wins, on either side of a panel boundary.
+        a = np.array([[1.0, 0.0], [0.0, 0.0]], np.float32)
+        neg, pos, floor = [-1e-40, 1e10], [0.0, 1.0], [0.0, 0.0]
+        for cols in ([neg, pos], [pos, neg], [floor, neg], [neg] * 17 + [pos] * 20):
+            b = np.array(cols, np.float32)
+            sims = kernels.cosine_matrix(a, b)
+            assert (sims == 0).all() and np.signbit(sims[0]).any()
+            assert list(self.check(a, b)) == [0, 0]
+
+    def test_zero_and_nan_norms_score_zero(self, path):
+        rng = np.random.default_rng(72)
+        a = -np.abs(rng.standard_normal((6, 5))).astype(np.float32)
+        b = np.abs(rng.standard_normal((21, 5))).astype(np.float32)
+        a[1], a[4, 2] = 0.0, np.nan  # both rows pick column 0
+        b[3], b[17, 0] = 0.0, np.nan  # both columns score 0, the best there is
+        best = self.check(a, b)
+        assert best[1] == best[4] == 0
+        assert set(best[[0, 2, 3, 5]]) == {3}
+
+    @pytest.mark.parametrize("where", ["source", "target", "both"])
+    def test_infinite_features_raise(self, path, where):
+        rng = np.random.default_rng(73)
+        a = rng.standard_normal((5, 4)).astype(np.float32)
+        b = rng.standard_normal((19, 4)).astype(np.float32)
+        if where != "target":
+            a[2, 1] = np.inf
+        if where != "source":
+            b[18, 3] = -np.inf
+        with pytest.raises(ValueError, match="similarity is NaN"):
+            argmax_oracle(a, b)
+        with pytest.raises(ValueError, match="similarity is NaN"):
+            kernels.cosine_argmax(a, b)
+
+    def test_random_sweep_with_special_values(self, path):
+        rng = np.random.default_rng(74)
+        values = np.array([0.0, -0.0, 1e-41, -1e-30, 1.0, -1.0, 2.0, 1e15, np.nan],
+                          np.float32)
+        for trial in range(40):
+            m, p, k = (int(v) for v in rng.integers(1, (12, 70, 9)))
+            a = rng.choice(values, (m, k)) if trial % 2 else rng.standard_normal((m, k))
+            b = rng.choice(values, (p, k)) if trial % 3 else rng.standard_normal((p, k))
+            if trial % 4 == 0:
+                b[::2] = b[0]
+            self.check(kernels.as_f32(a), kernels.as_f32(b))
+
+    def test_shape_errors(self, path):
+        with pytest.raises(ValueError, match="mismatch"):
+            kernels.cosine_argmax(np.ones((2, 3)), np.ones((2, 4)))
+        for m in (2, 0):
+            with pytest.raises(ValueError, match="at least one row"):
+                kernels.cosine_argmax(np.ones((m, 3)), np.ones((0, 3)))
+        # Zero bytes: the row count alone is over the limit.
+        with pytest.raises(ValueError, match="under 2\\*\\*31"):
+            kernels.cosine_argmax(np.ones((1, 0)), np.empty((2**31, 0), np.float32))
+
+    @pytest.mark.parametrize("strategy", [Strategy.MERGE, Strategy.HYBRID])
+    def test_dense_records_same_with_fallback(self, monkeypatch, strategy):
+        """A small dense model reduced after every block: the logits, token
+        counts and every reduction record are equal compiled and on the
+        numpy fallback."""
+        config = ModelConfig(image_size=64, patch_size=4, feat_dim=32, depth=4)
+        model = VisionModel.seeded(config, seed=0)
+        layers = tuple(range(config.depth))
+        plan = solve_k(FlopsModel.from_config(config), 0.4, layers, strategy)
+        images = [synthetic_image(config.image_size, seed=s) for s in (1, 2)]
+
+        def runs():
+            out = []
+            for image in images:
+                logits, diag = model.forward(image, plan)
+                assert sorted(diag.reductions) == list(layers)
+                out.append((logits.tobytes(), diag.token_counts, repr(diag.reductions)))
+            return out
+
+        compiled = runs()
+        assert compiled[0][1][-1] < compiled[0][1][0] / 2
+        monkeypatch.setattr(kernels, "_compiled_ltr", lambda: None)
+        assert runs() == compiled
+
+
 def argsort_desc_oracle(values: np.ndarray) -> list[int]:
     """O(n^2) selection: repeatedly take the max, earliest index first."""
     vals = list(values)
@@ -403,6 +539,7 @@ class TestFlopCounter:
         with kernels.count_flops() as counter:
             kernels.cosine_matrix(a, a)
             kernels.cosine_matrix(a[:1], a[1:2])
+            kernels.cosine_argmax(a, a[:3])
             kernels.argsort_desc(a[:, 0])
         assert counter.total == 0
 
@@ -601,6 +738,15 @@ class TestCompiledMatmul:
             lib.causal_conv(x.ctypes.data, kt.ctypes.data, out.ctypes.data, *x.shape, 4, reverse)
             assert_same_bits(out, kernels._causal_conv_numpy(x, kernel, reverse))
 
+    def test_source_compiles_without_warnings(self, tmp_path):
+        if shutil.which("gcc") is None:
+            pytest.skip("no gcc on PATH")
+        flags = [*kernels._LTR_CFLAGS, "-Wall", "-Wextra", "-Werror"]
+        done = subprocess.run(["gcc", *flags, "-x", "c", "-", "-o", str(tmp_path / "ltr.so")],
+                              input=kernels._LTR_SOURCE, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_missing_compiler_falls_back(self, tmp_path, monkeypatch):
         assert kernels._build_ltr(tmp_path, str(tmp_path / "no-such-cc")) is None
         assert list(tmp_path.iterdir()) == []
@@ -630,16 +776,18 @@ class TestCompiledMatmul:
         grid = special_grid()
         with np.errstate(invalid="ignore"):
             want_silu, want_softplus = oracles.silu(grid), oracles.softplus(grid)
+        rows, cols = _strided()[0], _strided()[1].T
+        want_best = [int(np.argmax([oracles.cosine_similarity(r, c) for c in cols])) for r in rows]
         results = []
 
         def use(i):
             # The threads reach the library first through one kernel or another.
             calls = [lambda: kernels.matmul(a, b), lambda: kernels.ssm_scan(*scan)[0],
                      lambda: kernels.causal_conv(*conv), lambda: kernels.silu(grid),
-                     lambda: kernels.softplus(grid)]
+                     lambda: kernels.softplus(grid), lambda: kernels.cosine_argmax(rows, cols)]
             with np.errstate(invalid="ignore"):
-                got = {j: calls[j]() for j in ((i + step) % 5 for step in range(5))}
-            results.append(tuple(got[j] for j in range(5)))
+                got = {j: calls[j]() for j in ((i + step) % 6 for step in range(6))}
+            results.append(tuple(got[j] for j in range(6)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -654,12 +802,13 @@ class TestCompiledMatmul:
         assert not any(t.is_alive() for t in threads)
         assert builds == [tmp_path / "mambapress"]
         assert len(results) == 6
-        for out, y, convolved, activated, timescales in results:
+        for out, y, convolved, activated, timescales, best in results:
             assert np.array_equal(out, want)
             assert_same_bits(y, want_scan)
             assert_same_bits(convolved, want_conv)
             assert_same_bits(activated, want_silu)
             assert_same_bits(timescales, want_softplus)
+            assert best.tolist() == want_best
 
 
 def fallback_conv(monkeypatch, x, kernel, reverse=False):
