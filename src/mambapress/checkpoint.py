@@ -28,6 +28,19 @@ MAGIC = b"MTRC"
 VERSION = 1
 MAX_NAME_BYTES = 256
 
+# The entry names, in file order: the stem's (entry, ModelParams attribute)
+# pairs, then per block its fields and each head's, then the classifier's.
+# "cls" is written only when the model has a classification token.
+_STEM_ENTRIES = (("patch.w", "patch_w"), ("patch.b", "patch_b"), ("cls", "cls_embed"))
+_BLOCK_FIELDS = ("norm_scale", "norm_bias", "in_proj", "out_proj")
+_HEAD_FIELDS = ("a_log", "w_b", "w_c", "w_1", "w_2", "skip_d", "conv_kernel")
+_CLASSIFIER_ENTRIES = (
+    ("head.norm_scale", "head_norm_scale"),
+    ("head.norm_bias", "head_norm_bias"),
+    ("head.w", "head_w"),
+    ("head.b", "head_b"),
+)
+
 
 class CheckpointError(Exception):
     """Base class for checkpoint container problems."""
@@ -170,32 +183,13 @@ def load(path) -> Checkpoint:
 
 
 def _flatten_params(params: ModelParams) -> dict[str, np.ndarray]:
-    entries: dict[str, np.ndarray] = {
-        "patch.w": params.patch_w,
-        "patch.b": params.patch_b,
-    }
-    if params.cls_embed is not None:
-        entries["cls"] = params.cls_embed
+    entries = {name: getattr(params, attr) for name, attr in _STEM_ENTRIES}
     for i, block in enumerate(params.blocks):
-        prefix = f"blocks.{i}"
-        entries[f"{prefix}.norm_scale"] = block.norm_scale
-        entries[f"{prefix}.norm_bias"] = block.norm_bias
-        entries[f"{prefix}.in_proj"] = block.in_proj
-        entries[f"{prefix}.out_proj"] = block.out_proj
+        entries.update((f"blocks.{i}.{f}", getattr(block, f)) for f in _BLOCK_FIELDS)
         for j, head in enumerate(block.heads):
-            hp = f"{prefix}.heads.{j}"
-            entries[f"{hp}.a_log"] = head.a_log
-            entries[f"{hp}.w_b"] = head.w_b
-            entries[f"{hp}.w_c"] = head.w_c
-            entries[f"{hp}.w_1"] = head.w_1
-            entries[f"{hp}.w_2"] = head.w_2
-            entries[f"{hp}.skip_d"] = head.skip_d
-            entries[f"{hp}.conv_kernel"] = head.conv_kernel
-    entries["head.norm_scale"] = params.head_norm_scale
-    entries["head.norm_bias"] = params.head_norm_bias
-    entries["head.w"] = params.head_w
-    entries["head.b"] = params.head_b
-    return entries
+            entries.update((f"blocks.{i}.heads.{j}.{f}", getattr(head, f)) for f in _HEAD_FIELDS)
+    entries.update((name, getattr(params, attr)) for name, attr in _CLASSIFIER_ENTRIES)
+    return {name: arr for name, arr in entries.items() if arr is not None}  # "cls" is optional
 
 
 def model_to_checkpoint(model: VisionModel) -> Checkpoint:
@@ -221,42 +215,25 @@ def checkpoint_to_model(ckpt: Checkpoint) -> VisionModel:
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"checkpoint meta does not describe a model config: {err}") from err
     e = ckpt.entries
+
+    def take(prefix: str, names: tuple[str, ...]) -> dict[str, np.ndarray]:
+        return {f: _take_entry(e, f"{prefix}{f}") for f in names}
+
     try:
-        blocks = []
-        for i in range(config.depth):
-            prefix = f"blocks.{i}"
-            heads = [
-                SsmHeadParams(
-                    a_log=_take_entry(e, f"{prefix}.heads.{j}.a_log"),
-                    w_b=_take_entry(e, f"{prefix}.heads.{j}.w_b"),
-                    w_c=_take_entry(e, f"{prefix}.heads.{j}.w_c"),
-                    w_1=_take_entry(e, f"{prefix}.heads.{j}.w_1"),
-                    w_2=_take_entry(e, f"{prefix}.heads.{j}.w_2"),
-                    skip_d=_take_entry(e, f"{prefix}.heads.{j}.skip_d"),
-                    conv_kernel=_take_entry(e, f"{prefix}.heads.{j}.conv_kernel"),
-                    scan_direction=direction,
-                )
-                for j, direction in enumerate(DIRECTIONS)
-            ]
-            blocks.append(
-                SsmBlockParams(
-                    norm_scale=_take_entry(e, f"{prefix}.norm_scale"),
-                    norm_bias=_take_entry(e, f"{prefix}.norm_bias"),
-                    in_proj=_take_entry(e, f"{prefix}.in_proj"),
-                    out_proj=_take_entry(e, f"{prefix}.out_proj"),
-                    heads=heads,
-                )
+        blocks = [
+            SsmBlockParams(
+                heads=[
+                    SsmHeadParams(**take(f"blocks.{i}.heads.{j}.", _HEAD_FIELDS),
+                                  scan_direction=direction)
+                    for j, direction in enumerate(DIRECTIONS)
+                ],
+                **take(f"blocks.{i}.", _BLOCK_FIELDS),
             )
-        params = ModelParams(
-            patch_w=_take_entry(e, "patch.w"),
-            patch_b=_take_entry(e, "patch.b"),
-            cls_embed=e.get("cls"),
-            blocks=blocks,
-            head_norm_scale=_take_entry(e, "head.norm_scale"),
-            head_norm_bias=_take_entry(e, "head.norm_bias"),
-            head_w=_take_entry(e, "head.w"),
-            head_b=_take_entry(e, "head.b"),
-        )
+            for i in range(config.depth)
+        ]
+        top = {attr: _take_entry(e, name) for name, attr in _STEM_ENTRIES + _CLASSIFIER_ENTRIES
+               if name != "cls"}
+        params = ModelParams(**top, cls_embed=e.get("cls"), blocks=blocks)
         return VisionModel(config, params)
     except ValueError as err:
         raise ShapeMismatchError(f"checkpoint shapes inconsistent with config: {err}") from err

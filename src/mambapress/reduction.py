@@ -85,9 +85,22 @@ class GroupPartition:
 
 @dataclass
 class MergeMapping:
-    """source-row -> target-row edges; every source appears exactly once."""
+    """Merge edges as one C-contiguous (S, 2) int64 array.
 
-    edges: list[tuple[int, int]] = field(default_factory=list)
+    Row i is (source row, target row) for the i-th merged source; every
+    source appears exactly once. Any (S, 2) integer input is accepted,
+    a list of tuples too; an empty one becomes shape (0, 2).
+    """
+
+    edges: np.ndarray = field(default_factory=lambda: np.empty((0, 2), np.int64))
+
+    def __post_init__(self) -> None:
+        edges = np.ascontiguousarray(self.edges, dtype=np.int64)
+        if edges.shape == (0,):
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"merge edges must be (S, 2), got shape {edges.shape}")
+        self.edges = edges
 
 
 @dataclass
@@ -144,7 +157,7 @@ def match_sources(seq: TokenSequence, part: GroupPartition) -> MergeMapping:
     src = np.asarray(part.source_idx, dtype=np.int64)
     tgt = np.asarray(part.target_idx, dtype=np.int64)
     if len(src) == 0:
-        return MergeMapping([])
+        return MergeMapping()
     if len(tgt) == 0:
         raise ValueError("invalid partition: sources present but target group is empty")
     # Columns in original-index order: the first maximum wins, so a tie goes
@@ -153,7 +166,7 @@ def match_sources(seq: TokenSequence, part: GroupPartition) -> MergeMapping:
     # its own, so the column order does not change its bits.
     tgt = tgt[np.argsort(seq.orig_index[tgt], kind="stable")]
     best = kernels.cosine_argmax(seq.features[src], seq.features[tgt])
-    return MergeMapping(list(zip(src.tolist(), tgt[best].tolist())))
+    return MergeMapping(np.stack([src, tgt[best]], axis=1))
 
 
 def apply_merge(
@@ -168,10 +181,11 @@ def apply_merge(
     its sources (plain mean with ``weighted=False``); the merged weight is
     the participants' weight sum; the target keeps its original index.
     Rows not involved are copied bitwise, and survivors keep their row order.
+    Column 0 of ``mapping.edges`` holds the source rows, column 1 the target
+    each merges into.
     """
     n = len(seq)
-    edges = np.array(mapping.edges, dtype=np.int64).reshape(-1, 2)
-    src, tgt = edges[:, 0], edges[:, 1]
+    src, tgt = mapping.edges[:, 0], mapping.edges[:, 1]
     pruned = np.fromiter(pruned_rows, dtype=np.int64)
     for rows in (src, tgt, pruned):
         bad = rows[(rows < 0) | (rows >= n)]
@@ -195,7 +209,7 @@ def apply_merge(
     features = seq.features[keep]
     orig = seq.orig_index[keep]
     weight = seq.weight[keep].copy()
-    if len(edges) == 0:
+    if len(src) == 0:
         return TokenSequence(features, orig, weight, seq.cls_orig)
 
     # Group g is targets[g] followed by its sources in edge order. add.at
@@ -247,15 +261,15 @@ def reduce_layer(
     mapping = match_sources(seq, GroupPartition(part.keep_idx, part.target_idx, merge_src))
     out = apply_merge(seq, mapping, weighted, pruned)
     orig = seq.orig_index
-    edges_orig = orig[np.array(mapping.edges, dtype=np.int64).reshape(-1, 2)].tolist()
+    edges_orig = orig[mapping.edges]
     record = ReductionRecord(
         k=k,
         strategy=strategy,
         group_count=len(part.keep_idx),
         kept_orig=orig[part.keep_idx].tolist(),
         target_orig=orig[part.target_idx].tolist(),
-        merged_orig=[s for s, _ in edges_orig],
+        merged_orig=edges_orig[:, 0].tolist(),
         pruned_orig=orig[pruned].tolist(),
-        edges_orig=[(s, t) for s, t in edges_orig],
+        edges_orig=list(map(tuple, edges_orig.tolist())),
     )
     return out, record

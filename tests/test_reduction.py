@@ -1,5 +1,7 @@
 """Grouping, matching, merging, order: oracles and conservation laws."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -93,7 +95,7 @@ class TestMatchAndMerge:
             source_idx=np.array([0], dtype=np.int64),
         )
         out, mapping = match_and_merge(seq, part)
-        assert mapping.edges == [(0, 1)]
+        assert mapping.edges.tolist() == [[0, 1]]
         merged_row = np.nonzero(out.orig_index == 1)[0][0]
         assert np.allclose(out.features[merged_row], [1.0, 0.05], atol=1e-6)
         assert out.weight[merged_row] == 2
@@ -120,7 +122,7 @@ class TestMatchAndMerge:
             source_idx=np.array([1, 2], dtype=np.int64),
         )
         out, mapping = match_and_merge(seq, part)
-        assert sorted(mapping.edges) == [(1, 0), (2, 0)]
+        assert sorted(mapping.edges.tolist()) == [[1, 0], [2, 0]]
         row = np.nonzero(out.orig_index == 0)[0][0]
         assert np.allclose(out.features[row], feats[[0, 1, 2]].mean(axis=0), atol=1e-6)
         assert out.weight[row] == 3
@@ -319,7 +321,7 @@ class TestVectorisedAssembly:
         for trial in range(120):
             seq, part, pruned = self.random_case(rng, trial)
             mapping = match_sources(seq, part)
-            if trial % 3 == 0 and mapping.edges:  # every source into one target
+            if trial % 3 == 0 and len(mapping.edges):  # every source into one target
                 mapping = MergeMapping([(s, int(part.target_idx[0])) for s, _ in mapping.edges])
             out = apply_merge(seq, mapping, weighted, pruned)
             features, orig, weight = oracles.apply_merge_loop(seq, mapping, weighted, pruned)
@@ -332,6 +334,29 @@ class TestVectorisedAssembly:
         for mapping, pruned in [([(5, 0)], ()), ([(1, -1)], ()), ([(1, 0)], [7])]:
             with pytest.raises(ValueError, match="outside 0..4"):
                 apply_merge(seq, MergeMapping(mapping), pruned_rows=pruned)
+
+
+class TestMergeMapping:
+    @pytest.mark.parametrize("edges, want", [
+        ([(1, 0), (3, 2)], [[1, 0], [3, 2]]),
+        (np.array([[4, 1]], dtype=np.int32), [[4, 1]]),
+        ([], []),
+    ])
+    def test_normalises_to_s_by_2_int64(self, edges, want):
+        mapping = MergeMapping(edges)
+        assert mapping.edges.dtype == np.int64 and mapping.edges.flags.c_contiguous
+        assert mapping.edges.shape == (len(want), 2)
+        assert mapping.edges.tolist() == want
+
+    def test_default_is_empty(self):
+        edges = MergeMapping().edges
+        assert (edges.shape, edges.dtype) == ((0, 2), np.int64)
+
+    @pytest.mark.parametrize("edges", [
+        np.zeros((2, 3), dtype=np.int64), [1, 2, 3], [(1, 0), (2,)], np.zeros((0, 3))])
+    def test_rejects_other_shapes(self, edges):
+        with pytest.raises(ValueError):
+            MergeMapping(edges)
 
 
 def reference_reduce(seq, scores, k, strategy, cls_row=None):
@@ -463,6 +488,19 @@ class TestReduceLayer:
             out, _ = reduce_layer(seq, scores, 0.4, strategy)
             assert 6 in out.orig_index
             assert out.cls_orig == 6
+
+    def test_record_holds_python_values(self):
+        rng = np.random.default_rng(20)
+        seq = make_seq(rng, 20, cls_orig=10)
+        scores = rng.standard_normal(20).astype(np.float32)
+        _, record = reduce_layer(seq, scores, 0.4, Strategy.HYBRID)
+        assert record.merged_orig and record.pruned_orig
+        for name in ("kept_orig", "target_orig", "merged_orig", "pruned_orig"):
+            assert all(type(i) is int for i in getattr(record, name))
+        assert all(type(e) is tuple and [type(i) for i in e] == [int, int]
+                   for e in record.edges_orig)
+        assert [s for s, _ in record.edges_orig] == record.merged_orig
+        json.dumps(dataclasses.asdict(record))
 
     def test_record_accounts_for_every_source(self):
         rng = np.random.default_rng(19)
