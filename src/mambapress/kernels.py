@@ -22,18 +22,38 @@ the shapes, then passes ``arr.ctypes.data`` of arrays it keeps referenced
 for the duration of the call. A strided, transposed or float64 operand is
 therefore copied, never read raw.
 
-The engine has its own float32 exp, written twice: ``vexp`` in C, per
-vector lane, and :func:`_exp_numpy`, its numpy twin. Both use only rounded
-float32 adds and multiplies and integer ops, in the same order, so their
-bits are equal and do not depend on numpy's SIMD dispatch, as ``np.exp``'s
-do. Recipe: clamp x to [-104, 88.75] (a NaN passes); n = rint(16x/ln 2)
-by adding and subtracting 1.5*2^23; r = x - n*C1 - n*C2 with ln 2/16 =
-C1 + C2 and n*C1 exact; p = ((r*(1/24) + 1/6)*r + 1/2)*r*r + r, left to
-right, which is expm1(r); t = 2^((n & 15)/16) from a 16-entry float32
-table; p = t*p + t; the result is (p*2^e1)*2^e2 with e1 + e2 = n >> 4,
-both factors normal, so a subnormal result is rounded once. It is within
-0.986 ULP of exp over the normal range, exp(-inf) = 0, exp(+-0) = 1 and
-exp(+inf) = inf.
+The engine has its own float32 exp, one recipe (Tang's table method,
+ACM TOMS 15(2), 1989) with two front ends, each written twice: in C, per
+vector lane, and as a numpy twin. All four use only rounded float32 adds
+and multiplies and integer ops, each twin in the order of its C lanes, so
+their bits are equal and do not depend on numpy's SIMD dispatch, as
+``np.exp``'s do. Both front ends read t = 2^((n & 15)/16) from one
+16-entry float32 table and find n = rint(...) by adding and subtracting
+1.5*2^23, the bias of the scale factor folded into the integer part.
+
+- Full range, ``vexp`` and :func:`_exp_numpy`, for ``silu``, ``softplus``
+  and the state matrix: clamp x to [-104, 88.75] (a NaN passes); n =
+  rint(16x/ln 2); r = x - n*C1 - n*C2 with ln 2/16 = C1 + C2 and n*C1
+  exact; p = ((r*(1/24) + 1/6)*r + 1/2)*r*r + r, left to right, which is
+  expm1(r); p = t*p + t; the result is (p*2^e1)*2^e2 with e1 + e2 =
+  n >> 4, both factors normal, so a subnormal result is rounded once. It
+  is within 0.986 ULP of exp over the normal range, exp(-inf) = 0,
+  exp(+-0) = 1 and exp(+inf) = inf.
+- Decays, ``vdecay`` and :func:`_decay_numpy`, for the scan only. The
+  argument is x = delta*a', a rounded product, where ``ssm_scan`` has
+  scaled a once per call to a' = a*(16/ln 2), rounded; the decay is
+  2^(x/16). A positive x gives 1, x < -2032 is raised to -2032 (a NaN
+  of either sign passes both); n = rint(x); r = x - n, exact, |r| <=
+  1/2; p = ((C3*r + C2)*r + C1)*r, a degree-3 minimax fit of
+  2^(r/16) - 1; p = t*p + t; the result is p*2^((n >> 4) - 127), one
+  scale factor, which is +0 for x < -2016.5, so decays below
+  2^(-126-1/32) flush to 0 and -inf gives 0, while a NaN p stays NaN.
+  The front end is within 0.995 ULP of 2^(x/16) for x in [-2016, 0].
+  The two roundings of the argument dominate: each decay is within
+  2.25*|delta*a| + 1.5 ULP of exp of the exact product, so at most 198
+  ULP where it is normal.
+
+The C kernels, and what runs without the library:
 
 - ``ltr_matmul`` (:func:`matmul`) tiles rows and columns only: every output
   element still adds k = 0..K-1 in order, a float32 product and then a
@@ -44,12 +64,13 @@ exp(+inf) = inf.
   writing every array in token order, and within a token over blocks of
   16 channels, one channel per vector lane, with the state held as
   (N, E). Per lane it rounds dx = delta*x, then for each state the decay
-  abar = exp(delta*a) in registers (a rounded product, then ``vexp``; it
-  reads ``a`` transposed, (N, E)), h = abar*h and h + dx*b. It reads out sum(h*c) over the state
-  in numpy's pairwise order for a contiguous float32 sum (so it matches
+  abar = exp(delta*a) in registers (a rounded product with the pre-scaled
+  a', then ``vdecay``; it reads a' transposed, (N, E)), h = abar*h and
+  h + dx*b. It reads out sum(h*c) over the state in numpy's pairwise
+  order for a contiguous float32 sum (so it matches
   ``(h * c).sum(axis=1, dtype=float32)``), and adds the skip path,
   y = (0 + readout) + skip*x, each a separate float32 operation.
-  Fallback: :func:`_exp_numpy` of numpy's broadcast product, then
+  Fallback: :func:`_decay_numpy` of numpy's broadcast product, then
   :func:`_ssm_scan_numpy`, a numpy loop over tokens.
 - ``causal_conv`` (:func:`causal_conv`) adds each output's taps in order
   into 0.0, a rounded product and then a rounded add, skipping taps that
@@ -296,6 +317,33 @@ vexp(vf x)
     return (p * (vf)((vu)e1 << 23)) * (vf)((vu)e2 << 23);
 }
 
+/* The scan's decay 2^(x/16) per lane, for x = delta * (a * 16/ln 2): the
+   decay front end of the pinned exp (recipe in the module docstring);
+   _decay_numpy repeats every step. A positive x becomes +0 (a decay of 1)
+   by an and-not. One below -2032 becomes -2032, by a lane loop that GCC
+   turns into one masked move, where pick() costs two. So n =
+   rint(x) + 127*16 lies in [0, 2032], and n >> 4 is the biased exponent of
+   the one scale factor, 0 giving a factor of +0. The table lookup reads n
+   modulo 16, as __builtin_shuffle defines it. */
+static inline __attribute__((always_inline)) vf
+vdecay(vf x)
+{
+    const vf magic = (vf){0} + 0x1.8p+23f;
+    x = (vf)((vi)x & ~(x > 0.0f));
+    for (int l = 0; l < VW; l++)
+        x[l] = x[l] < -2032.0f ? -2032.0f : x[l];
+    vf km = x + magic;
+    vf k = km - magic;
+    vi n = (vi)km - (0x4b400000 - 127 * 16);
+    vf r = x - k;
+    vf p = r * 0x1.c6b46ap-17f + 0x1.ebfff4p-11f;
+    p = p * r + 0x1.62e43p-5f;
+    p = p * r;
+    vf t = __builtin_shuffle(exp2_sixteenths, n);
+    p = t * p + t;
+    return p * (vf)((vu)(n >> 4) << 23);
+}
+
 /* out[i] = exp(x[i]) with the pinned exp over len floats; out may be x. */
 void exp_f32(const float *x, float *out, ptrdiff_t len)
 {
@@ -360,7 +408,7 @@ scan_step(const float *delta, const float *at, const float *x, const float *b,
     const vf dv = vload(delta + i, rest);
     const vf dx = dv * xv;
     for (ptrdiff_t j = 0; j < n; j++) {
-        vf decayed = vexp(dv * vload(at + j * e + i, rest)) * h[j];
+        vf decayed = vdecay(dv * vload(at + j * e + i, rest)) * h[j];
         h[j] = decayed + dx * b[j];
     }
     vf out = ((vf){0} + readout(h, c, n)) + vload(skip + i, rest) * xv;
@@ -703,6 +751,38 @@ def _exp_numpy(x) -> np.ndarray:
         return ((p * s1) * s2).reshape(x.shape)
 
 
+# The constants of the C ``vdecay``: its lower clamp, and the coefficients of
+# 2^(r/16) - 1 = r*(_DECAY_C1 + r*(_DECAY_C2 + r*_DECAY_C3)) on |r| <= 1/2.
+_DECAY_LO = F32(-2032.0)
+_DECAY_C1 = F32(float.fromhex("0x1.62e43p-5"))
+_DECAY_C2 = F32(float.fromhex("0x1.ebfff4p-11"))
+_DECAY_C3 = F32(float.fromhex("0x1.c6b46ap-17"))
+
+
+def _decay_numpy(x) -> np.ndarray:
+    """The scan's decay 2^(x/16) in numpy, for x = delta * (a * 16/ln 2): the
+    C ``vdecay`` step for step, so the bits are equal (see the module
+    docstring). Books no FLOPs; the scan does."""
+    x = as_f32(x)
+    # A signalling NaN input raises "invalid"; it is no error. 1-D, so
+    # integer ops wrap silently.
+    with np.errstate(invalid="ignore"):
+        v = x.reshape(-1)
+        v = np.where(v > 0, F32(0.0), v)
+        v = np.where(v < _DECAY_LO, _DECAY_LO, v)
+        km = v + _EXP_MAGIC
+        k = km - _EXP_MAGIC
+        n = km.view(np.int32) - np.int32(0x4B400000 - 127 * 16)
+        r = v - k
+        p = r * _DECAY_C3 + _DECAY_C2
+        p = p * r + _DECAY_C1
+        p = p * r
+        t = _EXP2_SIXTEENTHS[n & 15]
+        p = t * p + t
+        s = ((n >> 4).astype(np.uint32) << 23).view(np.float32)
+        return (p * s).reshape(x.shape)
+
+
 def _ssm_scan_numpy(abar, dx, b, c, hidden, reverse=False):
     length, e, n = abar.shape
     h = np.zeros((e, n), dtype=np.float32)
@@ -730,9 +810,16 @@ def ssm_scan(delta, a, x, b, c, skip, collect_hidden: bool = False, reverse: boo
     in and out, stays in token order. Returns y (L, E) and, with
     ``collect_hidden``, the state after each token (L, E, N), else ``None``.
 
+    The decays come from the pinned exp's decay front end (module
+    docstring): abar = 2^(delta * a'/16), with a' = a * (16/ln 2) rounded
+    once per call. A positive delta * a gives 1; below about -87.36, and
+    for -inf, the decay is 0; a NaN passes. Each decay is within
+    2.25*|delta*a| + 1.5 ULP of exp of the exact product.
+
     Cost, as the numpy chain books it: decays multiply L*E*N and exp L*E*N;
     dx multiply L*E; state update multiply 2*L*E*N and add L*E*N; readout
-    rowdot 2*L*E*N; skip path multiply L*E and add L*E.
+    rowdot 2*L*E*N; skip path multiply L*E and add L*E. The pre-scale of
+    ``a`` books nothing, like its transpose.
     """
     delta, x, b, c, skip = (np.ascontiguousarray(v, dtype=np.float32)
                             for v in (delta, x, b, c, skip))
@@ -753,12 +840,14 @@ def ssm_scan(delta, a, x, b, c, skip, collect_hidden: bool = False, reverse: boo
     _tally("add", size + length * e)
     _tally("rowdot", 2 * size)
     hidden = np.empty((length, e, n), dtype=np.float32) if collect_hidden else None
+    # Both paths read one rounded a * 16/ln 2, the decays' argument scale.
+    a16 = a * _EXP_SCALE
     lib = _compiled_ltr()
     if lib is None:
-        abar = _exp_numpy(delta[:, :, None] * a)
+        abar = _decay_numpy(delta[:, :, None] * a16)
         y = _ssm_scan_numpy(abar, delta * x, b, c, hidden, reverse)
         return y + skip * x, hidden
-    at = np.ascontiguousarray(a.T)
+    at = np.ascontiguousarray(a16.T)
     y = np.empty((length, e), dtype=np.float32)
     # ctypes releases the GIL for the call; every buffer stays referenced
     # here. A NULL hidden pointer says "no trajectory".

@@ -64,14 +64,15 @@ def apply_merge_loop(seq, mapping, weighted=True, pruned_rows=()):
 
 
 def decay(delta, a) -> np.ndarray:
-    """Per-token decay factors exp(delta[t, i] * a[i, j]) -> (L, E, N): one
-    rounded float32 product per element, then the pinned exp's numpy twin.
-    The compiled scan computes the same values in registers."""
+    """Per-token decay factors exp(delta[t, i] * a[i, j]) -> (L, E, N): a
+    scaled once by 16/ln 2 and rounded, one rounded float32 product per
+    element, then the numpy twin of the pinned exp's decay front end. The
+    compiled scan computes the same values in registers."""
     delta = kernels.as_f32(delta)
     a = kernels.as_f32(a)
     if delta.ndim != 2 or a.ndim != 2 or delta.shape[1] != a.shape[0]:
         raise ValueError(f"decay shape mismatch: delta {delta.shape}, a {a.shape}")
-    return kernels._exp_numpy(delta[:, :, None] * a[None, :, :])
+    return kernels._decay_numpy(delta[:, :, None] * (a * kernels._EXP_SCALE)[None, :, :])
 
 
 def discretize(a, delta) -> np.ndarray:

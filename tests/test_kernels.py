@@ -204,8 +204,107 @@ class TestPinnedExp:
         assert worst < 1.0
 
 
-# Computes the pinned exp (both paths), silu and one scan head on fixed
-# inputs and saves them to the file named by argv[1].
+def decay_arguments(stride: int, chunk: int = 2**18):
+    """float32 arguments for the scan's decay, in chunks of at most
+    ``chunk``: every ``stride``-th bit pattern with the sign bit set (every
+    x <= 0, -inf and the NaNs with the sign bit set), then signed zeros,
+    both infinities, quiet and signalling NaNs of both signs, positive
+    values, and the flush edge -2016.5 and the clamp -2032 with their
+    neighbours."""
+    for start in range(2**31, 2**32, stride * chunk):
+        bits = np.arange(start, min(start + stride * chunk, 2**32), stride, dtype=np.uint64)
+        yield bits.astype(np.uint32).view(np.float32)
+    special = np.array([0x00000000, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC00000,
+                        0xFFC00000, 0x7F800001, 0xFF800001, 0x7FA00000, 0xFFA00000,
+                        0x00000001, 0x3F800000, 0x7F7FFFFF], np.uint32).view(np.float32)
+    edges = [np.float32(v) for v in (-2016.5, -2032.0)]
+    near = [np.nextafter(v, np.float32(d)) for v in edges for d in (-np.inf, np.inf)]
+    yield np.concatenate([special, np.array([*edges, *near], np.float32)])
+
+
+def compiled_decay(x: np.ndarray) -> np.ndarray:
+    """The C scan's decays of the arguments x, read from its state: a
+    two-token scan whose (1, E) pre-scaled state matrix is x, with
+    timescales 1, so each argument reaches the decay front end as it is.
+    Token 0 (x 1, b 1) sets each state to decay * 0 + 1 = 1; token 1 (x 0,
+    b 0) multiplies it by the decay and adds a zero. A NaN decay leaves a
+    NaN state."""
+    at = np.ascontiguousarray(x, dtype=np.float32).reshape(1, -1)
+    e = at.shape[1]
+    ones, zeros = np.ones((2, e), np.float32), np.zeros(e, np.float32)
+    xs = np.stack([ones[0], zeros])
+    b = np.array([[1.0], [0.0]], np.float32)
+    c, y = np.zeros((2, 1), np.float32), np.empty((2, e), np.float32)
+    hidden = np.empty((2, e, 1), np.float32)
+    assert kernels._compiled_ltr().ssm_scan(
+        ones.ctypes.data, at.ctypes.data, xs.ctypes.data, b.ctypes.data, c.ctypes.data,
+        zeros.ctypes.data, y.ctypes.data, hidden.ctypes.data, 2, e, 1, 0) == 0
+    return hidden[1, :, 0].reshape(np.shape(x))
+
+
+class TestDecayFrontEnd:
+    """The scan's decay 2^(x/16), for x = delta * (a * 16/ln 2): the C lanes
+    and the numpy twin agree bit for bit, and the decays stay within the
+    stated bound of exp(delta * a)."""
+
+    def test_compiled_matches_twin_on_a_bit_pattern_sweep(self):
+        if kernels._compiled_ltr() is None:
+            pytest.skip("no compiled library: the numpy twin is the decay")
+        # An odd stride reaches every table entry and every exponent.
+        for x in decay_arguments(stride=1021):
+            assert_same_bits(compiled_decay(x), kernels._decay_numpy(x))
+
+    def test_special_values(self):
+        # x = -16m is 2^-m exactly, down to the smallest normal; below
+        # -2016.5 the decay is 0, above 0 it is 1, and a NaN of either sign
+        # stays a NaN.
+        m = np.arange(127)
+        powers = (-16.0 * m).astype(np.float32), np.ldexp(1.0, -m).astype(np.float32)
+        nans = np.array([0x7FC00000, 0xFFC00000, 0x7FA00000, 0xFFA00000, 0xFFC12345],
+                        np.uint32).view(np.float32)
+        x = np.concatenate([
+            powers[0], nans,
+            np.array([-np.inf, -0.0, 0.0, -1e-45, 1e-45, 1.0, 1e30, np.inf, -2032.0, -1e30,
+                      np.nextafter(np.float32(-2016.5), np.float32(-np.inf))], np.float32)])
+        want = np.concatenate([
+            powers[1], np.full(len(nans), np.nan, np.float32),
+            np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0], np.float32)])
+        paths = [kernels._decay_numpy]
+        if kernels._compiled_ltr() is not None:
+            paths.append(compiled_decay)
+        for decay in paths:
+            assert_same_bits(decay(x), want)
+            edge = decay(np.float32([-2016.5]))[0]
+            assert 0 < edge < np.finfo(np.float32).tiny
+        assert kernels._decay_numpy(np.float32(-0.5)).shape == ()
+        assert kernels._decay_numpy(x.reshape(-1, 1)[::2]).shape == ((len(x) + 1) // 2, 1)
+
+    def test_error_bound_over_the_sweep(self):
+        # delta in [1e-4, 30] and a in [-4, -0.5]. The argument is rounded
+        # twice (a * 16/ln 2, then delta times that), and the float32 16/ln 2
+        # is 0.224 ULP off, so the decay is within 2.25|delta*a| + 1.5 ULP of
+        # exp of the exact product: at most 198 ULP where the decay is a
+        # normal float32. Over these pairs the largest error is 131 ULP, the
+        # 99th percentile 63. Where the rounded argument is below -2016.5,
+        # the decay is 0.
+        rng = np.random.default_rng(2024)
+        delta = rng.uniform(1e-4, 30, 400_000).astype(np.float32)
+        a = rng.uniform(-4, -0.5, 400_000).astype(np.float32)
+        arg = delta * (a * kernels._EXP_SCALE)
+        got = kernels._decay_numpy(arg).astype(np.float64)
+        exact = delta.astype(np.float64) * a
+        ref = np.exp(exact)
+        ulp = np.maximum(np.ldexp(1.0, np.frexp(ref)[1] - 24), 2.0**-149)
+        err = np.abs(got - ref) / ulp
+        live = arg >= -2016.5
+        assert np.all(err[live] <= 2.25 * np.abs(exact[live]) + 1.5)
+        assert err[live].max() < 198
+        assert np.all(got[~live] == 0) and (~live).any()
+
+
+# Computes the pinned exp (both paths), the decay front end's twin, the
+# decays' pre-scale, silu and one scan head on fixed inputs and saves them to
+# the file named by argv[1].
 _DISPATCH_PROBE = """
 import sys
 import numpy as np
@@ -218,7 +317,10 @@ x, u = (rng.standard_normal((length, e)).astype(np.float32) * 4 for _ in range(2
 b, c = (rng.standard_normal((length, n)).astype(np.float32) for _ in range(2))
 y, hidden = kernels.ssm_scan(delta, a, x, b, c, np.ones(e, np.float32), True)
 grid = np.arange(0, 2**32, 65537, dtype=np.uint64).astype(np.uint32).view(np.float32)
-saved = dict(y=y, hidden=hidden, silu=kernels.silu(u), twin=kernels._exp_numpy(grid))
+scaled = a * kernels._EXP_SCALE
+saved = dict(y=y, hidden=hidden, silu=kernels.silu(u), twin=kernels._exp_numpy(grid),
+             scaled=scaled, decay_twin=kernels._decay_numpy(grid),
+             decays=kernels._decay_numpy(delta[:, :, None] * scaled))
 lib = kernels._compiled_ltr()
 if lib is not None:
     saved["compiled"] = np.empty_like(grid)
@@ -228,12 +330,13 @@ np.savez(sys.argv[1], **saved)
 
 
 def test_bits_do_not_depend_on_numpy_dispatch(tmp_path):
-    """The scan (output and states), silu and the pinned exp give the same
-    bits when numpy runs at its X86_V2 baseline as at the default dispatch
-    level. np.exp gives other bits for about 39% of float32 inputs there, so
-    this failed while the scan's decays used it. Whole logits are not
-    compared yet: softplus still takes numpy's log1p, whose bits depend on
-    the dispatch level too."""
+    """The scan (output and states), silu, the pinned exp, the decay front
+    end's twin and the decays' pre-scale give the same bits when numpy runs
+    at its X86_V2 baseline as at the default dispatch level. np.exp gives
+    other bits for about 39% of float32 inputs there, so this failed while
+    the scan's decays used it. Whole logits are not compared yet: softplus
+    still takes numpy's log1p, whose bits depend on the dispatch level
+    too."""
     src = str(Path(kernels.__file__).resolve().parents[1])
     runs = []
     for disabled in (None, "AVX512_SPR AVX512_ICL X86_V4 X86_V3"):
@@ -638,8 +741,9 @@ def _conv_inputs():
 
 
 def scan_fallback(delta, a, x, b, c, skip, reverse=False):
-    """The numpy chain the compiled scan must reproduce."""
-    abar = kernels._exp_numpy(delta[:, :, None] * a)
+    """The numpy chain the compiled scan must reproduce; the C function
+    reads the transpose of a * 16/ln 2."""
+    abar = kernels._decay_numpy(delta[:, :, None] * (a * kernels._EXP_SCALE))
     return kernels._ssm_scan_numpy(abar, delta * x, b, c, None, reverse) + skip * x
 
 
@@ -715,7 +819,7 @@ class TestCompiledMatmul:
         # The scan, conv, exp and silu kernels come from the same library file.
         delta, a_state, x, bv, cv, skip = _scan_inputs()
         (length, e), n = delta.shape, a_state.shape[1]
-        at = np.ascontiguousarray(a_state.T)
+        at = np.ascontiguousarray((a_state * kernels._EXP_SCALE).T)
         y = np.empty((length, e), np.float32)
         for reverse in (0, 1):
             assert lib.ssm_scan(delta.ctypes.data, at.ctypes.data, x.ctypes.data,

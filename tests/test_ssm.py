@@ -76,11 +76,11 @@ def scan_oracle(x: np.ndarray, params: SsmHeadParams) -> np.ndarray:
 def compiled_decays(delta, a, layout=None) -> np.ndarray:
     """The compiled scan's decays exp(delta[t, i] * a[i, j]), (L, E, N), read
     from its state: per row of delta, a two-token scan. Token 0 (delta 1,
-    x 1, b 1) sets every state to exp(a) * 0 + 1 = 1; token 1 (the row, x 0,
-    b 0) multiplies it by the row's decays and adds a zero. So exp(a) must
-    be finite (no +inf or NaN in a), and the row must be finite, or that
-    zero would be a NaN. ``layout`` names a :func:`relayout` applied to the
-    scan's operands before the kernel reads them."""
+    x 1, b 1) sets every state to decay * 0 + 1 = 1; token 1 (the row, x 0,
+    b 0) multiplies it by the row's decays and adds a zero. So a must hold
+    no NaN, and the row must be finite, or that zero would be a NaN.
+    ``layout`` names a :func:`relayout` applied to the scan's operands
+    before the kernel reads them."""
     e, n = a.shape
     ones, zeros = np.ones(e, np.float32), np.zeros(e, np.float32)
     b = np.stack([np.ones(n, np.float32), np.zeros(n, np.float32)])
@@ -117,11 +117,12 @@ class TestDiscretize:
 
     def test_bits_of_exp_of_product(self):
         # The compiled decays are computed in registers; the bits are those
-        # of the pinned exp over the rounded product.
+        # of the pinned exp's decay front end over the rounded product of
+        # delta and the rounded a * 16/ln 2.
         rng = np.random.default_rng(1)
         a = -rng.uniform(0.1, 5.0, size=(37, 16)).astype(np.float32)
         delta = rng.uniform(0.01, 3.0, size=(29, 37)).astype(np.float32)
-        want = kernels._exp_numpy(delta[:, :, None] * a[None, :, :])
+        want = kernels._decay_numpy(delta[:, :, None] * (a * kernels._EXP_SCALE)[None, :, :])
         assert np.array_equal(discretize(a, delta).view(np.uint32), want.view(np.uint32))
         if kernels._compiled_ltr() is not None:
             got = compiled_decays(delta, a)
@@ -365,22 +366,25 @@ class TestCompiledScan:
 
     @pytest.mark.parametrize("n", [1, 4, 16, 17])
     def test_decays_beyond_the_exp_clamp(self, monkeypatch, n):
-        # Products delta*a below -104 decay to 0 and above 88.75 to inf; on
-        # every fourth token (delta 1) they sit on and next to both edges.
+        # The decays' argument is delta * (a * 16/ln 2). Below -2016.5 it
+        # decays to 0, below -2032 it is clamped, and above 0 it decays to 1.
+        # On every fourth token (delta 1) it sits on and next to -2016.5 and
+        # -2032: the two a values below scale to exactly those.
         needs_compiled_scan()
         rng = np.random.default_rng(900 + n)
-        edges = [np.nextafter(np.float32(v), np.float32(d))
-                 for v in (-104.0, 88.75) for d in (-np.inf, np.inf)]
-        a_values = np.array([-104.0, 88.75, *edges, -500.0, -60.0, -1.0, 30.0, 200.0],
-                            np.float32)
+        edges = [np.float32(-87.3582077), np.float32(-88.0296936)]
+        near = [np.nextafter(v, np.float32(d)) for v in edges for d in (-np.inf, np.inf)]
+        a_values = np.array([*edges, *near, -500.0, -60.0, -1.0, 30.0, 200.0], np.float32)
         for e in (13, 33):
             delta, _, x, b, c, skip = scan_inputs(rng, 40, e, n)
             a = np.resize(rng.permutation(a_values), (e, n))
             delta[::4] = 1.0
             with np.errstate(all="ignore"):
                 scan_both_ways(monkeypatch, (delta, a, x, b, c, skip))
-                product = delta[:, :, None] * a
-            assert (product < -104).any() and (product > 88.75).any()
+                arg = delta[:, :, None] * (a * kernels._EXP_SCALE)
+            for edge in (-2016.5, -2032.0):
+                assert (arg == edge).any() and (arg < edge).any()
+            assert (arg > 0).any()
 
     @pytest.mark.parametrize("n", [1, 4, 16, 17])
     def test_nans_and_infinities_in_delta_and_a(self, monkeypatch, n):
@@ -416,7 +420,8 @@ class TestCompiledScan:
         delta, a, x, b, c, skip = inputs
         h = np.zeros((19, 3), np.float32)
         for t in range(6):
-            h = kernels._exp_numpy(delta[t][:, None] * a) * h + (delta[t] * x[t])[:, None] * b[t]
+            abar = kernels._decay_numpy(delta[t][:, None] * (a * kernels._EXP_SCALE))
+            h = abar * h + (delta[t] * x[t])[:, None] * b[t]
             assert_same_bits(hidden[t], h)
         assert_same_bits(y[-1], rowdot(h, c[-1]) + skip * x[-1])
 
@@ -522,14 +527,14 @@ class TestCompiledScan:
 
 def decay_inputs(rng, length, e, n, special=False):
     """Random (delta, a) for the decays; ``special`` plants signed zeros,
-    denormals and values whose products fall beyond the exp's clamp, and
-    -inf in ``a``. What :func:`compiled_decays` cannot read is left out:
-    +inf and NaN in ``a``, and non-finite timescales."""
+    denormals, values whose products fall below the decays' clamp or above
+    0, and -inf in ``a``. What :func:`compiled_decays` cannot read is left
+    out: NaN in ``a``, and non-finite timescales."""
     delta = rng.uniform(0.01, 3.0, (length, e)).astype(np.float32)
     a = -rng.uniform(0.1, 5.0, (e, n)).astype(np.float32)
     if special:
         planted = {0.0, -0.0, 1e-41, -3e-39}
-        for arr, extra in ((delta, {200.0}), (a, {-np.inf, 50.0})):
+        for arr, extra in ((delta, {200.0}), (a, {-np.inf, 50.0, np.inf})):
             values = np.array(sorted(planted | extra), np.float32)
             flat = arr.reshape(-1)
             spots = rng.choice(flat.size, size=max(len(values), flat.size // 3), replace=False)
@@ -540,14 +545,14 @@ def decay_inputs(rng, length, e, n, special=False):
 
 class TestDecayKernel:
     """The compiled scan's decays keep the bits of the oracle's broadcast
-    multiply and pinned exp."""
+    multiply and the decay front end's numpy twin."""
 
     @pytest.mark.parametrize("n", [1, 4, 16, 17])
     @pytest.mark.parametrize("length", [1, 29])
     def test_matches_fallback_and_numpy(self, n, length):
         needs_compiled_scan()
         delta, a = decay_inputs(np.random.default_rng(400 + n), length, 13, n)
-        want = kernels._exp_numpy(delta[:, :, None] * a[None])
+        want = kernels._decay_numpy(delta[:, :, None] * (a * kernels._EXP_SCALE)[None])
         assert_same_bits(compiled_decays(delta, a), want)
         assert_same_bits(decay(delta, a), want)
         assert_same_bits(discretize(a, delta), want)
@@ -557,12 +562,13 @@ class TestDecayKernel:
         needs_compiled_scan()
         delta, a = decay_inputs(np.random.default_rng(500 + n), 31, 13, n, special=True)
         with np.errstate(all="ignore"):
-            product = delta[:, :, None] * a[None]
-            want = kernels._exp_numpy(product)
+            product = delta[:, :, None] * (a * kernels._EXP_SCALE)[None]
+            want = kernels._decay_numpy(product)
             got = compiled_decays(delta, a)
             oracle = decay(delta, a)
-        assert np.isnan(want).any() and np.isinf(want).any() and (want == 0).any()
-        assert (product < -104).any() and (product > 88.75).any()
+        assert np.isnan(want).any() and (want == 0).any()
+        assert (product < -2032).any() and (product > 0).any()
+        assert np.all(want[product > 0] == 1) and np.all(want[product < -2032] == 0)
         assert (np.signbit(product) & (product == 0)).any()
         assert ((product != 0) & (np.abs(product) < np.finfo(np.float32).tiny)).any()
         assert_same_bits(got, want)
