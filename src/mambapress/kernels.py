@@ -1,12 +1,12 @@
 """Dense float32 kernels that every other module builds on.
 
-All kernels take and return row-major float32 ndarrays and never mutate
-their inputs. The reductions that feed bit-reproducibility contracts
-(:func:`matmul` and :func:`cosine_matrix`) accumulate strictly left to
-right in float32, so an independently written scalar loop produces the
-exact same bits. BLAS is free to reassociate sums, so it is not used.
+All kernels take and return row-major float32 ndarrays (the merge fold
+also int64 weights) and never mutate their inputs. The reductions that
+feed bit-reproducibility contracts (:func:`matmul` and
+:func:`cosine_matrix`) accumulate strictly left to right in float32, so an
+independently written scalar loop produces the exact same bits. BLAS is free to reassociate sums, so it is not used.
 
-Six kernels are C code in one small library (:data:`_LTR_SOURCE`). On
+Nine kernels are C code in one small library (:data:`_LTR_SOURCE`). On
 first use it is compiled with the local ``gcc`` (``-O3 -march=native
 -ffp-contract=off``, no fast-math), cached under
 ``$XDG_CACHE_HOME/mambapress`` (default ``~/.cache/mambapress``) and loaded
@@ -83,6 +83,19 @@ The C kernels, and what runs without the library:
 - ``exp_f32`` is the exp of :func:`softplus`, in place over its buffer.
   Fallback: :func:`_exp_numpy`. The rest of softplus is numpy, including
   ``np.log1p``, whose bits still depend on the SIMD dispatch.
+- ``gate`` (:func:`gate`) is the block gate silu(z) * (y0 + y1 + ...) in
+  one pass: it reads z in place with its row stride, adds the heads in
+  order and multiplies, each step rounded. Fallback: :func:`add`,
+  :func:`silu` and :func:`multiply` chained.
+- ``layernorm`` (:func:`layernorm`) normalizes one row at a time. Both
+  means sum the row in numpy's pairwise order for a contiguous float32 sum
+  (``pairwise_sum``, the order of the scan's readout) and divide in
+  float64, as ``np.mean`` does. Fallback: :func:`_layernorm_numpy`.
+- ``merge_fold`` (:func:`merge_fold`) copies the kept rows and folds each
+  merged source into its target: a float64 accumulator per target starts
+  at 0.0, adds the target's term and then its sources' in edge order, and
+  is divided once and rounded to float32. Fallback:
+  :func:`_merge_fold_numpy`, ``np.unique`` and ``np.add.at``.
 - ``cosine_argmax`` (:func:`cosine_argmax`) gives each row of a its most
   similar row of b without building the similarity matrix. It runs 4 rows
   against 32 columns at a time: it sums each dot as ``ltr_matmul`` does,
@@ -172,7 +185,9 @@ def as_f32(x) -> np.ndarray:
 
 
 _LTR_SOURCE = r"""
+#include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -353,15 +368,171 @@ void exp_f32(const float *x, float *out, ptrdiff_t len)
     }
 }
 
-/* out[i] = x[i] / (1 + exp(-x[i])) over len floats, each step a rounded
-   float32 operation, with the pinned exp. */
+/* x / (1 + exp(-x)) per lane, each step a rounded float32 operation,
+   with the pinned exp. */
+static inline __attribute__((always_inline)) vf
+vsilu(vf x)
+{
+    return x / (1.0f + vexp(-x));
+}
+
+/* out[i] = silu(x[i]) over len floats. */
 void silu(const float *x, float *out, ptrdiff_t len)
 {
     for (ptrdiff_t i = 0; i < len; i += VW) {
         int rest = len - i < VW ? (int)(len - i) : VW;
-        vf v = vload(x + i, rest);
-        vstore(out + i, v / (1.0f + vexp(-v)), rest);
+        vstore(out + i, vsilu(vload(x + i, rest)), rest);
     }
+}
+
+/* The block gate: out[t, i] = silu(z[t, i]) * (((ys[0] + ys[1]) + ...) +
+   ys[heads-1])[t, i], each step a rounded float32 operation. z is read
+   with row stride ldz; out and every ys[h] are len x e and contiguous. */
+void gate(const float *z, ptrdiff_t ldz, const float *const *ys, ptrdiff_t heads,
+          float *out, ptrdiff_t len, ptrdiff_t e)
+{
+    for (ptrdiff_t t = 0; t < len; t++)
+        for (ptrdiff_t i = 0; i < e; i += VW) {
+            int rest = e - i < VW ? (int)(e - i) : VW;
+            vf sum = vload(ys[0] + t * e + i, rest);
+            for (ptrdiff_t h = 1; h < heads; h++)
+                sum = sum + vload(ys[h] + t * e + i, rest);
+            vstore(out + t * e + i, vsilu(vload(z + t * ldz + i, rest)) * sum, rest);
+        }
+}
+
+/* numpy's pairwise order for a contiguous float32 sum of the n terms x[i],
+   or of x[i]*x[i], each product rounded, when square is set: under 8
+   terms in sequence from -0; up to 128 in 8 accumulators combined as
+   ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in sequence; above
+   128 halved at a multiple of 8. numpy adds the result to +0, its
+   identity; callers do that step. */
+static float
+pairwise_sum(const float *x, ptrdiff_t n, int square)
+{
+    float s = -0.0f;
+    ptrdiff_t i = 0;
+    if (n < 8) {
+        for (; i < n; i++)
+            s += square ? x[i] * x[i] : x[i];
+        return s;
+    }
+    if (n <= 128) {
+        float r[8];
+        for (int k = 0; k < 8; k++)
+            r[k] = square ? x[k] * x[k] : x[k];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += square ? x[i + k] * x[i + k] : x[i + k];
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            s += square ? x[i] * x[i] : x[i];
+        return s;
+    }
+    ptrdiff_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(x, half, square) + pairwise_sum(x + half, n - half, square);
+}
+
+/* Layer normalization of each row of x (len x d) into out, as numpy's
+   float32 chain computes it: mean = (0 + sum x) / d, c = x - mean, var =
+   (0 + sum c*c) / d, each sum in pairwise order and each quotient taken
+   in float64 and rounded once, as np.mean does; inv = 1 / sqrt(var +
+   1e-5); out = ((c * inv) * scale) + bias. Every other step is a rounded
+   float32 operation. */
+void layernorm(const float *x, const float *scale, const float *bias, float *out,
+               ptrdiff_t len, ptrdiff_t d)
+{
+    for (ptrdiff_t t = 0; t < len; t++) {
+        const float *xt = x + t * d;
+        float *o = out + t * d;
+        float mean = (float)((double)(0.0f + pairwise_sum(xt, d, 0)) / (double)d);
+        for (ptrdiff_t i = 0; i < d; i++)
+            o[i] = xt[i] - mean;
+        float var = (float)((double)(0.0f + pairwise_sum(o, d, 1)) / (double)d);
+        float inv = 1.0f / sqrtf(var + 1e-5f);
+        for (ptrdiff_t i = 0; i < d; i++)
+            o[i] = o[i] * inv * scale[i] + bias[i];
+    }
+}
+
+/* One merge term, added into acc: row xr widened to float64 and, when
+   weighted, times its weight wr. */
+static inline __attribute__((always_inline)) void
+fold_row(double *restrict acc, const float *restrict xr, int64_t wr, int weighted,
+         ptrdiff_t d)
+{
+    if (weighted) {
+        const double wd = (double)wr;
+        for (ptrdiff_t c = 0; c < d; c++)
+            acc[c] = acc[c] + (double)xr[c] * wd;
+    } else {
+        for (ptrdiff_t c = 0; c < d; c++)
+            acc[c] = acc[c] + (double)xr[c];
+    }
+}
+
+/* Drops the rows of x (n x d) whose keep is 0 and folds each merged source
+   into its target. edges (s x 2) holds (source, target) row pairs whose
+   rows are in range, whose sources are distinct and not kept and whose
+   targets are kept. Kept rows are copied to out in order, their weights w
+   to wout. A target's float64 accumulator starts at 0.0 plus its own term
+   and adds its sources' terms in edge order; it is divided once by the
+   group's weight sum (weighted) or member count (not), rounded to float32
+   and stored at the target's row, and wout there takes the weight sum,
+   wrapping as int64 does. Returns 0, or -1 when the accumulators cannot
+   be allocated. */
+int merge_fold(const float *x, const int64_t *w, const unsigned char *keep,
+               const int64_t *edges, float *out, int64_t *wout, ptrdiff_t n,
+               ptrdiff_t d, ptrdiff_t s, int weighted)
+{
+    /* pos[i]: row i's output row; slot[i]: its group, or -1. Per group g:
+       its target, weight sum and source count in grp[3g..3g+2]. */
+    ptrdiff_t *pos = malloc((size_t)(2 * n + 1) * sizeof(ptrdiff_t));
+    int64_t *grp = malloc((size_t)(3 * s + 1) * sizeof(int64_t));
+    double *acc = malloc((size_t)(s * d + 1) * sizeof(double));
+    if (pos == NULL || grp == NULL || acc == NULL) {
+        free(pos);
+        free(grp);
+        free(acc);
+        return -1;
+    }
+    ptrdiff_t *slot = pos + n, m = 0, groups = 0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        slot[i] = -1;
+        if (keep[i]) {
+            memcpy(out + m * d, x + i * d, (size_t)d * sizeof(float));
+            wout[m] = w[i];
+            pos[i] = m++;
+        }
+    }
+    for (ptrdiff_t q = 0; q < s; q++) {
+        const int64_t src = edges[2 * q], tgt = edges[2 * q + 1];
+        ptrdiff_t g = slot[tgt];
+        if (g < 0) {
+            g = slot[tgt] = groups++;
+            for (ptrdiff_t c = 0; c < d; c++)
+                acc[g * d + c] = 0.0;
+            fold_row(acc + g * d, x + tgt * d, w[tgt], weighted, d);
+            grp[3 * g] = tgt;
+            grp[3 * g + 1] = w[tgt];
+            grp[3 * g + 2] = 0;
+        }
+        fold_row(acc + g * d, x + src * d, w[src], weighted, d);
+        grp[3 * g + 1] = (int64_t)((uint64_t)grp[3 * g + 1] + (uint64_t)w[src]);
+        grp[3 * g + 2]++;
+    }
+    for (ptrdiff_t g = 0; g < groups; g++) {
+        const ptrdiff_t row = pos[grp[3 * g]];
+        const double denom = weighted ? (double)grp[3 * g + 1] : (double)grp[3 * g + 2] + 1.0;
+        for (ptrdiff_t c = 0; c < d; c++)
+            out[row * d + c] = (float)(acc[g * d + c] / denom);
+        wout[row] = grp[3 * g + 1];
+    }
+    free(pos);
+    free(grp);
+    free(acc);
+    return 0;
 }
 
 /* Per lane, sum_j h[j]*c[j] in numpy's pairwise order for a contiguous
@@ -593,10 +764,13 @@ def _build_ltr(cache_dir: Path, compiler: str):
     """Compile (or reuse) the C kernels in ``cache_dir``; ``None`` on failure.
 
     Returns the loaded library with ``ltr_matmul``, ``ssm_scan``,
-    ``causal_conv``, ``exp_f32``, ``silu`` and ``cosine_argmax`` typed.
-    Every array argument is a raw pointer: callers pass ``arr.ctypes.data``
-    of a C-contiguous array whose shape they have checked, float32 except
-    the ``intp`` picks that ``cosine_argmax`` writes.
+    ``causal_conv``, ``exp_f32``, ``silu``, ``gate``, ``layernorm``,
+    ``merge_fold`` and ``cosine_argmax`` typed. Every array argument is a
+    raw pointer: callers pass ``arr.ctypes.data`` of a C-contiguous array
+    whose shape they have checked, float32 except the ``intp`` picks that
+    ``cosine_argmax`` writes, ``merge_fold``'s int64 weights and edges and
+    bool keep mask, and ``gate``'s array of head pointers; ``gate``'s z may
+    have any row stride, passed in elements.
 
     The library is named by a hash of the source, the flags, the compiler
     version and the CPU flags. It is compiled to a temporary file and
@@ -618,7 +792,7 @@ def _build_ltr(cache_dir: Path, compiler: str):
             os.close(fd)
             try:
                 subprocess.run(
-                    [compiler, *_LTR_CFLAGS, "-x", "c", "-", "-o", tmp],
+                    [compiler, *_LTR_CFLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
                     input=_LTR_SOURCE, capture_output=True, text=True,
                     check=True, timeout=120,
                 )
@@ -639,6 +813,12 @@ def _build_ltr(cache_dir: Path, compiler: str):
     for name in ("exp_f32", "silu"):
         getattr(lib, name).argtypes = [ptr, ptr, size]
         getattr(lib, name).restype = None
+    lib.gate.argtypes = [ptr, size, ptr, size, ptr, size, size]
+    lib.gate.restype = None
+    lib.layernorm.argtypes = [ptr] * 4 + [size] * 2
+    lib.layernorm.restype = None
+    lib.merge_fold.argtypes = [ptr] * 6 + [size] * 3 + [ctypes.c_int]
+    lib.merge_fold.restype = ctypes.c_int
     lib.cosine_argmax.argtypes = [ptr] * 4 + [ctypes.c_float, ptr] + [size] * 3
     lib.cosine_argmax.restype = ctypes.c_int
     return lib
@@ -902,6 +1082,39 @@ def silu(x) -> np.ndarray:
     return out
 
 
+def gate(z, ys) -> np.ndarray:
+    """The block gate silu(z) * (ys[0] + ys[1] + ...), the head outputs
+    added in order, each step a rounded float32 operation: the bits of
+    :func:`add`, :func:`silu` and :func:`multiply` chained, which is the
+    fallback. ``z`` may be a strided column slice; the compiled kernel
+    reads it in place. Books add (H-1)*L*E, silu L*E and multiply L*E, as
+    the chain does."""
+    z = as_f32(z)
+    ys = [np.ascontiguousarray(y, dtype=np.float32) for y in ys]
+    if not ys or z.ndim != 2 or any(y.shape != z.shape for y in ys):
+        raise ValueError(f"gate expects (L, E) operands of one shape, got {z.shape} and "
+                         f"{[y.shape for y in ys]}")
+    lib = _compiled_ltr()
+    if lib is None:
+        y_sum = ys[0]
+        for y in ys[1:]:
+            y_sum = add(y_sum, y)
+        return multiply(silu(z), y_sum)
+    if len(ys) > 1:
+        _tally("add", (len(ys) - 1) * z.size)
+    _tally("silu", z.size)
+    _tally("multiply", z.size)
+    if z.strides[1] != z.itemsize or z.strides[0] % z.itemsize:
+        z = np.ascontiguousarray(z)
+    ptrs = np.array([y.ctypes.data for y in ys], dtype=np.uintp)
+    out = np.empty(z.shape, dtype=np.float32)
+    # ctypes releases the GIL for the call; z, ys, ptrs and out stay referenced here.
+    if out.size:
+        lib.gate(z.ctypes.data, z.strides[0] // z.itemsize, ptrs.ctypes.data, len(ys),
+                 out.ctypes.data, *z.shape)
+    return out
+
+
 def add(a, b) -> np.ndarray:
     r = np.add(a, b)
     _tally("add", r.size)
@@ -920,15 +1133,38 @@ def mean_rows(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=0, dtype=np.float32)
 
 
-def layernorm(x, scale, bias) -> np.ndarray:
-    """Row-wise layer normalization with eps 1e-5. Cost convention: 7 per element."""
-    x = as_f32(x)
-    _tally("layernorm", 7 * x.size)
+def _layernorm_numpy(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
     mean = x.mean(axis=-1, keepdims=True, dtype=np.float32)
     centered = x - mean
     var = np.mean(centered * centered, axis=-1, keepdims=True, dtype=np.float32)
     inv = F32(1.0) / np.sqrt(var + F32(1e-5))
-    return centered * inv * as_f32(scale) + as_f32(bias)
+    return centered * inv * scale + bias
+
+
+def layernorm(x, scale, bias) -> np.ndarray:
+    """Row-wise layer normalization with eps 1e-5. Cost convention: 7 per element.
+
+    Both means sum a row in numpy's pairwise float32 order and divide in
+    float64, as ``np.mean`` does; every other step is a rounded float32
+    operation. The compiled kernel does one pass per row. Fallback:
+    :func:`_layernorm_numpy`, numpy's chain over a C-contiguous copy, so
+    the order of the sums does not depend on the input's layout.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    if x.ndim < 1:
+        raise ValueError("layernorm expects rows, got a scalar")
+    d = x.shape[-1]
+    scale, bias = (np.ascontiguousarray(np.broadcast_to(as_f32(v), (d,))) for v in (scale, bias))
+    _tally("layernorm", 7 * x.size)
+    lib = _compiled_ltr()
+    if lib is None:
+        return _layernorm_numpy(x, scale, bias)
+    out = np.empty(x.shape, dtype=np.float32)
+    # ctypes releases the GIL for the call; x, scale, bias and out stay referenced here.
+    if out.size:
+        lib.layernorm(x.ctypes.data, scale.ctypes.data, bias.ctypes.data, out.ctypes.data,
+                      x.size // d, d)
+    return out
 
 
 def _causal_conv_numpy(x: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.ndarray:
@@ -975,6 +1211,75 @@ def causal_conv(x: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.
         lib.causal_conv(x.ctypes.data, kt.ctypes.data, out.ctypes.data,
                         length, channels, width, bool(reverse))
     return out
+
+
+def _merge_fold_numpy(x, weight, keep, edges, weighted):
+    src, tgt = edges[:, 0], edges[:, 1]
+    features, out_weight = x[keep], weight[keep]
+    if len(src) == 0:
+        return features, out_weight
+    new_row = np.cumsum(keep) - 1
+    # Group g is targets[g] followed by its sources in edge order. add.at
+    # applies the edges one at a time, so each group sums from +0.0 in that
+    # order: the same float64 order as summing its rows along axis 0. Only
+    # the rows that take part are widened and weighted.
+    targets, group = np.unique(tgt, return_inverse=True)
+    rows = np.concatenate([targets, src])
+    terms = x[rows].astype(np.float64)
+    if weighted:
+        terms *= weight[rows, None]
+    acc = np.zeros((len(targets), terms.shape[1]))
+    acc += terms[: len(targets)]
+    np.add.at(acc, group, terms[len(targets) :])
+    wsum = weight[targets]
+    np.add.at(wsum, group, weight[src])
+    denom = wsum.astype(np.float64) if weighted else np.bincount(group) + 1.0
+    features[new_row[targets]] = (acc / denom[:, None]).astype(np.float32)
+    out_weight[new_row[targets]] = wsum
+    return features, out_weight
+
+
+def merge_fold(x, weight, keep, edges, weighted: bool = True):
+    """Keep the rows of x (L, D) where ``keep`` is set and fold each merged
+    source into its target; returns the kept rows and their weights.
+
+    ``edges`` (S, 2) holds (source row, target row) pairs; each source
+    should appear once and be dropped. A row out of range or a dropped
+    target raises ``ValueError``.
+    ``weight`` (L,) int64 counts the original tokens of each row. A target
+    that receives sources becomes the float64 mean of its group, weighted
+    by ``weight`` unless ``weighted`` is false, rounded to float32: its
+    accumulator starts at 0.0 plus the target's term and adds the sources'
+    terms in edge order, then is divided once. Its weight becomes the
+    group's weight sum. Other kept rows are copied bitwise. Fallback:
+    :func:`_merge_fold_numpy`, ``np.unique`` and ``np.add.at``, which add
+    in the same order. Books no FLOPs: reduction bookkeeping.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    weight = np.ascontiguousarray(weight, dtype=np.int64)
+    keep = np.ascontiguousarray(keep, dtype=bool)
+    edges = np.ascontiguousarray(edges, dtype=np.int64)
+    if (x.ndim != 2 or weight.shape != (len(x),) or keep.shape != weight.shape
+            or edges.shape[1:] != (2,)):
+        raise ValueError(f"merge_fold shape mismatch: x {x.shape}, weight {weight.shape}, "
+                         f"keep {keep.shape}, edges {edges.shape}")
+    n = len(x)
+    # The compiled fold indexes rows by the edges and stores at each
+    # target's output row: both must exist.
+    if len(edges) and (edges.min() < 0 or edges.max() >= n or not keep[edges[:, 1]].all()):
+        raise ValueError("merge_fold edges must hold rows in range and kept targets")
+    lib = _compiled_ltr()
+    if lib is None:
+        return _merge_fold_numpy(x, weight, keep, edges, weighted)
+    m = int(np.count_nonzero(keep))
+    features = np.empty((m, x.shape[1]), dtype=np.float32)
+    out_weight = np.empty(m, dtype=np.int64)
+    # ctypes releases the GIL for the call; every operand stays referenced here.
+    if lib.merge_fold(x.ctypes.data, weight.ctypes.data, keep.ctypes.data, edges.ctypes.data,
+                      features.ctypes.data, out_weight.ctypes.data, n, x.shape[1],
+                      len(edges), bool(weighted)) != 0:
+        raise MemoryError("merge_fold could not allocate its accumulators")
+    return features, out_weight
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

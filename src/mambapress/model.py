@@ -204,8 +204,9 @@ class ModelParams:
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     """Seeded pseudo-random weights with a fixed draw order.
 
-    Projections are normal with 1/sqrt(fan_in) scale, state decays are
-    log-uniform in [0.5, 4], norm scales start at one, biases at zero.
+    Projections are normal with 1/sqrt(fan_in) scale, the state decay
+    rates exp(a_log) are uniform in [0.5, 4] (a_log is their float64 log,
+    rounded to float32), norm scales start at one, biases at zero.
     """
     rng = np.random.default_rng(seed)
     d, e, n, r = config.feat_dim, config.inner_dim, config.state_dim, config.rank

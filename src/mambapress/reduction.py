@@ -205,31 +205,9 @@ def apply_merge(
     if len(dropped):
         raise ValueError(f"corrupt mapping: target row {dropped[0]} is being dropped")
 
-    new_row = np.cumsum(keep) - 1
-    features = seq.features[keep]
-    orig = seq.orig_index[keep]
-    weight = seq.weight[keep].copy()
-    if len(src) == 0:
-        return TokenSequence(features, orig, weight, seq.cls_orig)
-
-    # Group g is targets[g] followed by its sources in edge order. add.at
-    # applies the edges one at a time, so each group sums from +0.0 in that
-    # order: the same float64 order as summing its rows along axis 0. Only
-    # the rows that take part are widened and weighted.
-    targets, group = np.unique(tgt, return_inverse=True)
-    rows = np.concatenate([targets, src])
-    terms = seq.features[rows].astype(np.float64)
-    if weighted:
-        terms *= seq.weight[rows, None]
-    acc = np.zeros((len(targets), terms.shape[1]))
-    acc += terms[: len(targets)]
-    np.add.at(acc, group, terms[len(targets) :])
-    wsum = seq.weight[targets]
-    np.add.at(wsum, group, seq.weight[src])
-    denom = wsum.astype(np.float64) if weighted else np.bincount(group) + 1.0
-    features[new_row[targets]] = (acc / denom[:, None]).astype(np.float32)
-    weight[new_row[targets]] = wsum
-    return TokenSequence(features, orig, weight, seq.cls_orig)
+    features, weight = kernels.merge_fold(seq.features, seq.weight, keep, mapping.edges,
+                                          weighted)
+    return TokenSequence(features, seq.orig_index[keep], weight, seq.cls_orig)
 
 
 def reduce_layer(

@@ -194,9 +194,6 @@ def mamba_block(x: np.ndarray, params: SsmBlockParams) -> tuple[np.ndarray, list
         conv = kernels.causal_conv(u, head.conv_kernel, reverse=head.scan_direction == "backward")
         traces.append(selective_scan(kernels.silu(conv), head))
 
-    y_sum = traces[0].y
-    for trace in traces[1:]:
-        y_sum = kernels.add(y_sum, trace.y)
-    gated = kernels.multiply(kernels.silu(z), y_sum)
+    gated = kernels.gate(z, [trace.y for trace in traces])
     out = kernels.matmul(gated, params.out_proj)
     return kernels.add(x, out), traces

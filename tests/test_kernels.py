@@ -303,8 +303,8 @@ class TestDecayFrontEnd:
 
 
 # Computes the pinned exp (both paths), the decay front end's twin, the
-# decays' pre-scale, silu and one scan head on fixed inputs and saves them to
-# the file named by argv[1].
+# decays' pre-scale, silu, layernorm (both paths) and one scan head on fixed
+# inputs and saves them to the file named by argv[1].
 _DISPATCH_PROBE = """
 import sys
 import numpy as np
@@ -318,9 +318,13 @@ b, c = (rng.standard_normal((length, n)).astype(np.float32) for _ in range(2))
 y, hidden = kernels.ssm_scan(delta, a, x, b, c, np.ones(e, np.float32), True)
 grid = np.arange(0, 2**32, 65537, dtype=np.uint64).astype(np.uint32).view(np.float32)
 scaled = a * kernels._EXP_SCALE
+rows = x.reshape(-1, 125) * np.exp2(np.arange(125, dtype=np.float32) % 23 - 11)
+scale, bias = u[0, :25].repeat(5), u[1, :25].repeat(5)
 saved = dict(y=y, hidden=hidden, silu=kernels.silu(u), twin=kernels._exp_numpy(grid),
              scaled=scaled, decay_twin=kernels._decay_numpy(grid),
-             decays=kernels._decay_numpy(delta[:, :, None] * scaled))
+             decays=kernels._decay_numpy(delta[:, :, None] * scaled),
+             layernorm=kernels.layernorm(rows, scale, bias),
+             layernorm_numpy=kernels._layernorm_numpy(rows, scale, bias))
 lib = kernels._compiled_ltr()
 if lib is not None:
     saved["compiled"] = np.empty_like(grid)
@@ -330,11 +334,11 @@ np.savez(sys.argv[1], **saved)
 
 
 def test_bits_do_not_depend_on_numpy_dispatch(tmp_path):
-    """The scan (output and states), silu, the pinned exp, the decay front
-    end's twin and the decays' pre-scale give the same bits when numpy runs
-    at its X86_V2 baseline as at the default dispatch level. np.exp gives
-    other bits for about 39% of float32 inputs there, so this failed while
-    the scan's decays used it. Whole logits are not compared yet: softplus
+    """The scan (output and states), silu, layernorm, the pinned exp, the
+    decay front end's twin and the decays' pre-scale give the same bits when
+    numpy runs at its X86_V2 baseline as at the default dispatch level.
+    np.exp gives other bits for about 39% of float32 inputs there, so this
+    failed while the scan's decays used it. Whole logits are not compared yet: softplus
     still takes numpy's log1p, whose bits depend on the dispatch level
     too."""
     src = str(Path(kernels.__file__).resolve().parents[1])
@@ -417,16 +421,6 @@ def argmax_oracle(a, b) -> np.ndarray:
     if np.isnan(sims[np.arange(len(best)), best]).any():
         raise ValueError("similarity is NaN")
     return best
-
-
-@pytest.fixture(params=["compiled", "fallback"])
-def path(request, monkeypatch):
-    """Runs a test on the compiled kernels and again on the numpy fallback."""
-    if request.param == "fallback":
-        monkeypatch.setattr(kernels, "_compiled_ltr", lambda: None)
-    elif kernels._compiled_ltr() is None:
-        pytest.skip("no compiled library: the numpy fallback is the kernel")
-    return request.param
 
 
 class TestCosineArgmax:
@@ -971,6 +965,105 @@ class TestCompiledConv:
         assert_same_bits(
             kernels.causal_conv(x.astype(np.float64), kernel.astype(np.float64)), want)
         assert kernels.causal_conv(x[:0], kernel).shape == (0, x.shape[1])
+
+
+def layernorm_rows(rng, d: int) -> np.ndarray:
+    """Rows of length d over a wide range of magnitudes, so sums in another
+    order round differently, then rows holding -0.0, +-inf and NaN."""
+    x = (rng.standard_normal((12, d)) * np.exp2(rng.integers(-20, 20, (12, d)))).astype(np.float32)
+    x[0] = -0.0
+    x[1, ::2] = -0.0
+    x[2, d // 2] = np.inf
+    x[3, 0] = -np.inf
+    x[4, -1] = np.nan
+    x[5, 0], x[5, -1] = np.inf, -np.inf
+    return x
+
+
+class TestCompiledLayernorm:
+    """The one-pass layernorm keeps the bits of numpy's chain, whose means sum
+    each row in pairwise order."""
+
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 127, 128, 129, 192, 256, 257])
+    def test_matches_numpy_chain(self, d):
+        if kernels._compiled_ltr() is None:
+            pytest.skip("no compiled library: the numpy chain is the kernel")
+        rng = np.random.default_rng(900 + d)
+        x = layernorm_rows(rng, d)
+        scale = rng.standard_normal(d).astype(np.float32)
+        bias = rng.standard_normal(d).astype(np.float32)
+        with np.errstate(invalid="ignore"):
+            want = kernels._layernorm_numpy(x, scale, bias)
+            assert_same_bits(kernels.layernorm(x, scale, bias), want)
+        assert np.isnan(want[2:6]).all()
+
+    def test_layouts_and_shapes(self, path):
+        rng = np.random.default_rng(950)
+        x = layernorm_rows(rng, 129)[6:]
+        scale, bias = np.float32(1.5), rng.standard_normal(129)
+        want = kernels.layernorm(x, scale, bias)
+        assert_same_bits(kernels.layernorm(np.asfortranarray(x), scale, bias), want)
+        assert_same_bits(kernels.layernorm(x.astype(np.float64), scale, bias), want)
+        assert_same_bits(kernels.layernorm(x[1], scale, bias), want[1])
+        assert kernels.layernorm(x[:0], scale, bias).shape == (0, 129)
+
+
+def gate_chain(z, ys):
+    """The block gate as the chain of fresh float32 arrays it replaced."""
+    y_sum = ys[0]
+    for y in ys[1:]:
+        y_sum = y_sum + y
+    return oracles.silu(z) * y_sum
+
+
+class TestGate:
+    """The block gate keeps the bits of the add, silu and multiply chain and
+    books what the chain books."""
+
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    def test_matches_chain(self, path, heads):
+        rng = np.random.default_rng(960 + heads)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-41, 90.0, -110.0],
+                           np.float32)
+        for e in (1, 13, 16, 33, 40):
+            length = 21
+            uz = (rng.standard_normal((length, 2 * e)) * 6).astype(np.float32)
+            uz[:4, e:] = rng.choice(special, (4, e))
+            ys = [rng.standard_normal((length, e)).astype(np.float32) for _ in range(heads)]
+            ys[-1][5] = rng.choice(special, e)
+            z = uz[:, e:]  # strided: the row stride is 2e
+            before = uz.copy()
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = gate_chain(z, ys)
+                for operand in (z, np.asfortranarray(z)):
+                    with kernels.count_flops() as counter:
+                        got = kernels.gate(operand, ys)
+                    assert_same_bits(got, want)
+                    size = length * e
+                    booked = {"add": (heads - 1) * size} if heads > 1 else {}
+                    assert dict(counter.by_op) == {**booked, "silu": size, "multiply": size}
+                # A negative row stride, read in place too.
+                got = kernels.gate(z[::-1], [y[::-1] for y in ys])
+                assert_same_bits(got, want[::-1].copy())
+            assert_same_bits(uz, before)
+
+    def test_rejects_mismatched_heads(self):
+        z = np.zeros((3, 4), np.float32)
+        for ys in ([], [np.zeros((3, 4), np.float32), np.zeros((3, 5), np.float32)]):
+            with pytest.raises(ValueError, match="gate expects"):
+                kernels.gate(z, ys)
+
+
+def test_merge_fold_rejects_edges_it_cannot_index(path):
+    x, weight = np.ones((4, 3), np.float32), np.ones(4, np.int64)
+    keep = np.array([True, False, True, True])
+    for edges in ([(1, 4)], [(-1, 0)], [(1, 1)], [(1, 0), (3, 1)]):
+        with pytest.raises(ValueError, match="rows in range and kept targets"):
+            kernels.merge_fold(x, weight, keep, edges)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        kernels.merge_fold(x[0], weight, keep, [(1, 0)])
+    features, merged = kernels.merge_fold(x, weight, keep, [(1, 0)], weighted=False)
+    assert features.tolist() == [[1.0] * 3] * 3 and merged.tolist() == [2, 1, 1]
 
 
 def test_toy_pass_books_the_same_flops_by_op():

@@ -336,6 +336,79 @@ class TestVectorisedAssembly:
                 apply_merge(seq, MergeMapping(mapping), pruned_rows=pruned)
 
 
+class TestFoldOrder:
+    """Planted cases where the fold's order reaches the bits, compiled and on
+    the fallback. On ordinary inputs every float64 sum of a group is exact,
+    so any order gives the same bits."""
+
+    BIG = 2.0**100
+
+    @staticmethod
+    def seq(rows, weights=None) -> TokenSequence:
+        feats = np.array(rows, np.float32).reshape(len(rows), -1)
+        weight = np.ones(len(rows), np.int64) if weights is None else np.array(weights)
+        return TokenSequence(feats, np.arange(len(rows)), weight)
+
+    @staticmethod
+    def bits(x) -> list[int]:
+        return np.asarray(x, np.float32).view(np.uint32).ravel().tolist()
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_sources_add_in_edge_order(self, path, weighted):
+        # Target 2^100 with sources 1.0 and -2^100. In edge order the 1.0 is
+        # absorbed by 2^100 and the group sums to 0; with the sources the
+        # other way round 2^100 cancels first and the 1.0 survives. With
+        # unit weights both modes divide by 3.
+        seq = self.seq([[self.BIG], [1.0], [-self.BIG], [5.0]])
+        out = apply_merge(seq, MergeMapping([(1, 0), (2, 0)]), weighted)
+        assert self.bits(out.features) == self.bits([0.0, 5.0])
+        out = apply_merge(seq, MergeMapping([(2, 0), (1, 0)]), weighted)
+        assert self.bits(out.features) == self.bits([np.float32(1 / 3), 5.0])
+        assert out.weight.tolist() == [3, 1]
+
+    def test_unweighted_divides_by_member_count(self, path):
+        # Weights 4, 2 and 1 make a weight sum of 7, which unweighted merging
+        # stores but does not divide by: its terms are the plain rows.
+        # Weighted, the terms are 4 * 2^100, -2^100 and then 2, which 3 * 2^100
+        # absorbs.
+        seq = self.seq([[self.BIG], [1.0], [-self.BIG], [5.0]], [4, 2, 1, 1])
+        out = apply_merge(seq, MergeMapping([(2, 0), (1, 0)]), weighted=False)
+        assert self.bits(out.features) == self.bits([np.float32(1 / 3), 5.0])
+        assert out.weight.tolist() == [7, 1]
+        out = apply_merge(seq, MergeMapping([(2, 0), (1, 0)]), weighted=True)
+        assert self.bits(out.features) == self.bits([np.float32(3 * self.BIG / 7), 5.0])
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_negative_zero_group_sums_to_positive_zero(self, path, weighted):
+        # The accumulator starts at +0.0, so a group of -0.0 rows comes out
+        # +0.0, as zeros + terms gives; starting at the target's -0.0 term
+        # would keep the sign. A row outside every group is copied bitwise.
+        seq = self.seq([[-0.0, 1.0], [-0.0, -1.0], [-0.0, -0.0]], [3, 1, 2])
+        out = apply_merge(seq, MergeMapping([(1, 0)]), weighted)
+        assert self.bits(out.features[0]) == self.bits([0.0, 0.5 if weighted else 0.0])
+        assert self.bits(out.features[1]) == self.bits([-0.0, -0.0])
+        assert out.weight.tolist() == [4, 2]
+
+    def test_pruned_rows_without_edges(self, path):
+        seq = self.seq([[-0.0], [np.nan], [2.5], [np.inf]], [1, 2, 3, 4])
+        out = apply_merge(seq, MergeMapping(), pruned_rows=[1, 3])
+        assert self.bits(out.features) == self.bits([-0.0, 2.5])
+        assert out.orig_index.tolist() == [0, 2] and out.weight.tolist() == [1, 3]
+        out = apply_merge(seq, MergeMapping([(2, 0)]), pruned_rows=[1])
+        assert self.bits(out.features) == self.bits([2.5 * 3 / 4, np.inf])
+        assert out.orig_index.tolist() == [0, 3] and out.weight.tolist() == [4, 4]
+
+    def test_k_zero_is_bitwise_identity(self, path):
+        rng = np.random.default_rng(14)
+        seq = make_seq(rng, 9, dim=5, cls_orig=4, weights=rng.integers(1, 9, 9))
+        seq.features[0] = [-0.0, np.nan, np.inf, -np.inf, 1e-41]
+        for out in (apply_merge(seq, MergeMapping()),
+                    reduce_layer(seq, np.zeros(9, np.float32), 0.0, Strategy.MERGE)[0]):
+            assert np.array_equal(out.features.view(np.uint32), seq.features.view(np.uint32))
+            assert np.array_equal(out.orig_index, seq.orig_index)
+            assert np.array_equal(out.weight, seq.weight)
+
+
 class TestMergeMapping:
     @pytest.mark.parametrize("edges, want", [
         ([(1, 0), (3, 2)], [[1, 0], [3, 2]]),
