@@ -210,7 +210,9 @@ def cmd_mask(args: argparse.Namespace) -> int:
             f"layer {args.layer} is not a reduction layer of this plan "
             f"(plan reduces at {list(plan.reduce_at_layers)})"
         )
-    _, diag = model.forward(image, plan, args.indicator)
+    _, diag = model.forward(
+        image, plan, args.indicator, weighted_merge=not args.unweighted_merge
+    )
     record = diag.reductions[args.layer]
     rendered = mask_mod.render_mask(
         image,

@@ -6,11 +6,13 @@ feed bit-reproducibility contracts (:func:`matmul` and
 :func:`cosine_matrix`) accumulate strictly left to right in float32, so an
 independently written scalar loop produces the exact same bits. BLAS is free to reassociate sums, so it is not used.
 
-Nine kernels are C code in one small library (:data:`_LTR_SOURCE`). On
-first use it is compiled with the local ``gcc`` (``-O3 -march=native
--ffp-contract=off``, no fast-math), cached under
-``$XDG_CACHE_HOME/mambapress`` (default ``~/.cache/mambapress``) and loaded
-through :mod:`ctypes`; where no compiler or cached library is available,
+Nine kernels are C code in one small library. Its source is the file
+``_kernels.c`` beside this module, and its exports are typed from one
+table, :data:`_EXPORTS`. On first use it is compiled with the local
+``gcc`` (``-O3 -march=native -ffp-contract=off``, no fast-math), cached as
+``kernels-<key>.so`` under ``$XDG_CACHE_HOME/mambapress`` (default
+``~/.cache/mambapress``) and loaded through :mod:`ctypes`; where no
+compiler or cached library is available,
 each kernel runs the same arithmetic in numpy. Both paths give the same
 bits, except that a NaN output may carry a different payload or sign;
 where NaNs appear does not change.
@@ -58,7 +60,7 @@ The C kernels, and what runs without the library:
 - ``ltr_matmul`` (:func:`matmul`) tiles rows and columns only: every output
   element still adds k = 0..K-1 in order, a float32 product and then a
   float32 add, never a fused multiply-add, so it matches the scalar triple
-  loop. Fallback: :func:`_ltr_matmul_numpy`, a numpy loop over K.
+  loop. Fallback: :func:`_matmul_numpy`, a numpy loop over K.
 - ``ssm_scan`` (:func:`ssm_scan`) is one head's selective scan. It runs
   over tokens, first to last or (``reverse``) last to first, reading and
   writing every array in token order, and within a token over blocks of
@@ -184,569 +186,33 @@ def as_f32(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float32)
 
 
-_LTR_SOURCE = r"""
-#include <math.h>
-#include <stddef.h>
-#include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
-
-#define VW 16
-typedef float vf __attribute__((vector_size(VW * sizeof(float))));
-typedef float vfu __attribute__((vector_size(VW * sizeof(float)), aligned(sizeof(float))));
-typedef int vi __attribute__((vector_size(VW * sizeof(int))));
-typedef unsigned vu __attribute__((vector_size(VW * sizeof(unsigned))));
-
-/* acc[r][v] = the dots of row r of a (mr x k) with the VW columns of b
-   from v*VW on. Each is summed over t = 0..k-1 in order, a float32
-   product then a float32 add (-ffp-contract=off: no FMA). */
-static inline __attribute__((always_inline)) void
-dots(const float *a, ptrdiff_t k, const float *b, ptrdiff_t ldb, vf acc[4][4],
-     const int mr, const int nv)
-{
-    for (int r = 0; r < mr; r++)
-        for (int v = 0; v < nv; v++)
-            acc[r][v] = (vf){0};
-    for (ptrdiff_t t = 0; t < k; t++) {
-        vf bv[4];
-        for (int v = 0; v < nv; v++)
-            bv[v] = *(const vfu *)(b + t * ldb + v * VW);
-        for (int r = 0; r < mr; r++) {
-            float ar = a[r * k + t];
-            for (int v = 0; v < nv; v++)
-                acc[r][v] = acc[r][v] + ar * bv[v];
-        }
-    }
-}
-
-/* One mr x (nv*VW) tile of c, of which ncols columns are stored. */
-static inline __attribute__((always_inline)) void
-tile(const float *a, ptrdiff_t k, const float *b, ptrdiff_t ldb,
-     float *c, ptrdiff_t ldc, ptrdiff_t ncols, const int mr, const int nv)
-{
-    vf acc[4][4];
-    dots(a, k, b, ldb, acc, mr, nv);
-    for (int r = 0; r < mr; r++) {
-        if (ncols == nv * VW) {
-            for (int v = 0; v < nv; v++)
-                *(vfu *)(c + r * ldc + v * VW) = acc[r][v];
-        } else {
-            memcpy(c + r * ldc, acc[r], (size_t)ncols * sizeof(float));
-        }
-    }
-}
-
-static void
-panel(const float *a, ptrdiff_t m, ptrdiff_t k, const float *b, ptrdiff_t ldb,
-      float *c, ptrdiff_t ldc, ptrdiff_t ncols, const int nv)
-{
-    ptrdiff_t i = 0;
-    for (; i + 4 <= m; i += 4)
-        tile(a + i * k, k, b, ldb, c + i * ldc, ldc, ncols, 4, nv);
-    for (; i < m; i++)
-        tile(a + i * k, k, b, ldb, c + i * ldc, ldc, ncols, 1, nv);
-}
-
-/* c (m x p) = a (m x k) @ b (k x p), all row-major and contiguous.
-   Returns 0, or -1 when the padded tail panel cannot be allocated. */
-int ltr_matmul(const float *a, const float *b, float *c,
-               ptrdiff_t m, ptrdiff_t k, ptrdiff_t p)
-{
-    ptrdiff_t j = 0;
-    for (; j + 4 * VW <= p; j += 4 * VW)
-        panel(a, m, k, b + j, p, c + j, p, 4 * VW, 4);
-    for (; j + VW <= p; j += VW)
-        panel(a, m, k, b + j, p, c + j, p, VW, 1);
-    if (j < p) {
-        /* Copy the last < VW columns into a zero-padded k x VW panel. */
-        ptrdiff_t rest = p - j;
-        float *pad = calloc((size_t)(k > 0 ? k : 1) * VW, sizeof(float));
-        if (pad == NULL)
-            return -1;
-        for (ptrdiff_t t = 0; t < k; t++)
-            memcpy(pad + t * VW, b + t * p + j, (size_t)rest * sizeof(float));
-        panel(a, m, k, pad, VW, c + j, p, rest, 1);
-        free(pad);
-    }
-    return 0;
-}
-
-/* Loads or stores the first rest lanes of a vector; the other lanes load
-   as 0 and are not stored. */
-static inline __attribute__((always_inline)) vf
-vload(const float *p, int rest)
-{
-    if (rest == VW)
-        return *(const vfu *)p;
-    vf v = {0};
-    memcpy(&v, p, (size_t)rest * sizeof(float));
-    return v;
-}
-
-static inline __attribute__((always_inline)) void
-vstore(float *p, vf v, int rest)
-{
-    if (rest == VW)
-        *(vfu *)p = v;
-    else
-        memcpy(p, &v, (size_t)rest * sizeof(float));
-}
-
-/* 2^(i/16) for i = 0..15, rounded to float32. */
-static const vf exp2_sixteenths = {
-    0x1p+0f, 0x1.0b5586p+0f, 0x1.172b84p+0f, 0x1.2387a6p+0f,
-    0x1.306fe0p+0f, 0x1.3dea64p+0f, 0x1.4bfdaep+0f, 0x1.5ab07ep+0f,
-    0x1.6a09e6p+0f, 0x1.7a1148p+0f, 0x1.8ace54p+0f, 0x1.9c4918p+0f,
-    0x1.ae89fap+0f, 0x1.c199bep+0f, 0x1.d5818ep+0f, 0x1.ea4afap+0f,
-};
-
-/* Lanes of a where m is set, else lanes of b. */
-static inline __attribute__((always_inline)) vf
-pick(vi m, vf a, vf b)
-{
-    return (vf)(((vi)a & m) | ((vi)b & ~m));
-}
-
-/* The pinned float32 exp, per lane (recipe in the module docstring);
-   _exp_numpy repeats every step. n carries a bias of 254*16: n & 15 stays
-   as it is, and the exponents e1 and e2 of the two scale factors come out
-   with their float32 bias of 127. */
-static inline __attribute__((always_inline)) vf
-vexp(vf x)
-{
-    const vf magic = (vf){0} + 0x1.8p+23f;
-    x = pick(x < -104.0f, (vf){0} - 104.0f, x);
-    x = pick(x > 88.75f, (vf){0} + 88.75f, x);
-    vf km = x * 0x1.715476p+4f + magic;
-    vf k = km - magic;
-    vi n = (vi)km - (0x4b400000 - 254 * 16);
-    vf r = x - k * 0x1.62ep-5f;
-    r = r - k * 0x1.0bfbe8p-19f;
-    vf p = r * 0x1.555556p-5f + 0x1.555556p-3f;
-    p = p * r + 0.5f;
-    p = p * r;
-    p = p * r + r;
-    vf t = __builtin_shuffle(exp2_sixteenths, n & 15);
-    p = t * p + t;
-    vi e = n >> 4, e1 = e >> 1, e2 = e - e1;
-    return (p * (vf)((vu)e1 << 23)) * (vf)((vu)e2 << 23);
-}
-
-/* The scan's decay 2^(x/16) per lane, for x = delta * (a * 16/ln 2): the
-   decay front end of the pinned exp (recipe in the module docstring);
-   _decay_numpy repeats every step. A positive x becomes +0 (a decay of 1)
-   by an and-not. One below -2032 becomes -2032, by a lane loop that GCC
-   turns into one masked move, where pick() costs two. So n =
-   rint(x) + 127*16 lies in [0, 2032], and n >> 4 is the biased exponent of
-   the one scale factor, 0 giving a factor of +0. The table lookup reads n
-   modulo 16, as __builtin_shuffle defines it. */
-static inline __attribute__((always_inline)) vf
-vdecay(vf x)
-{
-    const vf magic = (vf){0} + 0x1.8p+23f;
-    x = (vf)((vi)x & ~(x > 0.0f));
-    for (int l = 0; l < VW; l++)
-        x[l] = x[l] < -2032.0f ? -2032.0f : x[l];
-    vf km = x + magic;
-    vf k = km - magic;
-    vi n = (vi)km - (0x4b400000 - 127 * 16);
-    vf r = x - k;
-    vf p = r * 0x1.c6b46ap-17f + 0x1.ebfff4p-11f;
-    p = p * r + 0x1.62e43p-5f;
-    p = p * r;
-    vf t = __builtin_shuffle(exp2_sixteenths, n);
-    p = t * p + t;
-    return p * (vf)((vu)(n >> 4) << 23);
-}
-
-/* out[i] = exp(x[i]) with the pinned exp over len floats; out may be x. */
-void exp_f32(const float *x, float *out, ptrdiff_t len)
-{
-    for (ptrdiff_t i = 0; i < len; i += VW) {
-        int rest = len - i < VW ? (int)(len - i) : VW;
-        vstore(out + i, vexp(vload(x + i, rest)), rest);
-    }
-}
-
-/* x / (1 + exp(-x)) per lane, each step a rounded float32 operation,
-   with the pinned exp. */
-static inline __attribute__((always_inline)) vf
-vsilu(vf x)
-{
-    return x / (1.0f + vexp(-x));
-}
-
-/* out[i] = silu(x[i]) over len floats. */
-void silu(const float *x, float *out, ptrdiff_t len)
-{
-    for (ptrdiff_t i = 0; i < len; i += VW) {
-        int rest = len - i < VW ? (int)(len - i) : VW;
-        vstore(out + i, vsilu(vload(x + i, rest)), rest);
-    }
-}
-
-/* The block gate: out[t, i] = silu(z[t, i]) * (((ys[0] + ys[1]) + ...) +
-   ys[heads-1])[t, i], each step a rounded float32 operation. z is read
-   with row stride ldz; out and every ys[h] are len x e and contiguous. */
-void gate(const float *z, ptrdiff_t ldz, const float *const *ys, ptrdiff_t heads,
-          float *out, ptrdiff_t len, ptrdiff_t e)
-{
-    for (ptrdiff_t t = 0; t < len; t++)
-        for (ptrdiff_t i = 0; i < e; i += VW) {
-            int rest = e - i < VW ? (int)(e - i) : VW;
-            vf sum = vload(ys[0] + t * e + i, rest);
-            for (ptrdiff_t h = 1; h < heads; h++)
-                sum = sum + vload(ys[h] + t * e + i, rest);
-            vstore(out + t * e + i, vsilu(vload(z + t * ldz + i, rest)) * sum, rest);
-        }
-}
-
-/* numpy's pairwise order for a contiguous float32 sum of the n terms x[i],
-   or of x[i]*x[i], each product rounded, when square is set: under 8
-   terms in sequence from -0; up to 128 in 8 accumulators combined as
-   ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in sequence; above
-   128 halved at a multiple of 8. numpy adds the result to +0, its
-   identity; callers do that step. */
-static float
-pairwise_sum(const float *x, ptrdiff_t n, int square)
-{
-    float s = -0.0f;
-    ptrdiff_t i = 0;
-    if (n < 8) {
-        for (; i < n; i++)
-            s += square ? x[i] * x[i] : x[i];
-        return s;
-    }
-    if (n <= 128) {
-        float r[8];
-        for (int k = 0; k < 8; k++)
-            r[k] = square ? x[k] * x[k] : x[k];
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int k = 0; k < 8; k++)
-                r[k] += square ? x[i + k] * x[i + k] : x[i + k];
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            s += square ? x[i] * x[i] : x[i];
-        return s;
-    }
-    ptrdiff_t half = n / 2;
-    half -= half % 8;
-    return pairwise_sum(x, half, square) + pairwise_sum(x + half, n - half, square);
-}
-
-/* Layer normalization of each row of x (len x d) into out, as numpy's
-   float32 chain computes it: mean = (0 + sum x) / d, c = x - mean, var =
-   (0 + sum c*c) / d, each sum in pairwise order and each quotient taken
-   in float64 and rounded once, as np.mean does; inv = 1 / sqrt(var +
-   1e-5); out = ((c * inv) * scale) + bias. Every other step is a rounded
-   float32 operation. */
-void layernorm(const float *x, const float *scale, const float *bias, float *out,
-               ptrdiff_t len, ptrdiff_t d)
-{
-    for (ptrdiff_t t = 0; t < len; t++) {
-        const float *xt = x + t * d;
-        float *o = out + t * d;
-        float mean = (float)((double)(0.0f + pairwise_sum(xt, d, 0)) / (double)d);
-        for (ptrdiff_t i = 0; i < d; i++)
-            o[i] = xt[i] - mean;
-        float var = (float)((double)(0.0f + pairwise_sum(o, d, 1)) / (double)d);
-        float inv = 1.0f / sqrtf(var + 1e-5f);
-        for (ptrdiff_t i = 0; i < d; i++)
-            o[i] = o[i] * inv * scale[i] + bias[i];
-    }
-}
-
-/* One merge term, added into acc: row xr widened to float64 and, when
-   weighted, times its weight wr. */
-static inline __attribute__((always_inline)) void
-fold_row(double *restrict acc, const float *restrict xr, int64_t wr, int weighted,
-         ptrdiff_t d)
-{
-    if (weighted) {
-        const double wd = (double)wr;
-        for (ptrdiff_t c = 0; c < d; c++)
-            acc[c] = acc[c] + (double)xr[c] * wd;
-    } else {
-        for (ptrdiff_t c = 0; c < d; c++)
-            acc[c] = acc[c] + (double)xr[c];
-    }
-}
-
-/* Drops the rows of x (n x d) whose keep is 0 and folds each merged source
-   into its target. edges (s x 2) holds (source, target) row pairs whose
-   rows are in range, whose sources are distinct and not kept and whose
-   targets are kept. Kept rows are copied to out in order, their weights w
-   to wout. A target's float64 accumulator starts at 0.0 plus its own term
-   and adds its sources' terms in edge order; it is divided once by the
-   group's weight sum (weighted) or member count (not), rounded to float32
-   and stored at the target's row, and wout there takes the weight sum,
-   wrapping as int64 does. Returns 0, or -1 when the accumulators cannot
-   be allocated. */
-int merge_fold(const float *x, const int64_t *w, const unsigned char *keep,
-               const int64_t *edges, float *out, int64_t *wout, ptrdiff_t n,
-               ptrdiff_t d, ptrdiff_t s, int weighted)
-{
-    /* pos[i]: row i's output row; slot[i]: its group, or -1. Per group g:
-       its target, weight sum and source count in grp[3g..3g+2]. */
-    ptrdiff_t *pos = malloc((size_t)(2 * n + 1) * sizeof(ptrdiff_t));
-    int64_t *grp = malloc((size_t)(3 * s + 1) * sizeof(int64_t));
-    double *acc = malloc((size_t)(s * d + 1) * sizeof(double));
-    if (pos == NULL || grp == NULL || acc == NULL) {
-        free(pos);
-        free(grp);
-        free(acc);
-        return -1;
-    }
-    ptrdiff_t *slot = pos + n, m = 0, groups = 0;
-    for (ptrdiff_t i = 0; i < n; i++) {
-        slot[i] = -1;
-        if (keep[i]) {
-            memcpy(out + m * d, x + i * d, (size_t)d * sizeof(float));
-            wout[m] = w[i];
-            pos[i] = m++;
-        }
-    }
-    for (ptrdiff_t q = 0; q < s; q++) {
-        const int64_t src = edges[2 * q], tgt = edges[2 * q + 1];
-        ptrdiff_t g = slot[tgt];
-        if (g < 0) {
-            g = slot[tgt] = groups++;
-            for (ptrdiff_t c = 0; c < d; c++)
-                acc[g * d + c] = 0.0;
-            fold_row(acc + g * d, x + tgt * d, w[tgt], weighted, d);
-            grp[3 * g] = tgt;
-            grp[3 * g + 1] = w[tgt];
-            grp[3 * g + 2] = 0;
-        }
-        fold_row(acc + g * d, x + src * d, w[src], weighted, d);
-        grp[3 * g + 1] = (int64_t)((uint64_t)grp[3 * g + 1] + (uint64_t)w[src]);
-        grp[3 * g + 2]++;
-    }
-    for (ptrdiff_t g = 0; g < groups; g++) {
-        const ptrdiff_t row = pos[grp[3 * g]];
-        const double denom = weighted ? (double)grp[3 * g + 1] : (double)grp[3 * g + 2] + 1.0;
-        for (ptrdiff_t c = 0; c < d; c++)
-            out[row * d + c] = (float)(acc[g * d + c] / denom);
-        wout[row] = grp[3 * g + 1];
-    }
-    free(pos);
-    free(grp);
-    free(acc);
-    return 0;
-}
-
-/* Per lane, sum_j h[j]*c[j] in numpy's pairwise order for a contiguous
-   float32 sum: under 8 terms in sequence; up to 128 in 8 accumulators
-   combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in
-   sequence; above 128 halved at a multiple of 8. Each product is rounded
-   before its add. h holds n rows of VW lanes, one channel per lane. */
-static vf
-readout(const vf *h, const float *c, ptrdiff_t n)
-{
-    vf s = -(vf){0};
-    ptrdiff_t i = 0;
-    if (n < 8) {
-        for (; i < n; i++)
-            s += h[i] * c[i];
-        return s;
-    }
-    if (n <= 128) {
-        vf r[8];
-        for (int k = 0; k < 8; k++)
-            r[k] = h[k] * c[k];
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int k = 0; k < 8; k++)
-                r[k] += h[i + k] * c[i + k];
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            s += h[i] * c[i];
-        return s;
-    }
-    ptrdiff_t half = n / 2;
-    half -= half % 8;
-    return readout(h, c, half) + readout(h + half, c + half, n - half);
-}
-
-/* One token of the scan for the rest <= VW channels at column i: dx =
-   delta*x, per state abar = exp(delta*a), h = abar*h then h + dx*b, y =
-   (0 + readout) + skip*x, each a separately rounded float32 operation. */
-static inline __attribute__((always_inline)) void
-scan_step(const float *delta, const float *at, const float *x, const float *b,
-          const float *c, const float *skip, vf *h, float *y, float *hidden,
-          ptrdiff_t i, ptrdiff_t e, ptrdiff_t n, int rest)
-{
-    const vf xv = vload(x + i, rest);
-    const vf dv = vload(delta + i, rest);
-    const vf dx = dv * xv;
-    for (ptrdiff_t j = 0; j < n; j++) {
-        vf decayed = vdecay(dv * vload(at + j * e + i, rest)) * h[j];
-        h[j] = decayed + dx * b[j];
-    }
-    vf out = ((vf){0} + readout(h, c, n)) + vload(skip + i, rest) * xv;
-    vstore(y + i, out, rest);
-    if (hidden != NULL)
-        for (int l = 0; l < rest; l++)
-            for (ptrdiff_t j = 0; j < n; j++)
-                hidden[(i + l) * n + j] = h[j][l];
-}
-
-/* The selective scan over len tokens, e channels, n states, from a zero
-   state, visiting tokens first to last, or last to first when reverse is
-   set. delta, x and y are len x e, at (n x e) is the transpose of the
-   state matrix a, b and c are len x n, skip e, all in token order. Each
-   token's decays are computed in registers right before the recurrence
-   reads them. Channels run in blocks of VW vector lanes. hidden (len x e
-   x n) receives the state after each token, unless NULL. Returns 0, or -1
-   when the state cannot be allocated. */
-int ssm_scan(const float *delta, const float *at, const float *x,
-             const float *b, const float *c, const float *skip, float *y,
-             float *hidden, ptrdiff_t len, ptrdiff_t e, ptrdiff_t n, int reverse)
-{
-    ptrdiff_t blocks = (e + VW - 1) / VW;
-    vf *state = aligned_alloc(sizeof(vf), (size_t)(blocks * n + 1) * sizeof(vf));
-    if (state == NULL)
-        return -1;
-    memset(state, 0, (size_t)(blocks * n) * sizeof(vf));
-    for (ptrdiff_t s = 0; s < len; s++) {
-        ptrdiff_t t = reverse ? len - 1 - s : s;
-        const float *dt = delta + t * e, *xt = x + t * e;
-        const float *bt = b + t * n, *ct = c + t * n;
-        float *yt = y + t * e, *ht = hidden == NULL ? NULL : hidden + t * e * n;
-        ptrdiff_t q = 0;
-        for (; (q + 1) * VW <= e; q++)
-            scan_step(dt, at, xt, bt, ct, skip, state + q * n, yt, ht, q * VW, e, n, VW);
-        if (q * VW < e)
-            scan_step(dt, at, xt, bt, ct, skip, state + q * n, yt, ht, q * VW, e, n,
-                      (int)(e - q * VW));
-    }
-    free(state);
-    return 0;
-}
-
-/* Depthwise causal convolution: out[t, i] adds kt[j, i] * x[t - (w-1) + j, i]
-   for taps j = 0..w-1 in order into 0.0f, skipping taps before the start
-   of the sequence. With reverse set, causal in the other direction: the
-   taps read x[t + (w-1) - j, i], skipping those past the end. kt (w x e)
-   is the transpose of the (e x w) kernel. */
-void causal_conv(const float *restrict x, const float *restrict kt,
-                 float *restrict out, ptrdiff_t len, ptrdiff_t e, ptrdiff_t w,
-                 int reverse)
-{
-    const ptrdiff_t step = reverse ? -1 : 1;
-    for (ptrdiff_t t = 0; t < len; t++) {
-        float *o = out + t * e;
-        ptrdiff_t room = reverse ? len - 1 - t : t;  /* tokens before t in scan order */
-        for (ptrdiff_t i = 0; i < e; i++)
-            o[i] = 0.0f;
-        for (ptrdiff_t j = room < w - 1 ? w - 1 - room : 0; j < w; j++) {
-            const float *xs = x + (t + step * (j - (w - 1))) * e, *k = kt + j * e;
-            for (ptrdiff_t i = 0; i < e; i++)
-                o[i] = o[i] + k[i] * xs[i];
-        }
-    }
-}
-
-static const vi lanes = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};
-
-/* Folds an mr x (nv*VW) block of cosine similarities, from column col on,
-   into each row's running first maximum. The dots are those of tile(); each
-   is divided by the rounded na*nb. A column or row whose norm is under the
-   floor, or NaN, has similarity +0; lanes from live on, past the last
-   column, have -inf, which never wins. Per row and lane, max and arg hold
-   the greatest similarity so far and the first column holding it: a strict
-   > keeps the first of equal values, -0 and +0 included. A NaN similarity
-   sets the lanes of *nan. */
-static inline __attribute__((always_inline)) void
-best_tile(const float *a, ptrdiff_t k, const float *bt, ptrdiff_t ldb,
-          const float *na, const float *nb, float floor, int col, int live,
-          vf *max, vi *arg, vi *nan, const int mr, const int nv)
-{
-    vf acc[4][4];
-    dots(a, k, bt, ldb, acc, mr, nv);
-    for (int v = 0; v < nv; v++) {
-        const vf nbv = vload(nb + v * VW, live < VW ? live : VW);
-        const vi in = lanes < (vi){0} + (live - v * VW);
-        const vi col_ok = (nbv >= floor) & in;
-        const vi idx = lanes + (col + v * VW);
-        for (int r = 0; r < mr; r++) {
-            vf q = acc[r][v] / (na[r] * nbv);
-            q = pick(na[r] >= floor ? col_ok : (vi){0}, q, (vf){0});
-            q = pick(in, q, (vf){0} - __builtin_inff());
-            *nan |= q != q;
-            const vi gt = q > max[r];
-            max[r] = pick(gt, q, max[r]);
-            arg[r] = (gt & idx) | (~gt & arg[r]);
-        }
-    }
-}
-
-/* For mr rows of a, each row's first column of greatest similarity: the
-   full panels of bt, then the padded tail panel pad (k x VW) if p is not a
-   multiple of VW. */
-static inline __attribute__((always_inline)) void
-best_rows(const float *a, ptrdiff_t k, const float *bt, const float *pad,
-          const float *na, const float *nb, float floor, ptrdiff_t *best,
-          ptrdiff_t p, vi *nan, const int mr)
-{
-    vf max[4];
-    vi arg[4];
-    for (int r = 0; r < mr; r++) {
-        max[r] = (vf){0} - __builtin_inff();
-        arg[r] = (vi){0};
-    }
-    ptrdiff_t j = 0;
-    for (; j + 2 * VW <= p; j += 2 * VW)
-        best_tile(a, k, bt + j, p, na, nb + j, floor, (int)j, 2 * VW, max, arg, nan, mr, 2);
-    for (; j + VW <= p; j += VW)
-        best_tile(a, k, bt + j, p, na, nb + j, floor, (int)j, VW, max, arg, nan, mr, 1);
-    if (j < p)
-        best_tile(a, k, pad, VW, na, nb + j, floor, (int)j, (int)(p - j), max, arg, nan, mr, 1);
-    /* The greatest lane maximum; of equal ones, the first column. */
-    for (int r = 0; r < mr; r++) {
-        int at = 0;
-        for (int l = 1; l < VW; l++)
-            if (max[r][l] > max[r][at] || (max[r][l] == max[r][at] && arg[r][l] < arg[r][at]))
-                at = l;
-        best[r] = arg[r][at];
-    }
-}
-
-/* best[i] = argmax over j of the cosine similarity of row i of a (m x k)
-   and row j of b (p x k, p < 2^31), which bt (k x p) holds transposed: the
-   argmax of row i of cosine_matrix(a, b), without the matrix. na (m) and nb
-   (p) are the rows' norms. Rows run in blocks of 4, each against all
-   columns. Returns 0; 1 when some similarity is NaN; -1 when the padded
-   tail panel cannot be allocated. */
-int cosine_argmax(const float *a, const float *bt, const float *na, const float *nb,
-                  float floor, ptrdiff_t *best, ptrdiff_t m, ptrdiff_t k, ptrdiff_t p)
-{
-    ptrdiff_t j = p - p % VW;
-    float *pad = NULL;
-    if (j < p) {
-        /* Copy the last < VW columns into a zero-padded k x VW panel. */
-        pad = calloc((size_t)(k > 0 ? k : 1) * VW, sizeof(float));
-        if (pad == NULL)
-            return -1;
-        for (ptrdiff_t t = 0; t < k; t++)
-            memcpy(pad + t * VW, bt + t * p + j, (size_t)(p - j) * sizeof(float));
-    }
-    vi nan = {0};
-    ptrdiff_t i = 0;
-    for (; i + 4 <= m; i += 4)
-        best_rows(a + i * k, k, bt, pad, na + i, nb, floor, best + i, p, &nan, 4);
-    for (; i < m; i++)
-        best_rows(a + i * k, k, bt, pad, na + i, nb, floor, best + i, p, &nan, 1);
-    free(pad);
-    for (int l = 0; l < VW; l++)
-        if (nan[l])
-            return 1;
-    return 0;
-}
-"""
+# The C source of every compiled kernel, shipped beside this module.
+_SOURCE = Path(__file__).with_name("_kernels.c")
 
 # -ffp-contract=off keeps every product and add separately rounded; the
 # default on some targets would fuse them and change the bits.
-_LTR_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+
+_PTR, _SIZE, _INT = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
+
+# Each export of the library: its argument types and return type. Every
+# array argument is a raw pointer: callers pass ``arr.ctypes.data`` of a
+# C-contiguous array whose shape they have checked, float32 except the
+# ``intp`` picks that ``cosine_argmax`` writes, ``merge_fold``'s int64
+# weights and edges and bool keep mask, and ``gate``'s array of head
+# pointers; ``gate``'s z may have any row stride, passed in elements.
+_EXPORTS = {
+    "ltr_matmul": ([_PTR] * 3 + [_SIZE] * 3, _INT),
+    "ssm_scan": ([_PTR] * 7 + [_SIZE] * 3 + [_INT], _INT),
+    "causal_conv": ([_PTR] * 3 + [_SIZE] * 3 + [_INT], None),
+    "exp_f32": ([_PTR, _PTR, _SIZE], None),
+    "silu": ([_PTR, _PTR, _SIZE], None),
+    "gate": ([_PTR, _SIZE, _PTR, _SIZE, _PTR, _SIZE, _SIZE], None),
+    "layernorm": ([_PTR] * 4 + [_SIZE] * 2, None),
+    "merge_fold": ([_PTR] * 6 + [_SIZE] * 3 + [_INT], _INT),
+    "cosine_argmax": ([_PTR] * 4 + [ctypes.c_float, _PTR] + [_SIZE] * 3, _INT),
+}
+
 
 def _cpu_flags() -> str:
     """The CPU feature line, so a -march=native build is keyed to its CPU."""
@@ -760,42 +226,31 @@ def _cpu_flags() -> str:
     return ""
 
 
-def _build_ltr(cache_dir: Path, compiler: str):
+def _build_library(cache_dir: Path, compiler: str):
     """Compile (or reuse) the C kernels in ``cache_dir``; ``None`` on failure.
 
-    Returns the loaded library with ``ltr_matmul``, ``ssm_scan``,
-    ``causal_conv``, ``exp_f32``, ``silu``, ``gate``, ``layernorm``,
-    ``merge_fold`` and ``cosine_argmax`` typed. Every array argument is a
-    raw pointer: callers pass ``arr.ctypes.data`` of a C-contiguous array
-    whose shape they have checked, float32 except the ``intp`` picks that
-    ``cosine_argmax`` writes, ``merge_fold``'s int64 weights and edges and
-    bool keep mask, and ``gate``'s array of head pointers; ``gate``'s z may
-    have any row stride, passed in elements.
-
-    The library is named by a hash of the source, the flags, the compiler
-    version and the CPU flags. It is compiled to a temporary file and
-    renamed into place, so a process racing on a cold cache never loads a
-    half-written library.
+    Returns the loaded library with every export in :data:`_EXPORTS` typed.
+    The library is named by a hash of the source file's bytes, the flags,
+    the compiler version and the CPU flags. It is compiled to a temporary
+    file and renamed into place, so a process racing on a cold cache never
+    loads a half-written library.
     """
     try:
         version = subprocess.run(
             [compiler, "-dumpfullversion"], capture_output=True, text=True,
             check=True, timeout=60,
         ).stdout
-        key = hashlib.sha256(
-            "\0".join((_LTR_SOURCE, *_LTR_CFLAGS, version, _cpu_flags())).encode()
-        ).hexdigest()[:20]
-        lib_path = cache_dir / f"ltr_matmul-{key}.so"
+        key = hashlib.sha256(b"\0".join(
+            [_SOURCE.read_bytes(), *(s.encode() for s in (*_CFLAGS, version, _cpu_flags()))]
+        )).hexdigest()[:20]
+        lib_path = cache_dir / f"kernels-{key}.so"
         if not lib_path.exists():
             cache_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".ltr_matmul-", suffix=".so")
+            fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".kernels-", suffix=".so")
             os.close(fd)
             try:
-                subprocess.run(
-                    [compiler, *_LTR_CFLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
-                    input=_LTR_SOURCE, capture_output=True, text=True,
-                    check=True, timeout=120,
-                )
+                subprocess.run([compiler, *_CFLAGS, str(_SOURCE), "-o", tmp, "-lm"],
+                               capture_output=True, check=True, timeout=120)
                 os.replace(tmp, lib_path)
             finally:
                 if os.path.exists(tmp):
@@ -803,44 +258,29 @@ def _build_ltr(cache_dir: Path, compiler: str):
         lib = ctypes.CDLL(str(lib_path))
     except (OSError, subprocess.SubprocessError):
         return None
-    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
-    lib.ltr_matmul.argtypes = [ptr, ptr, ptr, size, size, size]
-    lib.ltr_matmul.restype = ctypes.c_int
-    lib.ssm_scan.argtypes = [ptr] * 8 + [size] * 3 + [ctypes.c_int]
-    lib.ssm_scan.restype = ctypes.c_int
-    lib.causal_conv.argtypes = [ptr, ptr, ptr, size, size, size, ctypes.c_int]
-    lib.causal_conv.restype = None
-    for name in ("exp_f32", "silu"):
-        getattr(lib, name).argtypes = [ptr, ptr, size]
-        getattr(lib, name).restype = None
-    lib.gate.argtypes = [ptr, size, ptr, size, ptr, size, size]
-    lib.gate.restype = None
-    lib.layernorm.argtypes = [ptr] * 4 + [size] * 2
-    lib.layernorm.restype = None
-    lib.merge_fold.argtypes = [ptr] * 6 + [size] * 3 + [ctypes.c_int]
-    lib.merge_fold.restype = ctypes.c_int
-    lib.cosine_argmax.argtypes = [ptr] * 4 + [ctypes.c_float, ptr] + [size] * 3
-    lib.cosine_argmax.restype = ctypes.c_int
+    for name, (argtypes, restype) in _EXPORTS.items():
+        export = getattr(lib, name)
+        export.argtypes, export.restype = argtypes, restype
     return lib
 
 
 _UNLOADED = object()
-_ltr_compiled = _UNLOADED
-_ltr_lock = threading.Lock()
+_loaded = _UNLOADED
+_load_lock = threading.Lock()
 
 
-def _compiled_ltr():
+def _library():
     """The compiled library, built or loaded on first call; ``None`` if unavailable."""
-    global _ltr_compiled
-    if _ltr_compiled is _UNLOADED:
-        with _ltr_lock:
-            if _ltr_compiled is _UNLOADED:
+    global _loaded
+    if _loaded is _UNLOADED:
+        with _load_lock:
+            if _loaded is _UNLOADED:
                 cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
-                _ltr_compiled = _build_ltr(Path(cache) / "mambapress", "gcc")
-    return _ltr_compiled
+                _loaded = _build_library(Path(cache) / "mambapress", "gcc")
+    return _loaded
 
 
-def _ltr_matmul_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _matmul_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, _ = a.shape
     p = b.shape[1]
     acc = np.zeros((m, p), dtype=np.float32)
@@ -853,10 +293,11 @@ def _ltr_matmul_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _ltr_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    lib = _compiled_ltr()
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of :func:`matmul`, without its FLOP tally."""
+    lib = _library()
     if lib is None:
-        return _ltr_matmul_numpy(a, b)
+        return _matmul_numpy(a, b)
     a = np.ascontiguousarray(a, dtype=np.float32)
     b = np.ascontiguousarray(b, dtype=np.float32)
     (m, k), p = a.shape, b.shape[1]
@@ -884,7 +325,7 @@ def matmul(a, b) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     _tally("matmul", 2 * a.shape[0] * a.shape[1] * b.shape[1])
-    return _ltr_matmul(a, b)
+    return _matmul(a, b)
 
 
 # The constants of the C ``vexp``, spelled the same way.
@@ -963,7 +404,7 @@ def _decay_numpy(x) -> np.ndarray:
         return (p * s).reshape(x.shape)
 
 
-def _ssm_scan_numpy(abar, dx, b, c, hidden, reverse=False):
+def _ssm_scan_numpy(abar, dx, b, c, reverse=False):
     length, e, n = abar.shape
     h = np.zeros((e, n), dtype=np.float32)
     y = np.empty((length, e), dtype=np.float32)
@@ -972,12 +413,10 @@ def _ssm_scan_numpy(abar, dx, b, c, hidden, reverse=False):
         np.multiply(abar[t], h, out=h)
         np.add(h, dxb[t], out=h)
         y[t] = (h * c[t]).sum(axis=1, dtype=np.float32)
-        if hidden is not None:
-            hidden[t] = h
     return y
 
 
-def ssm_scan(delta, a, x, b, c, skip, collect_hidden: bool = False, reverse: bool = False):
+def ssm_scan(delta, a, x, b, c, skip, reverse: bool = False):
     """One head's selective scan from a zero state.
 
     ``delta`` and ``x`` (L, E) are the timescales and the scan input, ``a``
@@ -987,8 +426,7 @@ def ssm_scan(delta, a, x, b, c, skip, collect_hidden: bool = False, reverse: boo
     then h = h + dx[:, None] * b[t], each a separately rounded float32
     operation, and y[t] = (h * c[t]).sum(axis=1) + skip * x[t]. Tokens are
     visited first to last, or last to first with ``reverse``; every array,
-    in and out, stays in token order. Returns y (L, E) and, with
-    ``collect_hidden``, the state after each token (L, E, N), else ``None``.
+    in and out, stays in token order. Returns y (L, E).
 
     The decays come from the pinned exp's decay front end (module
     docstring): abar = 2^(delta * a'/16), with a' = a * (16/ln 2) rounded
@@ -1019,25 +457,21 @@ def ssm_scan(delta, a, x, b, c, skip, collect_hidden: bool = False, reverse: boo
     _tally("exp", size)
     _tally("add", size + length * e)
     _tally("rowdot", 2 * size)
-    hidden = np.empty((length, e, n), dtype=np.float32) if collect_hidden else None
     # Both paths read one rounded a * 16/ln 2, the decays' argument scale.
     a16 = a * _EXP_SCALE
-    lib = _compiled_ltr()
+    lib = _library()
     if lib is None:
         abar = _decay_numpy(delta[:, :, None] * a16)
-        y = _ssm_scan_numpy(abar, delta * x, b, c, hidden, reverse)
-        return y + skip * x, hidden
+        return _ssm_scan_numpy(abar, delta * x, b, c, reverse) + skip * x
     at = np.ascontiguousarray(a16.T)
     y = np.empty((length, e), dtype=np.float32)
-    # ctypes releases the GIL for the call; every buffer stays referenced
-    # here. A NULL hidden pointer says "no trajectory".
+    # ctypes releases the GIL for the call; every buffer stays referenced here.
     if y.size and lib.ssm_scan(
         delta.ctypes.data, at.ctypes.data, x.ctypes.data, b.ctypes.data, c.ctypes.data,
-        skip.ctypes.data, y.ctypes.data, None if hidden is None else hidden.ctypes.data,
-        length, e, n, bool(reverse),
+        skip.ctypes.data, y.ctypes.data, length, e, n, bool(reverse),
     ) != 0:
         raise MemoryError("ssm_scan could not allocate its state")
-    return y, hidden
+    return y
 
 
 def softplus(x) -> np.ndarray:
@@ -1054,7 +488,7 @@ def softplus(x) -> np.ndarray:
     _tally("softplus", x.size)
     cutoff = F32(SOFTPLUS_CUTOFF)
     out = np.minimum(x, cutoff, out=np.empty(x.shape, dtype=np.float32))
-    lib = _compiled_ltr()
+    lib = _library()
     if lib is None:
         out[...] = _exp_numpy(out)
     elif out.size:
@@ -1069,7 +503,7 @@ def silu(x) -> np.ndarray:
     each step a rounded float32 operation."""
     x = as_f32(x)
     _tally("silu", x.size)
-    lib = _compiled_ltr()
+    lib = _library()
     if lib is None:
         out = _exp_numpy(np.negative(x))
         np.add(F32(1.0), out, out=out)
@@ -1094,7 +528,7 @@ def gate(z, ys) -> np.ndarray:
     if not ys or z.ndim != 2 or any(y.shape != z.shape for y in ys):
         raise ValueError(f"gate expects (L, E) operands of one shape, got {z.shape} and "
                          f"{[y.shape for y in ys]}")
-    lib = _compiled_ltr()
+    lib = _library()
     if lib is None:
         y_sum = ys[0]
         for y in ys[1:]:
@@ -1156,7 +590,7 @@ def layernorm(x, scale, bias) -> np.ndarray:
     d = x.shape[-1]
     scale, bias = (np.ascontiguousarray(np.broadcast_to(as_f32(v), (d,))) for v in (scale, bias))
     _tally("layernorm", 7 * x.size)
-    lib = _compiled_ltr()
+    lib = _library()
     if lib is None:
         return _layernorm_numpy(x, scale, bias)
     out = np.empty(x.shape, dtype=np.float32)
@@ -1201,7 +635,7 @@ def causal_conv(x: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.
     length, channels = x.shape
     width = kernel.shape[1]
     _tally("causal_conv", 2 * width * length * channels)
-    lib = _compiled_ltr()
+    lib = _library()
     if lib is None:
         return _causal_conv_numpy(x, kernel, reverse)
     kt = np.ascontiguousarray(kernel.T)
@@ -1268,7 +702,7 @@ def merge_fold(x, weight, keep, edges, weighted: bool = True):
     # target's output row: both must exist.
     if len(edges) and (edges.min() < 0 or edges.max() >= n or not keep[edges[:, 1]].all()):
         raise ValueError("merge_fold edges must hold rows in range and kept targets")
-    lib = _compiled_ltr()
+    lib = _library()
     if lib is None:
         return _merge_fold_numpy(x, weight, keep, edges, weighted)
     m = int(np.count_nonzero(keep))
@@ -1284,7 +718,7 @@ def merge_fold(x, weight, keep, edges, weighted: bool = True):
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """The Euclidean norm of each row of x, its squares summed left to right."""
-    return np.sqrt(_ltr_matmul(x * x, np.ones((x.shape[1], 1), dtype=np.float32))[:, 0])
+    return np.sqrt(_matmul(x * x, np.ones((x.shape[1], 1), dtype=np.float32))[:, 0])
 
 
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1299,7 +733,7 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"cosine_matrix shape mismatch: {a.shape} vs {b.shape}")
     na, nb = _row_norms(a), _row_norms(b)
-    dots = _ltr_matmul(a, b.T)
+    dots = _matmul(a, b.T)
     # Rows or columns under the floor may divide by zero or overflow; they
     # are zeroed next, as are rows or columns with a NaN norm.
     with np.errstate(all="ignore"):
@@ -1327,7 +761,7 @@ def cosine_argmax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("cosine_argmax needs at least one row of b")
     if p >= 2**31:
         raise ValueError(f"cosine_argmax takes under 2**31 rows of b, got {p}")
-    lib = _compiled_ltr()
+    lib = _library()
     if lib is None:
         sims = cosine_matrix(a, b)
         best = sims.argmax(axis=1)

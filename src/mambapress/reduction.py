@@ -16,7 +16,7 @@ keep producing means over *original* tokens rather than means of means.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -173,7 +173,7 @@ def apply_merge(
     seq: TokenSequence,
     mapping: MergeMapping,
     weighted: bool = True,
-    pruned_rows: Iterable[int] = (),
+    pruned_rows: Sequence[int] | np.ndarray = (),
 ) -> TokenSequence:
     """Drop the mapped sources and ``pruned_rows``; fold each source into its target.
 
@@ -186,7 +186,7 @@ def apply_merge(
     """
     n = len(seq)
     src, tgt = mapping.edges[:, 0], mapping.edges[:, 1]
-    pruned = np.fromiter(pruned_rows, dtype=np.int64)
+    pruned = np.asarray(pruned_rows, dtype=np.int64)
     for rows in (src, tgt, pruned):
         bad = rows[(rows < 0) | (rows >= n)]
         if len(bad):

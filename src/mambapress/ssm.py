@@ -127,20 +127,16 @@ class ScanTrace:
     ``b`` and ``c`` are the input-dependent B and C the recurrence read: for
     the ``x`` given to :func:`selective_scan` they equal ``x @ w_b`` and
     ``x @ w_c`` bitwise, and ``delta`` equals ``softplus(x @ w_1 @ w_2)``,
-    whichever direction the head runs. ``hidden[t]`` is the state right
-    after the scan visited token t.
+    whichever direction the head runs.
     """
 
     y: np.ndarray  # (L, E)
     delta: np.ndarray  # (L, E), strictly positive
     b: np.ndarray  # (L, N)
     c: np.ndarray  # (L, N)
-    hidden: np.ndarray | None = None  # (L, E, N) state trajectory, on request
 
 
-def selective_scan(
-    x: np.ndarray, params: SsmHeadParams, collect_hidden: bool = False
-) -> ScanTrace:
+def selective_scan(x: np.ndarray, params: SsmHeadParams) -> ScanTrace:
     """Run one head's input-dependent recurrence over a token sequence.
 
     Per token: B, C and the timescale are projected from the input, the
@@ -166,9 +162,9 @@ def selective_scan(
         raise ValueError("selective_scan requires strictly positive timescales")
     b = kernels.matmul(x, params.w_b)  # (L, N)
     c = kernels.matmul(x, params.w_c)  # (L, N)
-    y, hidden = kernels.ssm_scan(delta, params.a, x, b, c, params.skip_d, collect_hidden,
-                                 reverse=params.scan_direction == "backward")
-    return ScanTrace(y=y, delta=delta, b=b, c=c, hidden=hidden)
+    y = kernels.ssm_scan(delta, params.a, x, b, c, params.skip_d,
+                         reverse=params.scan_direction == "backward")
+    return ScanTrace(y=y, delta=delta, b=b, c=c)
 
 
 def mamba_block(x: np.ndarray, params: SsmBlockParams) -> tuple[np.ndarray, list[ScanTrace]]:

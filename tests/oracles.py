@@ -75,6 +75,21 @@ def decay(delta, a) -> np.ndarray:
     return kernels._decay_numpy(delta[:, :, None] * (a * kernels._EXP_SCALE)[None, :, :])
 
 
+def scan_states(delta, a, x, b, reverse=False) -> np.ndarray:
+    """The state after each token of the selective scan, (L, E, N) in token
+    order: per token, visited first to last or (``reverse``) last to first,
+    h = decay * h, then h + (delta * x)[:, None] * b, each a rounded float32
+    operation, as the compiled scan updates its state."""
+    abar = decay(delta, a)
+    dxb = (kernels.as_f32(delta) * kernels.as_f32(x))[:, :, None] * kernels.as_f32(b)[:, None, :]
+    states = np.empty_like(abar)
+    h = np.zeros(abar.shape[1:], np.float32)
+    for t in range(len(abar) - 1, -1, -1) if reverse else range(len(abar)):
+        h = abar[t] * h + dxb[t]
+        states[t] = h
+    return states
+
+
 def discretize(a, delta) -> np.ndarray:
     """Zero-order-hold decays for strictly positive timescales."""
     if not np.all(kernels.as_f32(delta) > 0):

@@ -35,12 +35,12 @@ def test_every_case_is_stored():
 
 @pytest.mark.parametrize("name", CASES)
 def test_compiled(name):
-    if kernels._compiled_ltr() is None:
+    if kernels._library() is None:
         pytest.skip("no compiled library: the numpy fallback is the kernel")
     check_case(name)
 
 
 @pytest.mark.parametrize("name", [name for name, case in CASES.items() if case.fallback])
 def test_fallback(name, monkeypatch):
-    monkeypatch.setattr(kernels, "_compiled_ltr", lambda: None)
+    monkeypatch.setattr(kernels, "_library", lambda: None)
     check_case(name)

@@ -392,6 +392,39 @@ class TestMask:
         got = read_ppm(out_path)
         assert np.max(np.abs(got - want)) <= 0.5 / 255 + 1e-6
 
+    def test_unweighted_merge_renders_the_unweighted_record(self, capsys, tmp_path):
+        # At layer 3 of this model the plain means keep other tokens than the
+        # weighted ones, so the mask shows whether the flag reached the
+        # forward pass.
+        from mambapress.checkpoint import load_model
+        from mambapress.cli import _build_plan
+        from mambapress.reduction import Strategy
+
+        ckpt = tmp_path / "model.bin"
+        assert cli.main(["init", "--out", str(ckpt), "--image-size", "32", "--patch-size",
+                         "4", "--dim", "16", "--depth", "4", "--state-dim", "4", "--classes",
+                         "5", "--seed", "3"]) == 0
+        out_path = tmp_path / "mask.ppm"
+        assert cli.main(
+            ["mask", "--ckpt", str(ckpt), "--synthetic", "3", "--target-reduction", "0.4",
+             "--layers", "0,1,2,3", "--layer", "3", "--unweighted-merge",
+             "--out", str(out_path)]
+        ) == 0
+
+        model = load_model(ckpt)
+        image = synthetic_image(32, seed=3)
+        plan = _build_plan(model.config, 0.4, Strategy.MERGE, (0, 1, 2, 3))
+        masks = []
+        for weighted in (False, True):
+            record = model.forward(image, plan, weighted_merge=weighted)[1].reductions[3]
+            masks.append(render_mask(
+                image, 4, record.kept_orig, record.target_orig,
+                record.merged_orig + record.pruned_orig, cls_orig=model.config.cls_slot,
+            ))
+        want, weighted_mask = masks
+        assert np.max(np.abs(want - weighted_mask)) > 0.1
+        assert np.max(np.abs(read_ppm(out_path) - want)) <= 0.5 / 255 + 1e-6
+
     def test_layer_not_in_plan_exits_2(self, capsys, small_ckpt, tmp_path):
         code = cli.main(
             ["mask", "--ckpt", str(small_ckpt), "--synthetic", "0",

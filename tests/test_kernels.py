@@ -18,6 +18,7 @@ from mambapress.model import ModelConfig, VisionModel, identity_plan
 from mambapress.ppm import synthetic_image
 from mambapress.reduction import Strategy
 from tests import oracles
+from tests.conftest import build_probe
 
 
 def naive_matmul_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -159,10 +160,11 @@ def exp_inputs(stride: int, chunk: int = 2**18):
     yield np.concatenate([special, np.array([*edges, *near], np.float32)])
 
 
-def compiled_exp(x: np.ndarray) -> np.ndarray:
+def probe_lanes(export, x: np.ndarray) -> np.ndarray:
+    """A probe export that maps float32 lanes, over the values of x."""
     x = np.ascontiguousarray(x, dtype=np.float32)
     out = np.empty_like(x)
-    kernels._compiled_ltr().exp_f32(x.ctypes.data, out.ctypes.data, x.size)
+    export(x.ctypes.data, out.ctypes.data, x.size)
     return out
 
 
@@ -170,21 +172,21 @@ class TestPinnedExp:
     """The engine's own float32 exp: the C lanes and the numpy twin agree bit
     for bit, and both stay within one ULP of exp."""
 
-    def test_compiled_matches_twin_on_a_bit_pattern_sweep(self):
-        if kernels._compiled_ltr() is None:
-            pytest.skip("no compiled library: the numpy twin is the exp")
+    def test_compiled_matches_twin_on_a_bit_pattern_sweep(self, probe):
+        if probe is None:
+            pytest.skip("no gcc: the numpy twin is the exp")
         # An odd stride reaches every table entry and every exponent.
         for x in exp_inputs(stride=1021):
-            assert_same_bits(compiled_exp(x), kernels._exp_numpy(x))
+            assert_same_bits(probe_lanes(probe.probe_vexp, x), kernels._exp_numpy(x))
 
-    def test_special_values(self):
+    def test_special_values(self, probe):
         x = np.array([-np.inf, -0.0, 0.0, np.inf, np.nan, -104.0, 88.75, -200.0, 1e4,
                       1e-45, -1e-45], np.float32)
         want = np.array([0.0, 1.0, 1.0, np.inf, np.nan, 0.0, np.inf, 0.0, np.inf, 1.0, 1.0],
                         np.float32)
         assert_same_bits(kernels._exp_numpy(x), want)
-        if kernels._compiled_ltr() is not None:
-            assert_same_bits(compiled_exp(x), want)
+        if probe is not None:
+            assert_same_bits(probe_lanes(probe.probe_vexp, x), want)
         assert kernels._exp_numpy(np.float32(0.5)).shape == ()
         assert kernels._exp_numpy(x.reshape(11, 1)[::2]).shape == (6, 1)
 
@@ -222,39 +224,19 @@ def decay_arguments(stride: int, chunk: int = 2**18):
     yield np.concatenate([special, np.array([*edges, *near], np.float32)])
 
 
-def compiled_decay(x: np.ndarray) -> np.ndarray:
-    """The C scan's decays of the arguments x, read from its state: a
-    two-token scan whose (1, E) pre-scaled state matrix is x, with
-    timescales 1, so each argument reaches the decay front end as it is.
-    Token 0 (x 1, b 1) sets each state to decay * 0 + 1 = 1; token 1 (x 0,
-    b 0) multiplies it by the decay and adds a zero. A NaN decay leaves a
-    NaN state."""
-    at = np.ascontiguousarray(x, dtype=np.float32).reshape(1, -1)
-    e = at.shape[1]
-    ones, zeros = np.ones((2, e), np.float32), np.zeros(e, np.float32)
-    xs = np.stack([ones[0], zeros])
-    b = np.array([[1.0], [0.0]], np.float32)
-    c, y = np.zeros((2, 1), np.float32), np.empty((2, e), np.float32)
-    hidden = np.empty((2, e, 1), np.float32)
-    assert kernels._compiled_ltr().ssm_scan(
-        ones.ctypes.data, at.ctypes.data, xs.ctypes.data, b.ctypes.data, c.ctypes.data,
-        zeros.ctypes.data, y.ctypes.data, hidden.ctypes.data, 2, e, 1, 0) == 0
-    return hidden[1, :, 0].reshape(np.shape(x))
-
-
 class TestDecayFrontEnd:
     """The scan's decay 2^(x/16), for x = delta * (a * 16/ln 2): the C lanes
     and the numpy twin agree bit for bit, and the decays stay within the
     stated bound of exp(delta * a)."""
 
-    def test_compiled_matches_twin_on_a_bit_pattern_sweep(self):
-        if kernels._compiled_ltr() is None:
-            pytest.skip("no compiled library: the numpy twin is the decay")
+    def test_compiled_matches_twin_on_a_bit_pattern_sweep(self, probe):
+        if probe is None:
+            pytest.skip("no gcc: the numpy twin is the decay")
         # An odd stride reaches every table entry and every exponent.
         for x in decay_arguments(stride=1021):
-            assert_same_bits(compiled_decay(x), kernels._decay_numpy(x))
+            assert_same_bits(probe_lanes(probe.probe_vdecay, x), kernels._decay_numpy(x))
 
-    def test_special_values(self):
+    def test_special_values(self, probe):
         # x = -16m is 2^-m exactly, down to the smallest normal; below
         # -2016.5 the decay is 0, above 0 it is 1, and a NaN of either sign
         # stays a NaN.
@@ -270,8 +252,8 @@ class TestDecayFrontEnd:
             powers[1], np.full(len(nans), np.nan, np.float32),
             np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0], np.float32)])
         paths = [kernels._decay_numpy]
-        if kernels._compiled_ltr() is not None:
-            paths.append(compiled_decay)
+        if probe is not None:
+            paths.append(lambda v: probe_lanes(probe.probe_vdecay, v))
         for decay in paths:
             assert_same_bits(decay(x), want)
             edge = decay(np.float32([-2016.5]))[0]
@@ -315,17 +297,17 @@ delta = rng.uniform(0.01, 3.0, (length, e)).astype(np.float32)
 a = -rng.uniform(0.1, 5.0, (e, n)).astype(np.float32)
 x, u = (rng.standard_normal((length, e)).astype(np.float32) * 4 for _ in range(2))
 b, c = (rng.standard_normal((length, n)).astype(np.float32) for _ in range(2))
-y, hidden = kernels.ssm_scan(delta, a, x, b, c, np.ones(e, np.float32), True)
+y = kernels.ssm_scan(delta, a, x, b, c, np.ones(e, np.float32))
 grid = np.arange(0, 2**32, 65537, dtype=np.uint64).astype(np.uint32).view(np.float32)
 scaled = a * kernels._EXP_SCALE
 rows = x.reshape(-1, 125) * np.exp2(np.arange(125, dtype=np.float32) % 23 - 11)
 scale, bias = u[0, :25].repeat(5), u[1, :25].repeat(5)
-saved = dict(y=y, hidden=hidden, silu=kernels.silu(u), twin=kernels._exp_numpy(grid),
+saved = dict(y=y, silu=kernels.silu(u), twin=kernels._exp_numpy(grid),
              scaled=scaled, decay_twin=kernels._decay_numpy(grid),
              decays=kernels._decay_numpy(delta[:, :, None] * scaled),
              layernorm=kernels.layernorm(rows, scale, bias),
              layernorm_numpy=kernels._layernorm_numpy(rows, scale, bias))
-lib = kernels._compiled_ltr()
+lib = kernels._library()
 if lib is not None:
     saved["compiled"] = np.empty_like(grid)
     lib.exp_f32(grid.ctypes.data, saved["compiled"].ctypes.data, grid.size)
@@ -334,11 +316,11 @@ np.savez(sys.argv[1], **saved)
 
 
 def test_bits_do_not_depend_on_numpy_dispatch(tmp_path):
-    """The scan (output and states), silu, layernorm, the pinned exp, the
-    decay front end's twin and the decays' pre-scale give the same bits when
-    numpy runs at its X86_V2 baseline as at the default dispatch level.
-    np.exp gives other bits for about 39% of float32 inputs there, so this
-    failed while the scan's decays used it. Whole logits are not compared yet: softplus
+    """The scan's output, silu, layernorm, the pinned exp, the decay front
+    end's twin and the decays' pre-scale give the same bits when numpy runs
+    at its X86_V2 baseline as at the default dispatch level. np.exp gives
+    other bits for about 39% of float32 inputs there, so this failed while
+    the scan's decays used it. Whole logits are not compared yet: softplus
     still takes numpy's log1p, whose bits depend on the dispatch level
     too."""
     src = str(Path(kernels.__file__).resolve().parents[1])
@@ -534,7 +516,7 @@ class TestCosineArgmax:
 
         compiled = runs()
         assert compiled[0][1][-1] < compiled[0][1][0] / 2
-        monkeypatch.setattr(kernels, "_compiled_ltr", lambda: None)
+        monkeypatch.setattr(kernels, "_library", lambda: None)
         assert runs() == compiled
 
 
@@ -738,7 +720,7 @@ def scan_fallback(delta, a, x, b, c, skip, reverse=False):
     """The numpy chain the compiled scan must reproduce; the C function
     reads the transpose of a * 16/ln 2."""
     abar = kernels._decay_numpy(delta[:, :, None] * (a * kernels._EXP_SCALE))
-    return kernels._ssm_scan_numpy(abar, delta * x, b, c, None, reverse) + skip * x
+    return kernels._ssm_scan_numpy(abar, delta * x, b, c, reverse) + skip * x
 
 
 BIT_CASES = {
@@ -758,7 +740,7 @@ class TestCompiledMatmul:
     def test_compiled_kernel_loads_where_gcc_exists(self):
         if shutil.which("gcc") is None:
             pytest.skip("no gcc on PATH: the numpy fallback is the kernel")
-        assert kernels._compiled_ltr() is not None
+        assert kernels._library() is not None
 
     @pytest.mark.parametrize("shape", [(1, 1), (8, 128)])
     def test_no_fused_multiply_add(self, shape):
@@ -767,7 +749,7 @@ class TestCompiledMatmul:
         a = np.tile(np.array([[-(1 + 2**-11), 1 + 2**-12]], np.float32), (m, 1))
         b = np.tile(np.array([[1], [1 + 2**-12]], np.float32), (1, p))
         assert np.array_equal(kernels.matmul(a, b), np.zeros((m, p), np.float32))
-        assert np.array_equal(kernels._ltr_matmul_numpy(a, b), np.zeros((m, p), np.float32))
+        assert np.array_equal(kernels._matmul_numpy(a, b), np.zeros((m, p), np.float32))
 
     @pytest.mark.parametrize("case", sorted(BIT_CASES))
     def test_matches_triple_loop_and_fallback(self, case):
@@ -776,7 +758,7 @@ class TestCompiledMatmul:
         with np.errstate(all="ignore"):
             want = naive_matmul_f32(a32, b32)
             assert_same_bits(kernels.matmul(a, b), want)
-            assert_same_bits(kernels._ltr_matmul_numpy(a32, b32), want)
+            assert_same_bits(kernels._matmul_numpy(a32, b32), want)
 
     def test_toy_logits_same_with_fallback(self, monkeypatch):
         config = ModelConfig(image_size=224, patch_size=16, feat_dim=192, depth=24)
@@ -785,7 +767,7 @@ class TestCompiledMatmul:
         image = synthetic_image(config.image_size, seed=5)
         plans = [identity_plan(layers), solve_k(FlopsModel.from_config(config), 0.4, layers)]
         compiled = [model.forward(image, plan, collect_diagnostics=False)[0] for plan in plans]
-        monkeypatch.setattr(kernels, "_compiled_ltr", lambda: None)
+        monkeypatch.setattr(kernels, "_library", lambda: None)
         for plan, logits in zip(plans, compiled):
             fallback = model.forward(image, plan, collect_diagnostics=False)[0]
             assert np.array_equal(logits.view(np.uint32), fallback.view(np.uint32))
@@ -794,12 +776,12 @@ class TestCompiledMatmul:
         if shutil.which("gcc") is None:
             pytest.skip("no gcc on PATH")
         cache = tmp_path / "cache"
-        lib = kernels._build_ltr(cache, "gcc")
+        lib = kernels._build_library(cache, "gcc")
         assert lib is not None
         (built,) = cache.iterdir()  # the library only: no temporary left behind
-        assert built.name.startswith("ltr_matmul-") and built.suffix == ".so"
+        assert built.name.startswith("kernels-") and built.suffix == ".so"
         stamp = built.stat().st_mtime_ns
-        assert kernels._build_ltr(cache, "gcc") is not None
+        assert kernels._build_library(cache, "gcc") is not None
         assert [p.stat().st_mtime_ns for p in cache.iterdir()] == [stamp]
 
         # Every function takes raw pointers to C-contiguous float32 buffers.
@@ -818,7 +800,7 @@ class TestCompiledMatmul:
         for reverse in (0, 1):
             assert lib.ssm_scan(delta.ctypes.data, at.ctypes.data, x.ctypes.data,
                                 bv.ctypes.data, cv.ctypes.data, skip.ctypes.data,
-                                y.ctypes.data, None, length, e, n, reverse) == 0
+                                y.ctypes.data, length, e, n, reverse) == 0
             assert_same_bits(y, scan_fallback(delta, a_state, x, bv, cv, skip, reverse))
 
         grid = special_grid()
@@ -837,18 +819,21 @@ class TestCompiledMatmul:
             assert_same_bits(out, kernels._causal_conv_numpy(x, kernel, reverse))
 
     def test_source_compiles_without_warnings(self, tmp_path):
+        # The library's source and the test probe, each built from its file.
         if shutil.which("gcc") is None:
             pytest.skip("no gcc on PATH")
-        flags = [*kernels._LTR_CFLAGS, "-Wall", "-Wextra", "-Werror"]
-        done = subprocess.run(["gcc", *flags, "-x", "c", "-", "-o", str(tmp_path / "ltr.so")],
-                              input=kernels._LTR_SOURCE, capture_output=True, text=True,
-                              timeout=120)
+        warn = ("-Wall", "-Wextra", "-Werror")
+        done = subprocess.run(["gcc", *kernels._CFLAGS, *warn, str(kernels._SOURCE),
+                               "-o", str(tmp_path / "kernels.so")],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        done = build_probe(tmp_path / "probe.so", *warn)
         assert done.returncode == 0, done.stderr
 
     def test_missing_compiler_falls_back(self, tmp_path, monkeypatch):
-        assert kernels._build_ltr(tmp_path, str(tmp_path / "no-such-cc")) is None
+        assert kernels._build_library(tmp_path, str(tmp_path / "no-such-cc")) is None
         assert list(tmp_path.iterdir()) == []
-        monkeypatch.setattr(kernels, "_ltr_compiled", None)
+        monkeypatch.setattr(kernels, "_loaded", None)
         a, b = _strided()
         assert np.array_equal(kernels.matmul(a, b), naive_matmul_f32(a, b))
 
@@ -856,15 +841,15 @@ class TestCompiledMatmul:
         if shutil.which("gcc") is None:
             pytest.skip("no gcc on PATH")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(kernels, "_ltr_compiled", kernels._UNLOADED)
+        monkeypatch.setattr(kernels, "_loaded", kernels._UNLOADED)
         builds = []
-        build = kernels._build_ltr
+        build = kernels._build_library
 
         def counted_build(cache_dir, compiler):
             builds.append(cache_dir)
             return build(cache_dir, compiler)
 
-        monkeypatch.setattr(kernels, "_build_ltr", counted_build)
+        monkeypatch.setattr(kernels, "_build_library", counted_build)
         a, b = _strided()
         want = naive_matmul_f32(a, b)
         scan = _scan_inputs()
@@ -880,7 +865,7 @@ class TestCompiledMatmul:
 
         def use(i):
             # The threads reach the library first through one kernel or another.
-            calls = [lambda: kernels.matmul(a, b), lambda: kernels.ssm_scan(*scan)[0],
+            calls = [lambda: kernels.matmul(a, b), lambda: kernels.ssm_scan(*scan),
                      lambda: kernels.causal_conv(*conv), lambda: kernels.silu(grid),
                      lambda: kernels.softplus(grid), lambda: kernels.cosine_argmax(rows, cols)]
             with np.errstate(invalid="ignore"):
@@ -911,7 +896,7 @@ class TestCompiledMatmul:
 
 def fallback_conv(monkeypatch, x, kernel, reverse=False):
     with monkeypatch.context() as m:
-        m.setattr(kernels, "_compiled_ltr", lambda: None)
+        m.setattr(kernels, "_library", lambda: None)
         return kernels.causal_conv(x, kernel, reverse)
 
 
@@ -933,7 +918,7 @@ class TestCompiledConv:
 
     @pytest.mark.parametrize("width", [1, 4, 7])
     def test_matches_fallback(self, monkeypatch, width):
-        if kernels._compiled_ltr() is None:
+        if kernels._library() is None:
             pytest.skip("no compiled library: the numpy fallback is the kernel")
         rng = np.random.default_rng(700 + width)
         for channels in (1, 13, 16, 33, 384):
@@ -986,7 +971,7 @@ class TestCompiledLayernorm:
 
     @pytest.mark.parametrize("d", [1, 7, 8, 9, 127, 128, 129, 192, 256, 257])
     def test_matches_numpy_chain(self, d):
-        if kernels._compiled_ltr() is None:
+        if kernels._library() is None:
             pytest.skip("no compiled library: the numpy chain is the kernel")
         rng = np.random.default_rng(900 + d)
         x = layernorm_rows(rng, d)

@@ -15,7 +15,7 @@ from mambapress.ssm import (
     mamba_block,
     selective_scan,
 )
-from tests.oracles import decay, discretize, rowdot
+from tests.oracles import decay, discretize, rowdot, scan_states
 from tests.test_kernels import assert_same_bits
 
 
@@ -73,26 +73,29 @@ def scan_oracle(x: np.ndarray, params: SsmHeadParams) -> np.ndarray:
     return y
 
 
-def compiled_decays(delta, a, layout=None) -> np.ndarray:
-    """The compiled scan's decays exp(delta[t, i] * a[i, j]), (L, E, N), read
-    from its state: per row of delta, a two-token scan. Token 0 (delta 1,
-    x 1, b 1) sets every state to decay * 0 + 1 = 1; token 1 (the row, x 0,
-    b 0) multiplies it by the row's decays and adds a zero. So a must hold
-    no NaN, and the row must be finite, or that zero would be a NaN.
-    ``layout`` names a :func:`relayout` applied to the scan's operands
-    before the kernel reads them."""
-    e, n = a.shape
-    ones, zeros = np.ones(e, np.float32), np.zeros(e, np.float32)
-    b = np.stack([np.ones(n, np.float32), np.zeros(n, np.float32)])
-    out = np.empty((delta.shape[0], e, n), np.float32)
-    for t, row in enumerate(delta):
-        operands = (np.stack([ones, row]), a, np.stack([ones, zeros]), b,
-                    np.zeros((2, n), np.float32), zeros)
-        if layout is not None:
-            operands = relayout(operands, layout)
-        _, hidden = kernels.ssm_scan(*operands, collect_hidden=True)
-        out[t] = hidden[1]
+def compiled_decays(probe, delta, a) -> np.ndarray:
+    """The compiled decays exp(delta[t, i] * a[i, j]), (L, E, N): the C
+    ``vdecay`` of the rounded products of delta and the rounded
+    a * 16/ln 2, which the compiled scan forms in registers."""
+    arg = np.ascontiguousarray(delta[:, :, None] * (a * kernels._EXP_SCALE)[None])
+    out = np.empty_like(arg)
+    probe.probe_vdecay(arg.ctypes.data, out.ctypes.data, arg.size)
     return out
+
+
+def probe_scan(probe, delta, a, x, b, c, skip, reverse=False):
+    """The compiled scan step by step through the probe: y (L, E) and the
+    state after each token (L, E, N), both in token order."""
+    delta, x, b, c, skip = (np.ascontiguousarray(v, dtype=np.float32)
+                            for v in (delta, x, b, c, skip))
+    at = np.ascontiguousarray((kernels.as_f32(a) * kernels._EXP_SCALE).T)
+    (length, e), n = delta.shape, at.shape[0]
+    y = np.empty((length, e), np.float32)
+    states = np.empty((length, e, n), np.float32)
+    assert probe.probe_scan_states(
+        delta.ctypes.data, at.ctypes.data, x.ctypes.data, b.ctypes.data, c.ctypes.data,
+        skip.ctypes.data, y.ctypes.data, states.ctypes.data, length, e, n, reverse) == 0
+    return y, states
 
 
 class TestDiscretize:
@@ -115,7 +118,7 @@ class TestDiscretize:
         abar = discretize(a, delta)
         assert np.all(abar > 0.0) and np.all(abar < 1.0)
 
-    def test_bits_of_exp_of_product(self):
+    def test_bits_of_exp_of_product(self, probe):
         # The compiled decays are computed in registers; the bits are those
         # of the pinned exp's decay front end over the rounded product of
         # delta and the rounded a * 16/ln 2.
@@ -124,8 +127,8 @@ class TestDiscretize:
         delta = rng.uniform(0.01, 3.0, size=(29, 37)).astype(np.float32)
         want = kernels._decay_numpy(delta[:, :, None] * (a * kernels._EXP_SCALE)[None, :, :])
         assert np.array_equal(discretize(a, delta).view(np.uint32), want.view(np.uint32))
-        if kernels._compiled_ltr() is not None:
-            got = compiled_decays(delta, a)
+        if probe is not None:
+            got = compiled_decays(probe, delta, a)
             assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_rejects_nonpositive_delta(self, monkeypatch):
@@ -192,9 +195,9 @@ class TestSelectiveScan:
             skip_d=bwd.skip_d, conv_kernel=bwd.conv_kernel, scan_direction="forward",
         )
         x = rng.standard_normal((7, 4)).astype(np.float32)
-        got = selective_scan(x, bwd, collect_hidden=True)
-        via_reverse = selective_scan(np.ascontiguousarray(x[::-1]), fwd, collect_hidden=True)
-        for name in ("y", "delta", "b", "c", "hidden"):
+        got = selective_scan(x, bwd)
+        via_reverse = selective_scan(np.ascontiguousarray(x[::-1]), fwd)
+        for name in ("y", "delta", "b", "c"):
             assert_same_bits(getattr(got, name), getattr(via_reverse, name)[::-1])
             # The trace is the kernels' own arrays in token order, not reversed views.
             assert getattr(got, name).flags.c_contiguous, name
@@ -207,7 +210,7 @@ class TestSelectiveScan:
         for compiled in (True, False):
             with monkeypatch.context() as m:
                 if not compiled:
-                    m.setattr(kernels, "_compiled_ltr", lambda: None)
+                    m.setattr(kernels, "_library", lambda: None)
                 for direction in ("forward", "backward"):
                     params = random_head(rng, e=5, n=3, r=2, direction=direction)
                     x = rng.standard_normal((6, 5)).astype(np.float32)
@@ -225,8 +228,9 @@ class TestSelectiveScan:
         params = random_head(rng, e=3, n=2, r=1)
         x = rng.standard_normal((20, 3)).astype(np.float32)
         x[6:] = 0.0
-        trace = selective_scan(x, params, collect_hidden=True)
-        norms = [np.linalg.norm(trace.hidden[t]) for t in range(20)]
+        trace = selective_scan(x, params)
+        states = scan_states(trace.delta, params.a, x, trace.b)
+        norms = [np.linalg.norm(states[t]) for t in range(20)]
         for t in range(7, 20):
             assert norms[t] < norms[t - 1] or norms[t] == 0.0
         assert norms[-1] < 0.5 * norms[6]
@@ -278,34 +282,35 @@ def relayout(arrays, layout):
 
 def fallback_scan(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as m:
-        m.setattr(kernels, "_compiled_ltr", lambda: None)
+        m.setattr(kernels, "_library", lambda: None)
         return kernels.ssm_scan(*args, **kwargs)
 
 
-def scan_both_ways(monkeypatch, inputs, collect_hidden=True):
+def scan_both_ways(monkeypatch, inputs, probe=None):
     """Run the compiled scan forward and with ``reverse``: each must keep the
     fallback's bits, and ``reverse`` those of flipping the tokens, scanning
-    forward and flipping y and the states back. Returns the forward
-    fallback's (y, hidden)."""
-    wants = []
-    for reverse in (False, True):
-        y, hidden = kernels.ssm_scan(*inputs, collect_hidden=collect_hidden, reverse=reverse)
-        wants.append(fallback_scan(monkeypatch, *inputs, collect_hidden=collect_hidden,
-                                   reverse=reverse))
-        assert_same_bits(y, wants[-1][0])
-        if collect_hidden:
-            assert_same_bits(hidden, wants[-1][1])
+    forward and flipping y back. With ``probe``, the compiled states after
+    each token must keep the bits of the states oracle both ways, and the
+    probe's y those of the scan. Returns the forward fallback's y and, with
+    ``probe``, the forward states, else ``None``."""
     delta, a, x, b, c, skip = inputs
-    flipped_y, flipped_hidden = kernels.ssm_scan(delta[::-1], a, x[::-1], b[::-1], c[::-1], skip,
-                                                 collect_hidden=collect_hidden)
+    wants, states = [], []
+    for reverse in (False, True):
+        y = kernels.ssm_scan(*inputs, reverse=reverse)
+        wants.append(fallback_scan(monkeypatch, *inputs, reverse=reverse))
+        assert_same_bits(y, wants[-1])
+        if probe is not None:
+            probe_y, got = probe_scan(probe, *inputs, reverse=reverse)
+            assert_same_bits(probe_y, y)
+            assert_same_bits(got, scan_states(delta, a, x, b, reverse))
+            states.append(got)
+    flipped_y = kernels.ssm_scan(delta[::-1], a, x[::-1], b[::-1], c[::-1], skip)
     assert_same_bits(y, flipped_y[::-1])
-    if collect_hidden:
-        assert_same_bits(hidden, flipped_hidden[::-1])
-    return wants[0]
+    return wants[0], states[0] if states else None
 
 
 def needs_compiled_scan():
-    if kernels._compiled_ltr() is None:
+    if kernels._library() is None:
         pytest.skip("no compiled library: the numpy fallback is the kernel")
 
 
@@ -331,20 +336,19 @@ class TestCompiledScan:
             params = random_head(rng, e=e, n=n, r=3, direction=direction)
             for length in (1, 300):
                 x = rng.standard_normal((length, e)).astype(np.float32)
-                got = selective_scan(x, params, collect_hidden=True)
+                got = selective_scan(x, params)
                 with monkeypatch.context() as m:
-                    m.setattr(kernels, "_compiled_ltr", lambda: None)
-                    want = selective_scan(x, params, collect_hidden=True)
+                    m.setattr(kernels, "_library", lambda: None)
+                    want = selective_scan(x, params)
                 assert_same_bits(got.y, want.y)
-                assert_same_bits(got.hidden, want.hidden)
 
     @pytest.mark.parametrize("n", STATE_DIMS)
-    def test_kernel_matches_fallback_on_grid(self, monkeypatch, n):
+    def test_kernel_matches_fallback_on_grid(self, monkeypatch, probe, n):
         # Channel counts below, at and beyond one 16-lane block and the toy
         # width. Grid points above 2**24 state elements are left out to bound
         # memory (the numpy fallback holds two such arrays); E = 384 still
-        # runs at L = 1 and 29 for them. The trajectory is compared up to
-        # 2**22 elements.
+        # runs at L = 1 and 29 for them. The states after each token are
+        # compared up to 2**22 elements.
         needs_compiled_scan()
         rng = np.random.default_rng(600 + n)
         for e in (1, 13, 16, 17, 33, 384):
@@ -352,20 +356,20 @@ class TestCompiledScan:
                 if length * e * n > 2**24:
                     continue
                 inputs = scan_inputs(rng, length, e, n)
-                scan_both_ways(monkeypatch, inputs, collect_hidden=length * e * n <= 2**22)
+                scan_both_ways(monkeypatch, inputs, probe if length * e * n <= 2**22 else None)
 
     @pytest.mark.parametrize("n", [1, 4, 7, 8, 16, 19, 129])
-    def test_signed_zeros_denormals_and_infinities(self, monkeypatch, n):
+    def test_signed_zeros_denormals_and_infinities(self, monkeypatch, probe, n):
         needs_compiled_scan()
         rng = np.random.default_rng(200 + n)
         for e in (11, 37):
             inputs = scan_inputs(rng, 40, e, n, special=True)
             with np.errstate(all="ignore"):
-                want_y, want_hidden = scan_both_ways(monkeypatch, inputs)
-            assert np.isnan(want_y).any() and np.isinf(want_hidden).any()
+                want_y, states = scan_both_ways(monkeypatch, inputs, probe)
+            assert np.isnan(want_y).any() and np.isinf(states).any()
 
     @pytest.mark.parametrize("n", [1, 4, 16, 17])
-    def test_decays_beyond_the_exp_clamp(self, monkeypatch, n):
+    def test_decays_beyond_the_exp_clamp(self, monkeypatch, probe, n):
         # The decays' argument is delta * (a * 16/ln 2). Below -2016.5 it
         # decays to 0, below -2032 it is clamped, and above 0 it decays to 1.
         # On every fourth token (delta 1) it sits on and next to -2016.5 and
@@ -380,14 +384,14 @@ class TestCompiledScan:
             a = np.resize(rng.permutation(a_values), (e, n))
             delta[::4] = 1.0
             with np.errstate(all="ignore"):
-                scan_both_ways(monkeypatch, (delta, a, x, b, c, skip))
+                scan_both_ways(monkeypatch, (delta, a, x, b, c, skip), probe)
                 arg = delta[:, :, None] * (a * kernels._EXP_SCALE)
             for edge in (-2016.5, -2032.0):
                 assert (arg == edge).any() and (arg < edge).any()
             assert (arg > 0).any()
 
     @pytest.mark.parametrize("n", [1, 4, 16, 17])
-    def test_nans_and_infinities_in_delta_and_a(self, monkeypatch, n):
+    def test_nans_and_infinities_in_delta_and_a(self, monkeypatch, probe, n):
         # Quiet and signalling NaNs of both signs, with and without a
         # payload, and both infinities reach the in-register exp through
         # delta and a; row 0 and state 0 hold only these values. NaN
@@ -406,29 +410,25 @@ class TestCompiledScan:
             delta[0] = np.resize(rng.permutation(values), e)
             a[:, 0] = np.resize(rng.permutation(values), e)
             with np.errstate(all="ignore"):
-                want_y, want_hidden = scan_both_ways(monkeypatch, (delta, a, x, b, c, skip))
+                want_y, states = scan_both_ways(monkeypatch, (delta, a, x, b, c, skip), probe)
                 product = delta[:, :, None] * a
             assert np.isnan(product).any() and np.isinf(product).any()
             assert (product == np.inf).any() and (product == -np.inf).any()
-            assert np.isnan(want_y).any() and np.isnan(want_hidden).any()
+            assert np.isnan(want_y).any() and np.isnan(states).any()
 
-    def test_hidden_layout_is_token_channel_state(self, monkeypatch):
-        # State j of channel i after token t sits at hidden[t, i, j], and the
-        # last state reads out the last output.
+    def test_hidden_layout_is_token_channel_state(self, probe):
+        # State j of channel i after token t sits at states[t, i, j] of the
+        # probe's copy, and the last state reads out the last output.
+        needs_compiled_scan()
         inputs = scan_inputs(np.random.default_rng(15), 6, 19, 3)
-        y, hidden = kernels.ssm_scan(*inputs, collect_hidden=True)
+        y, states = probe_scan(probe, *inputs)
         delta, a, x, b, c, skip = inputs
         h = np.zeros((19, 3), np.float32)
         for t in range(6):
             abar = kernels._decay_numpy(delta[t][:, None] * (a * kernels._EXP_SCALE))
             h = abar * h + (delta[t] * x[t])[:, None] * b[t]
-            assert_same_bits(hidden[t], h)
+            assert_same_bits(states[t], h)
         assert_same_bits(y[-1], rowdot(h, c[-1]) + skip * x[-1])
-
-    def test_no_hidden_unless_asked(self):
-        inputs = scan_inputs(np.random.default_rng(7), 5, 3, 4)
-        y, hidden = kernels.ssm_scan(*inputs)
-        assert hidden is None and y.shape == (5, 3)
 
     def test_shape_mismatch(self):
         delta, a, x, b, c, skip = scan_inputs(np.random.default_rng(8), 5, 3, 4)
@@ -440,8 +440,7 @@ class TestCompiledScan:
             kernels.ssm_scan(delta, a, x, b, c, skip[:2])
         with pytest.raises(ValueError, match=r"\(L, E\)"):
             kernels.ssm_scan(delta[0], a, x, b, c, skip)
-        y, hidden = kernels.ssm_scan(delta[:0], a, x[:0], b[:0], c[:0], skip, collect_hidden=True)
-        assert y.shape == (0, 3) and hidden.shape == (0, 3, 4)
+        assert kernels.ssm_scan(delta[:0], a, x[:0], b[:0], c[:0], skip).shape == (0, 3)
 
     def test_flops_by_op_same_on_both_paths(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -449,7 +448,7 @@ class TestCompiledScan:
         x = rng.standard_normal((17, 6)).astype(np.float32)
         with kernels.count_flops() as compiled:
             selective_scan(x, params)
-        monkeypatch.setattr(kernels, "_compiled_ltr", lambda: None)
+        monkeypatch.setattr(kernels, "_library", lambda: None)
         with kernels.count_flops() as fallback:
             selective_scan(x, params)
         assert compiled.by_op == fallback.by_op
@@ -477,7 +476,7 @@ class TestCompiledScan:
         skip = np.full(e, -0.0, np.float32)
         for t in (0, 40):
             b[t], c[t] = 0.0, -1.0 - np.abs(c[t])
-        y, _ = kernels.ssm_scan(np.ones((length, e), np.float32),
+        y = kernels.ssm_scan(np.ones((length, e), np.float32),
                                 np.full((e, n), -np.inf, np.float32), x, b, c, skip)
         h = x[:, :, None] * b[:, None, :]
         want = np.stack([rowdot(h[t], c[t]) + skip * x[t] for t in range(length)])
@@ -492,20 +491,18 @@ class TestCompiledScan:
         # Each operand is converted to contiguous float32 before the kernel
         # reads it through a raw pointer.
         inputs = scan_inputs(np.random.default_rng(11), 23, 7, 16)
-        want = fallback_scan(monkeypatch, *inputs, collect_hidden=True)
-        got = kernels.ssm_scan(*relayout(inputs, layout), collect_hidden=True)
-        assert_same_bits(got[0], want[0])
-        assert_same_bits(got[1], want[1])
+        want = fallback_scan(monkeypatch, *inputs)
+        assert_same_bits(kernels.ssm_scan(*relayout(inputs, layout)), want)
 
     def test_concurrent_scans_keep_the_bits(self, monkeypatch):
         rng = np.random.default_rng(10)
         jobs = [scan_inputs(rng, 200, 40, 16) for _ in range(2)]
-        want = [fallback_scan(monkeypatch, *job, collect_hidden=True) for job in jobs]
+        want = [fallback_scan(monkeypatch, *job) for job in jobs]
         results: dict[int, list] = {0: [], 1: []}
 
         def run(i):
             for _ in range(10):
-                results[i].append(kernels.ssm_scan(*jobs[i], collect_hidden=True))
+                results[i].append(kernels.ssm_scan(*jobs[i]))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -520,16 +517,14 @@ class TestCompiledScan:
         assert not any(t.is_alive() for t in threads)
         for i in range(2):
             assert len(results[i]) == 10
-            for y, hidden in results[i]:
-                assert_same_bits(y, want[i][0])
-                assert_same_bits(hidden, want[i][1])
+            for y in results[i]:
+                assert_same_bits(y, want[i])
 
 
 def decay_inputs(rng, length, e, n, special=False):
     """Random (delta, a) for the decays; ``special`` plants signed zeros,
     denormals, values whose products fall below the decays' clamp or above
-    0, and -inf in ``a``. What :func:`compiled_decays` cannot read is left
-    out: NaN in ``a``, and non-finite timescales."""
+    0, and -inf in ``a``; no NaN in ``a``, and no non-finite timescale."""
     delta = rng.uniform(0.01, 3.0, (length, e)).astype(np.float32)
     a = -rng.uniform(0.1, 5.0, (e, n)).astype(np.float32)
     if special:
@@ -549,22 +544,22 @@ class TestDecayKernel:
 
     @pytest.mark.parametrize("n", [1, 4, 16, 17])
     @pytest.mark.parametrize("length", [1, 29])
-    def test_matches_fallback_and_numpy(self, n, length):
+    def test_matches_fallback_and_numpy(self, probe, n, length):
         needs_compiled_scan()
         delta, a = decay_inputs(np.random.default_rng(400 + n), length, 13, n)
         want = kernels._decay_numpy(delta[:, :, None] * (a * kernels._EXP_SCALE)[None])
-        assert_same_bits(compiled_decays(delta, a), want)
+        assert_same_bits(compiled_decays(probe, delta, a), want)
         assert_same_bits(decay(delta, a), want)
         assert_same_bits(discretize(a, delta), want)
 
     @pytest.mark.parametrize("n", [1, 4, 16, 17])
-    def test_signed_zeros_denormals_infinities_and_nans(self, n):
+    def test_signed_zeros_denormals_infinities_and_nans(self, probe, n):
         needs_compiled_scan()
         delta, a = decay_inputs(np.random.default_rng(500 + n), 31, 13, n, special=True)
         with np.errstate(all="ignore"):
             product = delta[:, :, None] * (a * kernels._EXP_SCALE)[None]
             want = kernels._decay_numpy(product)
-            got = compiled_decays(delta, a)
+            got = compiled_decays(probe, delta, a)
             oracle = decay(delta, a)
         assert np.isnan(want).any() and (want == 0).any()
         assert (product < -2032).any() and (product > 0).any()
@@ -573,13 +568,6 @@ class TestDecayKernel:
         assert ((product != 0) & (np.abs(product) < np.finfo(np.float32).tiny)).any()
         assert_same_bits(got, want)
         assert_same_bits(oracle, want)
-
-    @pytest.mark.parametrize("layout", ["transposed", "strided", "float64"])
-    def test_operand_layouts(self, layout):
-        needs_compiled_scan()
-        delta, a = decay_inputs(np.random.default_rng(12), 23, 7, 16)
-        want = decay(delta, a)
-        assert_same_bits(compiled_decays(delta, a, layout), want)
 
     def test_flops_by_op_same_on_both_paths(self, monkeypatch):
         # The decays book multiply L*E*N and exp L*E*N inside the scan, on
