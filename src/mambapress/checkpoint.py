@@ -22,18 +22,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelConfig, ModelParams, VisionModel
-from .ssm import DIRECTIONS, SsmBlockParams, SsmHeadParams
+from .ssm import BLOCK_ARRAYS, DIRECTIONS, HEAD_ARRAYS, SsmBlockParams, SsmHeadParams
 
 MAGIC = b"MTRC"
 VERSION = 1
 MAX_NAME_BYTES = 256
 
 # The entry names, in file order: the stem's (entry, ModelParams attribute)
-# pairs, then per block its fields and each head's, then the classifier's.
-# "cls" is written only when the model has a classification token.
+# pairs, then per block its BLOCK_ARRAYS and each head's HEAD_ARRAYS, then
+# the classifier's. "cls" is written only when the model has a cls token.
 _STEM_ENTRIES = (("patch.w", "patch_w"), ("patch.b", "patch_b"), ("cls", "cls_embed"))
-_BLOCK_FIELDS = ("norm_scale", "norm_bias", "in_proj", "out_proj")
-_HEAD_FIELDS = ("a_log", "w_b", "w_c", "w_1", "w_2", "skip_d", "conv_kernel")
 _CLASSIFIER_ENTRIES = (
     ("head.norm_scale", "head_norm_scale"),
     ("head.norm_bias", "head_norm_bias"),
@@ -185,9 +183,9 @@ def load(path) -> Checkpoint:
 def _flatten_params(params: ModelParams) -> dict[str, np.ndarray]:
     entries = {name: getattr(params, attr) for name, attr in _STEM_ENTRIES}
     for i, block in enumerate(params.blocks):
-        entries.update((f"blocks.{i}.{f}", getattr(block, f)) for f in _BLOCK_FIELDS)
+        entries.update((f"blocks.{i}.{f}", getattr(block, f)) for f in BLOCK_ARRAYS)
         for j, head in enumerate(block.heads):
-            entries.update((f"blocks.{i}.heads.{j}.{f}", getattr(head, f)) for f in _HEAD_FIELDS)
+            entries.update((f"blocks.{i}.heads.{j}.{f}", getattr(head, f)) for f in HEAD_ARRAYS)
     entries.update((name, getattr(params, attr)) for name, attr in _CLASSIFIER_ENTRIES)
     return {name: arr for name, arr in entries.items() if arr is not None}  # "cls" is optional
 
@@ -223,11 +221,11 @@ def checkpoint_to_model(ckpt: Checkpoint) -> VisionModel:
         blocks = [
             SsmBlockParams(
                 heads=[
-                    SsmHeadParams(**take(f"blocks.{i}.heads.{j}.", _HEAD_FIELDS),
+                    SsmHeadParams(**take(f"blocks.{i}.heads.{j}.", HEAD_ARRAYS),
                                   scan_direction=direction)
                     for j, direction in enumerate(DIRECTIONS)
                 ],
-                **take(f"blocks.{i}.", _BLOCK_FIELDS),
+                **take(f"blocks.{i}.", BLOCK_ARRAYS),
             )
             for i in range(config.depth)
         ]

@@ -7,6 +7,7 @@ problems, 4 numeric failure (non-finite activations).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -18,7 +19,7 @@ from . import mask as mask_mod
 from . import ppm
 from .flops import FlopsModel, ReductionPlan, default_reduction_layers, solve_k
 from .importance import Indicator
-from .model import ModelConfig, NumericError, VisionModel
+from .model import CLS_POSITIONS, ModelConfig, NumericError, VisionModel
 from .reduction import Strategy
 
 REPORT_SCHEMA_VERSION = 1
@@ -65,38 +66,26 @@ def _layers_csv(text: str) -> tuple[int, ...]:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """The model config flags, each stored under its ModelConfig field's name."""
     p.add_argument("--image-size", type=int, default=224)
     p.add_argument("--patch-size", type=int, default=16)
-    p.add_argument("--dim", type=int, default=192, help="token feature dimension")
+    p.add_argument("--dim", dest="feat_dim", metavar="DIM", type=int, default=192,
+                   help="token feature dimension")
     p.add_argument("--depth", type=int, default=24)
     p.add_argument("--expand", type=int, default=2)
     p.add_argument("--state-dim", type=int, default=16)
     p.add_argument("--delta-rank", type=int, default=None)
-    p.add_argument("--cls", choices=("middle", "front", "none"), default="middle")
-    p.add_argument("--classes", type=int, default=10)
+    p.add_argument("--cls", dest="cls_position", choices=CLS_POSITIONS, default="middle")
+    p.add_argument("--classes", dest="class_count", metavar="CLASSES", type=int, default=10)
     p.add_argument("--seed", type=int, default=0, help="weight init seed")
 
 
 def _config_from_args(args: argparse.Namespace) -> ModelConfig:
-    return ModelConfig(
-        image_size=args.image_size,
-        patch_size=args.patch_size,
-        feat_dim=args.dim,
-        depth=args.depth,
-        expand=args.expand,
-        state_dim=args.state_dim,
-        delta_rank=args.delta_rank,
-        cls_position=args.cls,
-        class_count=args.classes,
-    )
+    names = {f.name for f in dataclasses.fields(ModelConfig)}
+    return ModelConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
-def _add_run_flags(p: argparse.ArgumentParser, require_ckpt: bool) -> None:
-    p.add_argument("--ckpt", required=require_ckpt, help="checkpoint path")
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--image", help="P6 PPM input image")
-    src.add_argument("--synthetic", type=int, metavar="SEED", help="seeded synthetic input")
-    p.add_argument("--target-reduction", type=_ratio, default=0.0)
+def _add_plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--strategy", type=Strategy, choices=[s.value for s in Strategy], default=Strategy.MERGE
     )
@@ -104,6 +93,15 @@ def _add_run_flags(p: argparse.ArgumentParser, require_ckpt: bool) -> None:
         "--indicator", type=Indicator, choices=[i.value for i in Indicator], default=Indicator.DELTA
     )
     p.add_argument("--layers", type=_layers_csv, default=None, help="reduction layers (CSV)")
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--ckpt", required=True, help="checkpoint path")
+    src = p.add_mutually_exclusive_group()
+    src.add_argument("--image", help="P6 PPM input image")
+    src.add_argument("--synthetic", type=int, metavar="SEED", help="seeded synthetic input")
+    p.add_argument("--target-reduction", type=_ratio, default=0.0)
+    _add_plan_flags(p)
     p.add_argument("--unweighted-merge", action="store_true", help="plain instead of multiplicity-weighted means")
 
 
@@ -182,6 +180,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     lines = [BENCH_CSV_HEADER]
     for ratio in args.ratios:
         plan = _build_plan(config, ratio, args.strategy, args.layers)
+        # Untimed: counts the tokens for the achieved and total_flops columns,
+        # and loads or compiles the kernel library before the timed loop,
+        # which matters with --warmup 0.
         _, diag = model.forward(images[0], plan, args.indicator)
         _, total, achieved = _achieved_from_counts(fm, diag.token_counts)
         for _ in range(args.warmup):
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_init.set_defaults(func=cmd_init)
 
     p_run = sub.add_parser("run", help="run one image and print a JSON report")
-    _add_run_flags(p_run, require_ckpt=True)
+    _add_run_flags(p_run)
     p_run.add_argument("--json", action="store_true", help="compact single-line JSON")
     p_run.set_defaults(func=cmd_run)
 
@@ -258,18 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--warmup", type=_count(0), default=1)
     p_bench.add_argument("--ckpt", default=None, help="checkpoint (default: seeded toy model)")
     p_bench.add_argument("--no-diag", action="store_true", help="skip diagnostics in timed runs")
-    p_bench.add_argument(
-        "--strategy", type=Strategy, choices=[s.value for s in Strategy], default=Strategy.MERGE
-    )
-    p_bench.add_argument(
-        "--indicator", type=Indicator, choices=[i.value for i in Indicator], default=Indicator.DELTA
-    )
-    p_bench.add_argument("--layers", type=_layers_csv, default=None)
+    _add_plan_flags(p_bench)
     _add_config_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     p_mask = sub.add_parser("mask", help="render one layer's token-retention mask")
-    _add_run_flags(p_mask, require_ckpt=True)
+    _add_run_flags(p_mask)
     p_mask.add_argument("--layer", type=int, required=True, help="reduction layer to render")
     p_mask.add_argument("--out", required=True, help="output PPM path")
     p_mask.set_defaults(func=cmd_mask)

@@ -230,18 +230,16 @@ def _build_library(cache_dir: Path, compiler: str):
     """Compile (or reuse) the C kernels in ``cache_dir``; ``None`` on failure.
 
     Returns the loaded library with every export in :data:`_EXPORTS` typed.
-    The library is named by a hash of the source file's bytes, the flags,
-    the compiler version and the CPU flags. It is compiled to a temporary
-    file and renamed into place, so a process racing on a cold cache never
-    loads a half-written library.
+    The library is named by a hash of the source file's bytes, the flags and
+    the CPU flags, so a warm cache loads without running the compiler; the
+    compiler version cannot change the bits, which float32 IEEE rounding
+    under ``-ffp-contract=off`` fixes. On a miss it is compiled to a
+    temporary file and renamed into place, so a process racing on a cold
+    cache never loads a half-written library.
     """
     try:
-        version = subprocess.run(
-            [compiler, "-dumpfullversion"], capture_output=True, text=True,
-            check=True, timeout=60,
-        ).stdout
         key = hashlib.sha256(b"\0".join(
-            [_SOURCE.read_bytes(), *(s.encode() for s in (*_CFLAGS, version, _cpu_flags()))]
+            [_SOURCE.read_bytes(), *(s.encode() for s in (*_CFLAGS, _cpu_flags()))]
         )).hexdigest()[:20]
         lib_path = cache_dir / f"kernels-{key}.so"
         if not lib_path.exists():

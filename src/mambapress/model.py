@@ -9,7 +9,7 @@ path goes through the deterministic kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -140,22 +140,11 @@ class ModelConfig:
         )
 
     def to_json(self) -> dict:
-        return {
-            "image_size": self.image_size,
-            "patch_size": self.patch_size,
-            "feat_dim": self.feat_dim,
-            "depth": self.depth,
-            "channels": self.channels,
-            "expand": self.expand,
-            "state_dim": self.state_dim,
-            "delta_rank": self.delta_rank,
-            "cls_position": self.cls_position,
-            "class_count": self.class_count,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ModelConfig":
-        return cls(**{k: doc[k] for k in doc})
+        return cls(**doc)
 
 
 @dataclass

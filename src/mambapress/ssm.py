@@ -21,6 +21,10 @@ from .kernels import as_f32
 
 DIRECTIONS = ("forward", "backward")
 
+# The weight arrays of a scan head and of a block, in checkpoint file order.
+HEAD_ARRAYS = ("a_log", "w_b", "w_c", "w_1", "w_2", "skip_d", "conv_kernel")
+BLOCK_ARRAYS = ("norm_scale", "norm_bias", "in_proj", "out_proj")
+
 
 class NumericError(RuntimeError):
     """Raised when a forward pass produces non-finite activations or logits."""
@@ -47,7 +51,7 @@ class SsmHeadParams:
     a: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("a_log", "w_b", "w_c", "w_1", "w_2", "skip_d", "conv_kernel"):
+        for name in HEAD_ARRAYS:
             setattr(self, name, as_f32(getattr(self, name)))
         e, n = self.a_log.shape
         r = self.w_1.shape[1]
@@ -93,7 +97,7 @@ class SsmBlockParams:
     heads: list[SsmHeadParams]
 
     def __post_init__(self) -> None:
-        for name in ("norm_scale", "norm_bias", "in_proj", "out_proj"):
+        for name in BLOCK_ARRAYS:
             setattr(self, name, as_f32(getattr(self, name)))
         if not self.heads:
             raise ValueError("a block needs at least one scan head")

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, report schema, CSV shape, mask rendering, PPM."""
 
+import dataclasses
 import json
 import struct
 
@@ -8,8 +9,11 @@ import pytest
 
 from mambapress import cli
 from mambapress.checkpoint import load, save
+from mambapress.importance import Indicator
 from mambapress.mask import TINT, render_mask
+from mambapress.model import ModelConfig, VisionModel
 from mambapress.ppm import PpmError, read_ppm, synthetic_image, write_ppm
+from mambapress.reduction import Strategy
 
 SMALL_FLAGS = [
     "--image-size", "16", "--patch-size", "4", "--dim", "8",
@@ -285,6 +289,23 @@ class TestInitAndRun:
     def test_unknown_flag_exits_2(self, capsys):
         assert cli.main(["run", "--definitely-not-a-flag"]) == 2
 
+    def test_config_flags_reach_the_checkpoint(self, capsys, tmp_path):
+        path = tmp_path / "model.bin"
+        assert cli.main(
+            ["init", "--out", str(path), "--image-size", "24", "--patch-size", "6", "--dim", "12",
+             "--depth", "3", "--expand", "3", "--state-dim", "5", "--delta-rank", "2",
+             "--cls", "front", "--classes", "4", "--seed", "7"]
+        ) == 0
+        want = ModelConfig(image_size=24, patch_size=6, feat_dim=12, depth=3, expand=3,
+                           state_dim=5, delta_rank=2, cls_position="front", class_count=4)
+        assert load(path).meta == dataclasses.asdict(want)
+        # Every flag above differs from its default, so a flag stored under
+        # the wrong name would fall back to the default and fail the check.
+        default = cli._config_from_args(cli.build_parser().parse_args(["init", "--out", "x"]))
+        differ = {f.name for f in dataclasses.fields(ModelConfig)
+                  if getattr(want, f.name) != getattr(default, f.name)}
+        assert differ == {f.name for f in dataclasses.fields(ModelConfig)} - {"channels"}
+
     def test_mismatched_image_size_exits_2(self, capsys, small_ckpt, tmp_path):
         img_path = tmp_path / "big.ppm"
         write_ppm(img_path, synthetic_image(32, seed=10))
@@ -433,6 +454,32 @@ class TestMask:
         )
         assert code == 2
         assert "not a reduction layer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "mask"])
+def test_plan_flags_reach_the_plan_and_forward(monkeypatch, capsys, small_ckpt, tmp_path, command):
+    calls = []
+    forward = VisionModel.forward
+
+    def recorded(self, image, plan=None, indicator=Indicator.DELTA, **kwargs):
+        calls.append((plan, indicator))
+        return forward(self, image, plan, indicator, **kwargs)
+
+    monkeypatch.setattr(VisionModel, "forward", recorded)
+    argv = {
+        "run": ["run", "--target-reduction", "0.3"],
+        "bench": ["bench", "--ratios", "0.3", "--repeats", "1"],
+        "mask": ["mask", "--target-reduction", "0.3", "--layer", "2",
+                 "--out", str(tmp_path / "m.ppm")],
+    }[command]
+    flags = ["--ckpt", str(small_ckpt), "--strategy", "prune", "--indicator", "c",
+             "--layers", "0,2"]
+    assert cli.main(argv + flags) == 0
+    assert calls
+    for plan, indicator in calls:
+        assert plan.strategy is Strategy.PRUNE and plan.k > 0
+        assert plan.reduce_at_layers == (0, 2)
+        assert indicator is Indicator.C_PROJ
 
 
 class TestNumericFailure:

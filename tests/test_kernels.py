@@ -818,6 +818,10 @@ class TestCompiledMatmul:
             lib.causal_conv(x.ctypes.data, kt.ctypes.data, out.ctypes.data, *x.shape, 4, reverse)
             assert_same_bits(out, kernels._causal_conv_numpy(x, kernel, reverse))
 
+        # A warm cache loads without running the compiler.
+        assert kernels._build_library(cache, str(tmp_path / "no-such-cc")) is not None
+        assert [p.stat().st_mtime_ns for p in cache.iterdir()] == [stamp]
+
     def test_source_compiles_without_warnings(self, tmp_path):
         # The library's source and the test probe, each built from its file.
         if shutil.which("gcc") is None:
