@@ -64,6 +64,18 @@ panel(const float *a, ptrdiff_t m, ptrdiff_t k, const float *b, ptrdiff_t ldb,
         tile(a + i * k, k, b, ldb, c + i * ldc, ldc, ncols, 1, nv);
 }
 
+/* A zero-padded k x VW copy of the last p - j (< VW) columns of b (k x p),
+   or NULL when it cannot be allocated. The caller frees it. */
+static float *
+tail_panel(const float *b, ptrdiff_t k, ptrdiff_t p, ptrdiff_t j)
+{
+    float *pad = calloc((size_t)(k > 0 ? k : 1) * VW, sizeof(float));
+    if (pad != NULL)
+        for (ptrdiff_t t = 0; t < k; t++)
+            memcpy(pad + t * VW, b + t * p + j, (size_t)(p - j) * sizeof(float));
+    return pad;
+}
+
 /* c (m x p) = a (m x k) @ b (k x p), all row-major and contiguous.
    Returns 0, or -1 when the padded tail panel cannot be allocated. */
 int ltr_matmul(const float *a, const float *b, float *c,
@@ -75,14 +87,10 @@ int ltr_matmul(const float *a, const float *b, float *c,
     for (; j + VW <= p; j += VW)
         panel(a, m, k, b + j, p, c + j, p, VW, 1);
     if (j < p) {
-        /* Copy the last < VW columns into a zero-padded k x VW panel. */
-        ptrdiff_t rest = p - j;
-        float *pad = calloc((size_t)(k > 0 ? k : 1) * VW, sizeof(float));
+        float *pad = tail_panel(b, k, p, j);
         if (pad == NULL)
             return -1;
-        for (ptrdiff_t t = 0; t < k; t++)
-            memcpy(pad + t * VW, b + t * p + j, (size_t)rest * sizeof(float));
-        panel(a, m, k, pad, VW, c + j, p, rest, 1);
+        panel(a, m, k, pad, VW, c + j, p, p - j, 1);
         free(pad);
     }
     return 0;
@@ -534,14 +542,8 @@ int cosine_argmax(const float *a, const float *bt, const float *na, const float 
 {
     ptrdiff_t j = p - p % VW;
     float *pad = NULL;
-    if (j < p) {
-        /* Copy the last < VW columns into a zero-padded k x VW panel. */
-        pad = calloc((size_t)(k > 0 ? k : 1) * VW, sizeof(float));
-        if (pad == NULL)
-            return -1;
-        for (ptrdiff_t t = 0; t < k; t++)
-            memcpy(pad + t * VW, bt + t * p + j, (size_t)(p - j) * sizeof(float));
-    }
+    if (j < p && (pad = tail_panel(bt, k, p, j)) == NULL)
+        return -1;
     vi nan = {0};
     ptrdiff_t i = 0;
     for (; i + 4 <= m; i += 4)

@@ -117,9 +117,15 @@ def _load_input(args: argparse.Namespace, config: ModelConfig) -> np.ndarray:
 
 
 def _build_plan(config: ModelConfig, target: float, strategy: Strategy, layers) -> ReductionPlan:
-    if layers is None:
-        layers = default_reduction_layers(config.depth)
-    return solve_k(FlopsModel.from_config(config), target, layers, strategy)
+    fm = FlopsModel.from_config(config)
+    if layers is not None:
+        return solve_k(fm, target, layers, strategy)
+    layers = default_reduction_layers(config.depth)
+    try:
+        return solve_k(fm, target, layers, strategy)
+    except ValueError as err:
+        raise ValueError(f"{err}; the default reduction layers at depth {config.depth} "
+                         f"are {list(layers)}, choose others with --layers") from err
 
 
 def _achieved_from_counts(fm: FlopsModel, token_counts: list[int]) -> tuple[int, int, float]:

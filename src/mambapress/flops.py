@@ -5,6 +5,8 @@ the block makes (see ``docs/flops_accounting.md`` for the op-count table);
 a test instruments the live kernels and checks the two agree to the FLOP.
 Block cost is strictly linear in the token count: parameter-derived
 constants (like the negated state matrix) are precomputed at load time.
+Every cost is read from the model's config, and the head count and conv
+width from :mod:`mambapress.ssm`: the FLOPs model copies no shape.
 
 The solver turns a global compute-reduction target into the single
 grouping ratio k shared by all reduction layers. Because group sizes are
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from . import ssm
 from .reduction import Strategy, group_size
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,20 +33,19 @@ _K_CEILING = 0.5 - 1e-9
 
 @dataclass(frozen=True)
 class BlockDims:
-    """The dimensions that determine one block's per-token cost."""
+    """The config dimensions of one block's per-token cost; the head count
+    and the conv width are :mod:`mambapress.ssm` constants."""
 
     feat_dim: int  # D
     inner_dim: int  # E
     state_dim: int  # N
     delta_rank: int  # R
-    head_count: int = 2
-    conv_width: int = 4
 
 
 def per_token_block_flops(dims: BlockDims) -> int:
     """FLOPs one token costs in one block (multiply-adds count 2)."""
     d, e, n, r = dims.feat_dim, dims.inner_dim, dims.state_dim, dims.delta_rank
-    h, w = dims.head_count, dims.conv_width
+    h, w = len(ssm.DIRECTIONS), ssm.CONV_WIDTH
     per_head = 2 * w * e + e + 11 * e * n + 4 * e * r + 4 * e
     return 8 * d + 6 * d * e + h * per_head + (h + 1) * e
 
@@ -84,39 +86,28 @@ def default_reduction_layers(depth: int) -> tuple[int, ...]:
 class FlopsModel:
     """Whole-model analytic cost as a function of the reduction schedule."""
 
-    dims: BlockDims
-    layer_count: int
-    patch_tokens: int
-    cls_present: bool
-    patch_embed_cost: int
-    head_base_cost: int  # pooled-feature norm + classifier
-    mean_pool: bool
+    config: "ModelConfig"
 
     @classmethod
     def from_config(cls, config: "ModelConfig") -> "FlopsModel":
-        d = config.feat_dim
-        patch_in = config.patch_inputs
-        patches = config.patch_tokens
-        return cls(
-            dims=config.block_dims(),
-            layer_count=config.depth,
-            patch_tokens=patches,
-            cls_present=config.cls_position != "none",
-            patch_embed_cost=patches * (2 * patch_in * d + d),
-            head_base_cost=7 * d + 2 * d * config.class_count + config.class_count,
-            mean_pool=config.cls_position == "none",
-        )
+        return cls(config)
+
+    @property
+    def patch_embed_cost(self) -> int:
+        c = self.config
+        return c.patch_tokens * (2 * c.patch_inputs * c.feat_dim + c.feat_dim)
 
     def token_counts(self, k: float, reduce_at_layers: Iterable[int]) -> list[int]:
         """Simulated per-block input token counts plus the final count."""
+        depth = self.config.depth
         layer_set = set(int(i) for i in reduce_at_layers)
         for i in layer_set:
-            if not 0 <= i < self.layer_count:
-                raise ValueError(f"reduction layer {i} outside 0..{self.layer_count - 1}")
-        cls = 1 if self.cls_present else 0
-        count = self.patch_tokens + cls
+            if not 0 <= i < depth:
+                raise ValueError(f"reduction layer {i} outside 0..{depth - 1}")
+        cls = 0 if self.config.cls_slot is None else 1
+        count = self.config.token_count
         counts = []
-        for layer in range(self.layer_count):
+        for layer in range(depth):
             counts.append(count)
             if layer in layer_set:
                 count -= group_size(k, count - cls)
@@ -124,13 +115,15 @@ class FlopsModel:
         return counts
 
     def head_cost(self, final_count: int) -> int:
-        cost = self.head_base_cost
-        if self.mean_pool:
-            cost += final_count * self.dims.feat_dim
+        d, classes = self.config.feat_dim, self.config.class_count
+        cost = 7 * d + 2 * d * classes + classes  # pooled-feature norm + classifier
+        if self.config.cls_slot is None:
+            cost += final_count * d  # mean pool over the final tokens
         return cost
 
     def total_from_counts(self, counts: Sequence[int]) -> int:
-        blocks = sum(block_flops(c, self.dims) for c in counts[:-1])
+        dims = self.config.block_dims()
+        blocks = sum(block_flops(c, dims) for c in counts[:-1])
         return self.patch_embed_cost + blocks + self.head_cost(counts[-1])
 
     def total_flops(self, k: float = 0.0, reduce_at_layers: Iterable[int] = ()) -> int:

@@ -121,23 +121,15 @@ class ModelConfig:
     def weight_count(self) -> int:
         """Float32 values in the parameters of this config: the sizes of the
         arrays :func:`init_params` draws, summed."""
-        dims = self.block_dims()
         d, e, n, r = self.feat_dim, self.inner_dim, self.state_dim, self.rank
-        head = e * (3 * n + 2 * r + 1 + dims.conv_width)  # a_log, w_b, w_c, w_1, w_2, skip, conv
-        block = 2 * d + 3 * d * e + dims.head_count * head  # norm, in_proj, out_proj, heads
+        head = e * (3 * n + 2 * r + 1 + ssm.CONV_WIDTH)  # a_log, w_b, w_c, w_1, w_2, skip, conv
+        block = 2 * d + 3 * d * e + len(ssm.DIRECTIONS) * head  # norm, in_proj, out_proj, heads
         cls = 0 if self.cls_slot is None else d
         classifier = 2 * d + (d + 1) * self.class_count  # norm, weights and bias
         return (self.patch_inputs + 1) * d + cls + self.depth * block + classifier
 
     def block_dims(self) -> BlockDims:
-        return BlockDims(
-            feat_dim=self.feat_dim,
-            inner_dim=self.inner_dim,
-            state_dim=self.state_dim,
-            delta_rank=self.rank,
-            head_count=len(ssm.DIRECTIONS),
-            conv_width=4,
-        )
+        return BlockDims(self.feat_dim, self.inner_dim, self.state_dim, self.rank)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -177,11 +169,13 @@ class ModelParams:
             raise ValueError(f"cls_embed shape {self.cls_embed.shape} != ({d},)")
         if len(self.blocks) != config.depth:
             raise ValueError(f"{len(self.blocks)} blocks != depth {config.depth}")
-        e, n, r = config.inner_dim, config.state_dim, config.rank
-        width = config.block_dims().conv_width
+        e, n, r, width = config.inner_dim, config.state_dim, config.rank, ssm.CONV_WIDTH
         for i, block in enumerate(self.blocks):
             if block.feat_dim != d or block.inner_dim != e:
                 raise ValueError(f"block {i} dims inconsistent with config")
+            directions = tuple(head.scan_direction for head in block.heads)
+            if directions != ssm.DIRECTIONS:
+                raise ValueError(f"block {i} head directions {directions} != {ssm.DIRECTIONS}")
             for head in block.heads:
                 got = (head.state_dim, head.delta_rank, head.conv_kernel.shape[1])
                 if got != (n, r, width):
@@ -199,7 +193,6 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     """
     rng = np.random.default_rng(seed)
     d, e, n, r = config.feat_dim, config.inner_dim, config.state_dim, config.rank
-    width = config.block_dims().conv_width
     patch_in = config.patch_inputs
 
     def proj(fan_in: int, *shape: int) -> np.ndarray:
@@ -226,7 +219,7 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
                     w_1=proj(e, e, r),
                     w_2=proj(r, r, e),
                     skip_d=np.ones(e, dtype=np.float32),
-                    conv_kernel=proj(width, e, width),
+                    conv_kernel=proj(ssm.CONV_WIDTH, e, ssm.CONV_WIDTH),
                     scan_direction=direction,
                 )
             )

@@ -19,7 +19,10 @@ import numpy as np
 from . import kernels
 from .kernels import as_f32
 
+# A block's scan heads, one per direction in this order, and the taps of
+# each head's depthwise causal conv.
 DIRECTIONS = ("forward", "backward")
+CONV_WIDTH = 4
 
 # The weight arrays of a scan head and of a block, in checkpoint file order.
 HEAD_ARRAYS = ("a_log", "w_b", "w_c", "w_1", "w_2", "skip_d", "conv_kernel")
@@ -158,12 +161,10 @@ def selective_scan(x: np.ndarray, params: SsmHeadParams) -> ScanTrace:
     if length < 1:
         raise ValueError("selective_scan needs at least one token")
     delta = kernels.softplus(kernels.matmul(kernels.matmul(x, params.w_1), params.w_2))
+    # softplus is at least the smallest normal float32 wherever its input is
+    # a number, so only a NaN weight or input fails this check.
     if not np.all(delta > 0):
-        # softplus is positive wherever its input is a number: a NaN weight
-        # or input is the only way here.
-        if np.isnan(delta).any():
-            raise NumericError(f"non-finite timescales in a {params.scan_direction} scan head")
-        raise ValueError("selective_scan requires strictly positive timescales")
+        raise NumericError(f"non-finite timescales in a {params.scan_direction} scan head")
     b = kernels.matmul(x, params.w_b)  # (L, N)
     c = kernels.matmul(x, params.w_c)  # (L, N)
     y = kernels.ssm_scan(delta, params.a, x, b, c, params.skip_d,

@@ -482,6 +482,27 @@ def test_plan_flags_reach_the_plan_and_forward(monkeypatch, capsys, small_ckpt, 
         assert indicator is Indicator.C_PROJ
 
 
+@pytest.mark.parametrize("depth, defaults", [(4, []), (6, [5])])
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_unreachable_default_layers_point_to_the_flag(capsys, tmp_path, command, depth, defaults):
+    # Depth 4 has no default reduction layer; depth 6 has only the last
+    # block, after which a reduction saves nothing.
+    ckpt = tmp_path / "deep.bin"
+    assert cli.main(["init", "--out", str(ckpt), "--image-size", "16", "--patch-size", "4",
+                     "--dim", "8", "--depth", str(depth), "--state-dim", "4"]) == 0
+    argv = {
+        "run": ["run", "--ckpt", str(ckpt), "--target-reduction", "0.3"],
+        "bench": ["bench", "--ckpt", str(ckpt), "--ratios", "0.3", "--repeats", "1",
+                  "--warmup", "0"],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"default reduction layers at depth {depth} are {defaults}" in err
+    assert "--layers" in err
+    assert cli.main(argv + ["--layers", "0,1"]) == 0
+
+
 class TestNumericFailure:
     def test_nan_weights_exit_4(self, capsys, tmp_path):
         from mambapress.checkpoint import load, save

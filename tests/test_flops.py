@@ -118,20 +118,20 @@ class TestSolveK:
         assert plan.k == 0.0 and plan.achieved_reduction == 0.0
 
     def test_degenerate_front_reduction_tracks_token_fraction(self):
-        # One reduction before all blocks, no patch/head cost: removing a
-        # fraction f of tokens cuts FLOPs by f.
+        # One reduction after block 0: block 0 runs at full length, blocks
+        # 1..5 and the mean-pooled head at the reduced one.
         config = ModelConfig(image_size=32, patch_size=2, feat_dim=4, depth=6,
                              cls_position="none", state_dim=2, delta_rank=1)
         fm = FlopsModel.from_config(config)
-        fm = FlopsModel(
-            dims=fm.dims, layer_count=fm.layer_count, patch_tokens=fm.patch_tokens,
-            cls_present=fm.cls_present, patch_embed_cost=0, head_base_cost=0,
-            mean_pool=False,
-        )
         plan = solve_k(fm, 0.30, (0,))
-        removed = 256 - fm.token_counts(plan.k, (0,))[1]
-        # Block 0 runs at full length, blocks 1..5 shrink by the removed fraction.
-        assert plan.achieved_reduction == pytest.approx(removed / 256 * (5 / 6), abs=1e-12)
+        kept = fm.token_counts(plan.k, (0,))[1]
+        assert kept < 256
+        per_token = per_token_block_flops(config.block_dims())
+
+        def total(count: int) -> int:
+            return fm.patch_embed_cost + (256 + 5 * count) * per_token + fm.head_cost(count)
+
+        assert plan.achieved_reduction == pytest.approx(1 - total(kept) / total(256), abs=1e-12)
         assert abs(plan.achieved_reduction - 0.30) < 0.0025
 
     def test_toy_targets_within_tolerance(self):
@@ -145,7 +145,7 @@ class TestSolveK:
             count = 197
             total = fm.patch_embed_cost
             for layer in range(24):
-                total += count * per_token_block_flops(fm.dims)
+                total += count * per_token_block_flops(TOY.block_dims())
                 if layer in layers:
                     count -= int(np.floor(plan.k * (count - 1)))
             total += fm.head_cost(count)

@@ -1,6 +1,6 @@
 """Patch embedding, forward-pass wiring, diagnostics, determinism."""
 
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -110,6 +110,16 @@ class TestConfig:
     def test_json_round_trip(self):
         cfg = ModelConfig(image_size=32, patch_size=8, feat_dim=12, depth=3)
         assert ModelConfig.from_json(cfg.to_json()) == cfg
+
+    def test_blocks_need_one_head_per_direction_in_order(self):
+        # The FLOPs model, weight_count and the checkpoint all price one
+        # forward then one backward head per block.
+        params = init_params(SMALL, seed=27)
+        block = params.blocks[0]
+        for heads in (block.heads[:1], block.heads[::-1]):
+            blocks = [replace(block, heads=heads), *params.blocks[1:]]
+            with pytest.raises(ValueError, match="block 0 head directions"):
+                VisionModel(SMALL, replace(params, blocks=blocks))
 
 
 class TestPatchEmbed:

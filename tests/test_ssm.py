@@ -131,16 +131,11 @@ class TestDiscretize:
             got = compiled_decays(probe, delta, a)
             assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
-    def test_rejects_nonpositive_delta(self, monkeypatch):
-        # softplus never returns a non-positive timescale, so one is planted.
+    def test_rejects_nonpositive_delta(self):
         rng = np.random.default_rng(2)
         params = random_head(rng, e=3, n=2, r=1)
         x = rng.standard_normal((4, 3)).astype(np.float32)
         for bad in (0.0, -1.0):
-            with monkeypatch.context() as m:
-                m.setattr(kernels, "softplus", lambda v, bad=bad: np.full_like(v, bad))
-                with pytest.raises(ValueError, match="positive"):
-                    selective_scan(x, params)
             with pytest.raises(ValueError, match="positive"):
                 discretize(params.a, np.full((2, 3), bad, dtype=np.float32))
         # A NaN timescale comes from a NaN weight or input: a numeric failure.
