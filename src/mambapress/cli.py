@@ -19,11 +19,16 @@ from . import mask as mask_mod
 from . import ppm
 from .flops import FlopsModel, ReductionPlan, default_reduction_layers, solve_k
 from .importance import Indicator
-from .model import CLS_POSITIONS, ModelConfig, NumericError, VisionModel
+from .model import (CLS_POSITIONS, MAX_PATCH_INPUTS, MAX_PATCH_TOKENS, ModelConfig, NumericError,
+                    VisionModel)
 from .reduction import Strategy
 
 REPORT_SCHEMA_VERSION = 1
 BENCH_CSV_HEADER = "ratio,k,achieved,throughput_mean,throughput_std,total_flops"
+
+# The most float32 values a bench batch may hold (1 GiB): those of the largest
+# image a config allows, so batch 1 is valid for every config.
+MAX_BATCH_VALUES = MAX_PATCH_TOKENS * MAX_PATCH_INPUTS
 
 
 def _ratio(text: str) -> float:
@@ -164,10 +169,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "logits": [float(v) for v in logits],
         "top_class": int(np.argmax(logits)),
     }
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(report, indent=None if args.json else 2, sort_keys=True))
     return 0
 
 
@@ -177,6 +179,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         model = VisionModel.seeded(_config_from_args(args), args.seed)
     config = model.config
+    if args.batch * config.patch_tokens * config.patch_inputs > MAX_BATCH_VALUES:
+        raise ValueError(f"--batch {args.batch} images hold more than {MAX_BATCH_VALUES} values")
     images = [
         ppm.synthetic_image(config.image_size, 1000 + i, config.channels)
         for i in range(args.batch)
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeats", type=_count(1), default=3)
     p_bench.add_argument("--warmup", type=_count(0), default=1)
     p_bench.add_argument("--ckpt", default=None, help="checkpoint (default: seeded toy model)")
-    p_bench.add_argument("--no-diag", action="store_true", help="skip diagnostics in timed runs")
+    p_bench.add_argument("--no-diag", action="store_true", help="timed passes return no diagnostics")
     _add_plan_flags(p_bench)
     _add_config_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)

@@ -40,9 +40,6 @@ class ImportanceScores:
     scores: np.ndarray  # (L,)
     indicator: Indicator
 
-    def __len__(self) -> int:
-        return len(self.scores)
-
 
 def _head_sum_channel_mean(
     per_head: Sequence[np.ndarray], indicator: Indicator

@@ -9,7 +9,7 @@ path goes through the deterministic kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -258,12 +258,13 @@ def patch_embed(image: np.ndarray, params: ModelParams, config: ModelConfig) -> 
 
 @dataclass
 class Diagnostics:
-    """What one forward pass did, layer by layer."""
+    """What one forward pass observed: the token count entering each block,
+    then the final count, and each reduction's record keyed by its layer.
+    ``layer_flops`` is derived, each block's analytic cost at its count."""
 
-    indicator: Indicator
-    token_counts: list[int] = field(default_factory=list)  # block inputs, then final
-    layer_flops: list[int] = field(default_factory=list)
-    reductions: dict[int, ReductionRecord] = field(default_factory=dict)
+    token_counts: list[int]
+    layer_flops: list[int]
+    reductions: dict[int, ReductionRecord]
 
 
 class VisionModel:
@@ -293,25 +294,22 @@ class VisionModel:
         """Classify one image, reducing tokens after the planned layers.
 
         Returns the logits and per-layer diagnostics (token counts, FLOPs,
-        and the original-index group sets of every reduction), or None when
-        diagnostics collection is switched off for throughput runs.
+        and the original-index group sets of every reduction). Every pass
+        records the same; ``collect_diagnostics=False`` only returns None
+        in place of the :class:`Diagnostics`.
         """
         indicator = Indicator(indicator)
         config = self.config
-        layer_set: frozenset[int] = frozenset()
-        if plan is not None:
-            layer_set = frozenset(plan.reduce_at_layers)
-            for i in layer_set:
-                if not 0 <= i < config.depth:
-                    raise ValueError(f"plan layer {i} outside 0..{config.depth - 1}")
+        layer_set = frozenset(plan.reduce_at_layers if plan is not None else ())
+        for i in layer_set:
+            if not 0 <= i < config.depth:
+                raise ValueError(f"plan layer {i} outside 0..{config.depth - 1}")
 
-        dims = config.block_dims()
-        diag = Diagnostics(indicator=indicator) if collect_diagnostics else None
+        counts: list[int] = []
+        records: dict[int, ReductionRecord] = {}
         seq = patch_embed(image, self.params, config)
         for layer, block in enumerate(self.params.blocks):
-            if diag is not None:
-                diag.token_counts.append(len(seq))
-                diag.layer_flops.append(flops.block_flops(len(seq), dims))
+            counts.append(len(seq))
             y, traces = ssm.mamba_block(seq.features, block)
             if not np.all(np.isfinite(y)):
                 raise NumericError(f"non-finite activations in block {layer}")
@@ -324,14 +322,11 @@ class VisionModel:
                     traces=traces,
                     cls_row=seq.cls_row,
                 ).scores
-                new_seq, record = reduce_layer(
+                new_seq, records[layer] = reduce_layer(
                     new_seq, scores, plan.k, plan.strategy, weighted=weighted_merge
                 )
-                if diag is not None:
-                    diag.reductions[layer] = record
             seq = new_seq
-        if diag is not None:
-            diag.token_counts.append(len(seq))
+        counts.append(len(seq))
 
         if seq.cls_orig is not None:
             pooled = seq.features[seq.cls_row]
@@ -345,7 +340,11 @@ class VisionModel:
         )
         if not np.all(np.isfinite(logits)):
             raise NumericError("non-finite logits in the classification head")
-        return logits, diag
+        if not collect_diagnostics:
+            return logits, None
+        dims = config.block_dims()
+        layer_flops = [flops.block_flops(n, dims) for n in counts[:-1]]
+        return logits, Diagnostics(counts, layer_flops, records)
 
 
 def identity_plan(layers: Sequence[int] = ()) -> ReductionPlan:

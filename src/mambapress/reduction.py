@@ -239,15 +239,14 @@ def reduce_layer(
     mapping = match_sources(seq, GroupPartition(part.keep_idx, part.target_idx, merge_src))
     out = apply_merge(seq, mapping, weighted, pruned)
     orig = seq.orig_index
-    edges_orig = orig[mapping.edges]
-    record = ReductionRecord(
+    merged_orig, into_orig = orig[mapping.edges].T.tolist()
+    return out, ReductionRecord(
         k=k,
         strategy=strategy,
         group_count=len(part.keep_idx),
         kept_orig=orig[part.keep_idx].tolist(),
         target_orig=orig[part.target_idx].tolist(),
-        merged_orig=edges_orig[:, 0].tolist(),
+        merged_orig=merged_orig,
         pruned_orig=orig[pruned].tolist(),
-        edges_orig=list(map(tuple, edges_orig.tolist())),
+        edges_orig=list(zip(merged_orig, into_orig)),
     )
-    return out, record

@@ -338,6 +338,18 @@ class TestBench:
         flops2 = float(out[2].split(",")[5])
         assert flops2 < flops0
 
+    def test_no_diag_prints_the_same_columns(self, capsys, small_ckpt):
+        argv = ["bench", "--ckpt", str(small_ckpt), "--ratios", "0,0.3",
+                "--repeats", "1", "--warmup", "1", "--layers", "0,1,2"]
+        columns = []
+        for flags in ([], ["--no-diag"]):
+            assert cli.main(argv + flags) == 0
+            rows = capsys.readouterr().out.strip().splitlines()
+            # ratio, k, achieved and total_flops; the throughputs are timings.
+            columns.append([[row.split(",")[i] for i in (0, 1, 2, 5)] for row in rows])
+        assert len(columns[0]) == 3
+        assert columns[0] == columns[1]
+
     def test_seeded_model_without_ckpt(self, capsys):
         code = cli.main(
             ["bench", *SMALL_FLAGS, "--ratios", "0", "--repeats", "1",
@@ -370,6 +382,29 @@ class TestBench:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags, largest",
+        [(SMALL_FLAGS, cli.MAX_BATCH_VALUES // (16 * 16 * 3)),
+         (["--image-size", "8192", "--patch-size", "64", "--dim", "8", "--depth", "1",
+           "--state-dim", "4"], 1)],
+        ids=["small", "largest-image"],
+    )
+    def test_huge_batch_exits_2_before_drawing_images(self, capsys, monkeypatch, flags, largest):
+        class Drawn(Exception):
+            pass
+
+        def draw(*args):
+            raise Drawn
+
+        monkeypatch.setattr(cli.ppm, "synthetic_image", draw)
+        argv = ["bench", *flags, "--ratios", "0", "--repeats", "1", "--warmup", "0"]
+        with pytest.raises(Drawn):
+            cli.main([*argv, "--batch", str(largest)])
+        for batch in (largest + 1, 100000000):
+            assert cli.main([*argv, "--batch", str(batch)]) == 2
+            captured = capsys.readouterr()
+            assert f"--batch {batch}" in captured.err and captured.out == ""
 
 
 class TestMask:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mambapress import kernels
-from mambapress.flops import FlopsModel, ReductionPlan, solve_k
+from mambapress.flops import FlopsModel, ReductionPlan, block_flops, solve_k
 from mambapress.importance import Indicator
 from mambapress.model import (
     CLS_POSITIONS,
@@ -274,10 +274,16 @@ class TestForward:
             model.forward(img, ReductionPlan((9,), 0.1, Strategy.MERGE, 0.0, 0.0))
 
     def test_no_diagnostics_mode(self):
-        model = VisionModel.seeded(SMALL, seed=25)
         img = np.random.default_rng(26).random((16, 16, 3), dtype=np.float32)
-        with_diag, diag = model.forward(img)
-        without, none = model.forward(img, collect_diagnostics=False)
-        assert none is None
-        assert np.array_equal(with_diag, without)
-        assert diag is not None
+        for cls_position in CLS_POSITIONS:
+            config = replace(SMALL, cls_position=cls_position)
+            model = VisionModel.seeded(config, seed=25)
+            fm, dims = FlopsModel.from_config(config), config.block_dims()
+            plans = [None] + [solve_k(fm, 0.3, (0, 1, 2), strategy) for strategy in Strategy]
+            for plan in plans:
+                with_diag, diag = model.forward(img, plan)
+                without, none = model.forward(img, plan, collect_diagnostics=False)
+                assert none is None
+                assert with_diag.tobytes() == without.tobytes()
+                assert diag.layer_flops == [block_flops(n, dims) for n in diag.token_counts[:-1]]
+                assert sorted(diag.reductions) == ([] if plan is None else [0, 1, 2])

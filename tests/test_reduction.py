@@ -566,14 +566,22 @@ class TestReduceLayer:
         rng = np.random.default_rng(20)
         seq = make_seq(rng, 20, cls_orig=10)
         scores = rng.standard_normal(20).astype(np.float32)
-        _, record = reduce_layer(seq, scores, 0.4, Strategy.HYBRID)
-        assert record.merged_orig and record.pruned_orig
-        for name in ("kept_orig", "target_orig", "merged_orig", "pruned_orig"):
-            assert all(type(i) is int for i in getattr(record, name))
-        assert all(type(e) is tuple and [type(i) for i in e] == [int, int]
-                   for e in record.edges_orig)
-        assert [s for s, _ in record.edges_orig] == record.merged_orig
-        json.dumps(dataclasses.asdict(record))
+        _, hybrid = reduce_layer(seq, scores, 0.4, Strategy.HYBRID)
+        assert hybrid.merged_orig and hybrid.pruned_orig
+        for strategy in Strategy:
+            for k in (0.4, 0.0):
+                _, record = reduce_layer(seq, scores, k, strategy)
+                for name in ("kept_orig", "target_orig", "merged_orig", "pruned_orig"):
+                    values = getattr(record, name)
+                    assert type(values) is list and all(type(i) is int for i in values)
+                assert type(record.edges_orig) is list
+                assert all(type(e) is tuple and [type(i) for i in e] == [int, int]
+                           for e in record.edges_orig)
+                assert [s for s, _ in record.edges_orig] == record.merged_orig
+                # PRUNE and k = 0 merge nothing: the (0, 2) edge array gives empty lists.
+                if strategy is Strategy.PRUNE or k == 0:
+                    assert record.merged_orig == [] and record.edges_orig == []
+                json.dumps(dataclasses.asdict(record))
 
     def test_record_accounts_for_every_source(self):
         rng = np.random.default_rng(19)
