@@ -8,7 +8,7 @@ target.
 """
 
 from .checkpoint import Checkpoint, load, load_model, save, save_model
-from .flops import BlockDims, FlopsModel, ReductionPlan, default_reduction_layers, solve_k
+from .flops import FlopsModel, ReductionPlan, default_reduction_layers, solve_k
 from .importance import ImportanceScores, Indicator
 from .model import Diagnostics, ModelConfig, NumericError, VisionModel, identity_plan
 from .reduction import (
@@ -24,7 +24,6 @@ from .ssm import ScanTrace, SsmBlockParams, SsmHeadParams, mamba_block, selectiv
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDims",
     "Checkpoint",
     "Diagnostics",
     "FlopsModel",

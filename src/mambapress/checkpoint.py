@@ -21,15 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelConfig, ModelParams, VisionModel
-from .ssm import BLOCK_ARRAYS, DIRECTIONS, HEAD_ARRAYS, SsmBlockParams, SsmHeadParams
+from .model import TOP_SHAPES, ModelConfig, ModelParams, VisionModel
+from .ssm import BLOCK_SHAPES, DIRECTIONS, HEAD_SHAPES, SsmBlockParams, SsmHeadParams, check_shapes
 
 MAGIC = b"MTRC"
 VERSION = 1
 MAX_NAME_BYTES = 256
 
 # The entry names, in file order: the stem's (entry, ModelParams attribute)
-# pairs, then per block its BLOCK_ARRAYS and each head's HEAD_ARRAYS, then
+# pairs, then per block its BLOCK_SHAPES and each head's HEAD_SHAPES, then
 # the classifier's. "cls" is written only when the model has a cls token.
 _STEM_ENTRIES = (("patch.w", "patch_w"), ("patch.b", "patch_b"), ("cls", "cls_embed"))
 _CLASSIFIER_ENTRIES = (
@@ -38,6 +38,7 @@ _CLASSIFIER_ENTRIES = (
     ("head.w", "head_w"),
     ("head.b", "head_b"),
 )
+_TOP_ENTRIES = _STEM_ENTRIES + _CLASSIFIER_ENTRIES
 
 
 class CheckpointError(Exception):
@@ -183,9 +184,9 @@ def load(path) -> Checkpoint:
 def _flatten_params(params: ModelParams) -> dict[str, np.ndarray]:
     entries = {name: getattr(params, attr) for name, attr in _STEM_ENTRIES}
     for i, block in enumerate(params.blocks):
-        entries.update((f"blocks.{i}.{f}", getattr(block, f)) for f in BLOCK_ARRAYS)
+        entries.update((f"blocks.{i}.{f}", getattr(block, f)) for f in BLOCK_SHAPES)
         for j, head in enumerate(block.heads):
-            entries.update((f"blocks.{i}.heads.{j}.{f}", getattr(head, f)) for f in HEAD_ARRAYS)
+            entries.update((f"blocks.{i}.heads.{j}.{f}", getattr(head, f)) for f in HEAD_SHAPES)
     entries.update((name, getattr(params, attr)) for name, attr in _CLASSIFIER_ENTRIES)
     return {name: arr for name, arr in entries.items() if arr is not None}  # "cls" is optional
 
@@ -201,39 +202,49 @@ def save_model(model: VisionModel, path) -> None:
 def _take_entry(entries: dict[str, np.ndarray], name: str) -> np.ndarray:
     if name not in entries:
         raise ShapeMismatchError(f"checkpoint is missing entry {name!r}")
-    return entries[name]
+    return entries.pop(name)
 
 
 def checkpoint_to_model(ckpt: Checkpoint) -> VisionModel:
-    """Rebuild a model; shapes are validated against the embedded config."""
+    """Rebuild a model. Every entry is checked against the shape tables at
+    the embedded config's sizes, and an entry they do not name is rejected."""
     if not isinstance(ckpt.meta, dict):
         raise FormatError(f"checkpoint meta must be a JSON object, got {type(ckpt.meta).__name__}")
     try:
         config = ModelConfig.from_json(ckpt.meta)
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"checkpoint meta does not describe a model config: {err}") from err
-    e = ckpt.entries
+    e = dict(ckpt.entries)  # what is left once every array is taken has no place
+    taken = []  # (prefix, shapes, arrays) of each head, block and the rest
 
-    def take(prefix: str, names: tuple[str, ...]) -> dict[str, np.ndarray]:
-        return {f: _take_entry(e, f"{prefix}{f}") for f in names}
+    def take(prefix: str, shapes: dict[str, str]) -> dict[str, np.ndarray]:
+        taken.append((prefix, shapes, {f: _take_entry(e, f"{prefix}{f}") for f in shapes}))
+        return taken[-1][2]
 
+    top_shapes = {name: TOP_SHAPES[attr] for name, attr in _TOP_ENTRIES
+                  if name != "cls" or config.cls_slot is not None}
     try:
         blocks = [
-            SsmBlockParams(
-                heads=[
-                    SsmHeadParams(**take(f"blocks.{i}.heads.{j}.", HEAD_ARRAYS),
-                                  scan_direction=direction)
-                    for j, direction in enumerate(DIRECTIONS)
-                ],
-                **take(f"blocks.{i}.", BLOCK_ARRAYS),
-            )
+            SsmBlockParams(**take(f"blocks.{i}.", BLOCK_SHAPES), heads=[
+                SsmHeadParams(**take(f"blocks.{i}.heads.{j}.", HEAD_SHAPES), scan_direction=d)
+                for j, d in enumerate(DIRECTIONS)
+            ])
             for i in range(config.depth)
         ]
-        top = {attr: _take_entry(e, name) for name, attr in _STEM_ENTRIES + _CLASSIFIER_ENTRIES
-               if name != "cls"}
-        params = ModelParams(**top, cls_embed=e.get("cls"), blocks=blocks)
+        top = take("", top_shapes)
+        if e:
+            raise ShapeMismatchError(f"checkpoint entries {list(e)} have no place in the model")
+        params = ModelParams(**{attr: top.get(name) for name, attr in _TOP_ENTRIES}, blocks=blocks)
         return VisionModel(config, params)
     except ValueError as err:
+        # A head or block sizes each axis by its first array, and the rest
+        # are named by ModelParams attribute: at the config's sizes, the
+        # wrong entry is named as the file names it.
+        for prefix, shapes, arrays in taken:
+            try:
+                check_shapes(arrays, shapes, config.dims, prefix)
+            except ValueError as named:
+                raise ShapeMismatchError(f"checkpoint entry {named}") from err
         raise ShapeMismatchError(f"checkpoint shapes inconsistent with config: {err}") from err
 
 

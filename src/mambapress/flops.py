@@ -5,8 +5,9 @@ the block makes (see ``docs/flops_accounting.md`` for the op-count table);
 a test instruments the live kernels and checks the two agree to the FLOP.
 Block cost is strictly linear in the token count: parameter-derived
 constants (like the negated state matrix) are precomputed at load time.
-Every cost is read from the model's config, and the head count and conv
-width from :mod:`mambapress.ssm`: the FLOPs model copies no shape.
+Every cost is read from the model's config, its axis sizes (``dims``)
+included, and the head count from :mod:`mambapress.ssm`: the FLOPs model
+copies no shape.
 
 The solver turns a global compute-reduction target into the single
 grouping ratio k shared by all reduction layers. Because group sizes are
@@ -31,30 +32,20 @@ SOLVER_MAX_ITERATIONS = 64
 _K_CEILING = 0.5 - 1e-9
 
 
-@dataclass(frozen=True)
-class BlockDims:
-    """The config dimensions of one block's per-token cost; the head count
-    and the conv width are :mod:`mambapress.ssm` constants."""
-
-    feat_dim: int  # D
-    inner_dim: int  # E
-    state_dim: int  # N
-    delta_rank: int  # R
-
-
-def per_token_block_flops(dims: BlockDims) -> int:
+def per_token_block_flops(config: "ModelConfig") -> int:
     """FLOPs one token costs in one block (multiply-adds count 2)."""
-    d, e, n, r = dims.feat_dim, dims.inner_dim, dims.state_dim, dims.delta_rank
-    h, w = len(ssm.DIRECTIONS), ssm.CONV_WIDTH
+    dims = config.dims
+    d, e, n, r, w = dims["D"], dims["E"], dims["N"], dims["R"], dims["W"]
+    h = len(ssm.DIRECTIONS)
     per_head = 2 * w * e + e + 11 * e * n + 4 * e * r + 4 * e
     return 8 * d + 6 * d * e + h * per_head + (h + 1) * e
 
 
-def block_flops(token_count: int, dims: BlockDims) -> int:
+def block_flops(token_count: int, config: "ModelConfig") -> int:
     """Cost of one block on a token_count-long sequence; exactly linear."""
     if token_count < 1:
         raise ValueError(f"block_flops needs at least one token, got {token_count}")
-    return token_count * per_token_block_flops(dims)
+    return token_count * per_token_block_flops(config)
 
 
 @dataclass(frozen=True)
@@ -122,8 +113,7 @@ class FlopsModel:
         return cost
 
     def total_from_counts(self, counts: Sequence[int]) -> int:
-        dims = self.config.block_dims()
-        blocks = sum(block_flops(c, dims) for c in counts[:-1])
+        blocks = sum(block_flops(c, self.config) for c in counts[:-1])
         return self.patch_embed_cost + blocks + self.head_cost(counts[-1])
 
     def total_flops(self, k: float = 0.0, reduce_at_layers: Iterable[int] = ()) -> int:

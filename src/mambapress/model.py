@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import flops, kernels, ssm
-from .flops import BlockDims, ReductionPlan
+from .flops import ReductionPlan
 from .importance import Indicator, compute_scores
 from .kernels import as_f32
 from .reduction import ReductionRecord, Strategy, TokenSequence, reduce_layer
@@ -40,6 +41,15 @@ MAX_PATCH_INPUTS = 64 * 64 * 4
 # multiply the count, so without a bound flags alone could ask for weights
 # of any size.
 MAX_WEIGHTS = 2**27
+
+# The ModelParams arrays outside the blocks, in field order, with their axis
+# letters (ssm.AXES). cls_embed exists only when the config has a cls token.
+TOP_SHAPES = {"patch_w": "PD", "patch_b": "D", "cls_embed": "D", "head_norm_scale": "D",
+              "head_norm_bias": "D", "head_w": "DC", "head_b": "C"}
+
+
+def _top_shapes(has_cls: bool) -> dict[str, str]:
+    return {name: axes for name, axes in TOP_SHAPES.items() if has_cls or name != "cls_embed"}
 
 
 @dataclass(frozen=True)
@@ -117,19 +127,30 @@ class ModelConfig:
     def token_count(self) -> int:
         return self.patch_tokens + (0 if self.cls_slot is None else 1)
 
+    @cached_property
+    def dims(self) -> dict[str, int]:
+        """The size of each weight axis letter (ssm.AXES) in this config."""
+        return {"P": self.patch_inputs, "D": self.feat_dim, "E": self.inner_dim,
+                "Z": 2 * self.inner_dim, "N": self.state_dim, "R": self.rank,
+                "W": ssm.CONV_WIDTH, "C": self.class_count}
+
     @property
     def weight_count(self) -> int:
         """Float32 values in the parameters of this config: the sizes of the
-        arrays :func:`init_params` draws, summed."""
-        d, e, n, r = self.feat_dim, self.inner_dim, self.state_dim, self.rank
-        head = e * (3 * n + 2 * r + 1 + ssm.CONV_WIDTH)  # a_log, w_b, w_c, w_1, w_2, skip, conv
-        block = 2 * d + 3 * d * e + len(ssm.DIRECTIONS) * head  # norm, in_proj, out_proj, heads
-        cls = 0 if self.cls_slot is None else d
-        classifier = 2 * d + (d + 1) * self.class_count  # norm, weights and bias
-        return (self.patch_inputs + 1) * d + cls + self.depth * block + classifier
+        arrays the shape tables declare, summed."""
+        dims = self.dims
 
-    def block_dims(self) -> BlockDims:
-        return BlockDims(self.feat_dim, self.inner_dim, self.state_dim, self.rank)
+        def size(shapes: dict[str, str]) -> int:
+            total = 0
+            for axes in shapes.values():
+                count = 1
+                for letter in axes:
+                    count *= dims[letter]
+                total += count
+            return total
+
+        block = size(ssm.BLOCK_SHAPES) + len(ssm.DIRECTIONS) * size(ssm.HEAD_SHAPES)
+        return size(_top_shapes(self.cls_slot is not None)) + self.depth * block
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -141,47 +162,30 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    patch_w: np.ndarray  # (patch_size^2 * channels, D)
-    patch_b: np.ndarray  # (D,)
-    cls_embed: np.ndarray | None  # (D,)
+    patch_w: np.ndarray
+    patch_b: np.ndarray
+    cls_embed: np.ndarray | None  # None without a cls token
     blocks: list[SsmBlockParams]
-    head_norm_scale: np.ndarray  # (D,)
-    head_norm_bias: np.ndarray  # (D,)
-    head_w: np.ndarray  # (D, class_count)
-    head_b: np.ndarray  # (class_count,)
+    head_norm_scale: np.ndarray
+    head_norm_bias: np.ndarray
+    head_w: np.ndarray
+    head_b: np.ndarray
 
     def validate_against(self, config: ModelConfig) -> None:
-        d = config.feat_dim
-        checks = [
-            ("patch_w", self.patch_w.shape, (config.patch_inputs, d)),
-            ("patch_b", self.patch_b.shape, (d,)),
-            ("head_norm_scale", self.head_norm_scale.shape, (d,)),
-            ("head_norm_bias", self.head_norm_bias.shape, (d,)),
-            ("head_w", self.head_w.shape, (d, config.class_count)),
-            ("head_b", self.head_b.shape, (config.class_count,)),
-        ]
-        for name, got, want in checks:
-            if got != want:
-                raise ValueError(f"{name} shape {got} != {want}")
+        """Check every array against the shape tables at the config's sizes."""
         if (self.cls_embed is None) != (config.cls_slot is None):
             raise ValueError("cls embedding presence inconsistent with cls_position")
-        if self.cls_embed is not None and self.cls_embed.shape != (d,):
-            raise ValueError(f"cls_embed shape {self.cls_embed.shape} != ({d},)")
+        dims = config.dims
+        ssm.check_shapes(vars(self), _top_shapes(self.cls_embed is not None), dims)
         if len(self.blocks) != config.depth:
             raise ValueError(f"{len(self.blocks)} blocks != depth {config.depth}")
-        e, n, r, width = config.inner_dim, config.state_dim, config.rank, ssm.CONV_WIDTH
         for i, block in enumerate(self.blocks):
-            if block.feat_dim != d or block.inner_dim != e:
-                raise ValueError(f"block {i} dims inconsistent with config")
             directions = tuple(head.scan_direction for head in block.heads)
             if directions != ssm.DIRECTIONS:
                 raise ValueError(f"block {i} head directions {directions} != {ssm.DIRECTIONS}")
-            for head in block.heads:
-                got = (head.state_dim, head.delta_rank, head.conv_kernel.shape[1])
-                if got != (n, r, width):
-                    raise ValueError(
-                        f"block {i} head (state, rank, conv width) {got} != {(n, r, width)}"
-                    )
+            ssm.check_shapes(vars(block), ssm.BLOCK_SHAPES, dims, f"blocks.{i}.")
+            for j, head in enumerate(block.heads):
+                ssm.check_shapes(vars(head), ssm.HEAD_SHAPES, dims, f"blocks.{i}.heads.{j}.")
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
@@ -342,8 +346,7 @@ class VisionModel:
             raise NumericError("non-finite logits in the classification head")
         if not collect_diagnostics:
             return logits, None
-        dims = config.block_dims()
-        layer_flops = [flops.block_flops(n, dims) for n in counts[:-1]]
+        layer_flops = [flops.block_flops(n, config) for n in counts[:-1]]
         return logits, Diagnostics(counts, layer_flops, records)
 
 

@@ -24,13 +24,37 @@ from .kernels import as_f32
 DIRECTIONS = ("forward", "backward")
 CONV_WIDTH = 4
 
-# The weight arrays of a scan head and of a block, in checkpoint file order.
-HEAD_ARRAYS = ("a_log", "w_b", "w_c", "w_1", "w_2", "skip_d", "conv_kernel")
-BLOCK_ARRAYS = ("norm_scale", "norm_bias", "in_proj", "out_proj")
+# The weight arrays of a scan head and of a block, in checkpoint file order,
+# each with one axis letter per dimension. The letters, here and in
+# model.TOP_SHAPES, are named in AXES.
+HEAD_SHAPES = {"a_log": "EN", "w_b": "EN", "w_c": "EN", "w_1": "ER", "w_2": "RE",
+               "skip_d": "E", "conv_kernel": "EW"}
+BLOCK_SHAPES = {"norm_scale": "D", "norm_bias": "D", "in_proj": "DZ", "out_proj": "ED"}
+AXES = {"P": "patch inputs", "D": "feat dim", "E": "inner dim", "Z": "in-projection width",
+        "N": "state dim", "R": "timescale rank", "W": "conv width", "C": "classes"}
 
 
 class NumericError(RuntimeError):
     """Raised when a forward pass produces non-finite activations or logits."""
+
+
+def check_shapes(arrays: dict[str, np.ndarray], shapes: dict[str, str], dims: dict[str, int],
+                 prefix: str = "") -> dict[str, int]:
+    """Check the rank and axis sizes of each array that ``shapes`` names.
+
+    A letter takes its size from ``dims``, or else from the first array
+    that has it; returns ``dims`` with those sizes bound. A mismatch raises
+    ValueError naming the array (after ``prefix``), its shape and the
+    expected axes in words.
+    """
+    dims = dict(dims)
+    bind = dims.setdefault
+    for name, axes in shapes.items():
+        shape = arrays[name].shape
+        if len(shape) != len(axes) or tuple(map(bind, axes, shape)) != shape:
+            want = ", ".join(f"{AXES[a]} {dims[a]}" if a in dims else AXES[a] for a in axes)
+            raise ValueError(f"{prefix}{name} shape {shape} != ({want})")
+    return dims
 
 
 @dataclass
@@ -39,39 +63,24 @@ class SsmHeadParams:
 
     The state decay matrix is stored as ``a_log`` with A = -exp(a_log), so
     A is strictly negative and the discretized decay lands in (0, 1) for
-    any positive timescale.
+    any positive timescale. The arrays' shapes are HEAD_SHAPES.
     """
 
-    a_log: np.ndarray  # (E, N)
-    w_b: np.ndarray  # (E, N) input -> per-token B
-    w_c: np.ndarray  # (E, N) input -> per-token C
-    w_1: np.ndarray  # (E, R) low-rank timescale projection, stage 1
-    w_2: np.ndarray  # (R, E) low-rank timescale projection, stage 2
-    skip_d: np.ndarray  # (E,) pass-through gain on the scan input
-    conv_kernel: np.ndarray  # (E, W) depthwise causal taps, current token last
+    a_log: np.ndarray  # log of the state decay rates
+    w_b: np.ndarray  # input -> per-token B
+    w_c: np.ndarray  # input -> per-token C
+    w_1: np.ndarray  # low-rank timescale projection, stage 1
+    w_2: np.ndarray  # low-rank timescale projection, stage 2
+    skip_d: np.ndarray  # pass-through gain on the scan input
+    conv_kernel: np.ndarray  # depthwise causal taps, current token last
     scan_direction: str = "forward"
     # Derived once at construction so per-token cost stays linear in L.
     a: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in HEAD_ARRAYS:
+        for name in HEAD_SHAPES:
             setattr(self, name, as_f32(getattr(self, name)))
-        e, n = self.a_log.shape
-        r = self.w_1.shape[1]
-        if self.w_b.shape != (e, n) or self.w_c.shape != (e, n):
-            raise ValueError(
-                f"projection shapes {self.w_b.shape}/{self.w_c.shape} "
-                f"inconsistent with state shape {(e, n)}"
-            )
-        if self.w_1.shape != (e, r) or self.w_2.shape != (r, e):
-            raise ValueError(
-                f"timescale projections {self.w_1.shape}/{self.w_2.shape} "
-                f"inconsistent with feat_dim {e}"
-            )
-        if self.skip_d.shape != (e,):
-            raise ValueError(f"skip vector shape {self.skip_d.shape} != ({e},)")
-        if self.conv_kernel.ndim != 2 or self.conv_kernel.shape[0] != e:
-            raise ValueError(f"conv kernel shape {self.conv_kernel.shape} != ({e}, W)")
+        check_shapes(vars(self), HEAD_SHAPES, {})
         if self.scan_direction not in DIRECTIONS:
             raise ValueError(f"unknown scan direction {self.scan_direction!r}")
         self.a = -kernels._exp_numpy(self.a_log)  # the engine's own exp, as the scan uses
@@ -80,43 +89,29 @@ class SsmHeadParams:
     def feat_dim(self) -> int:
         return self.a_log.shape[0]
 
-    @property
-    def state_dim(self) -> int:
-        return self.a_log.shape[1]
-
-    @property
-    def delta_rank(self) -> int:
-        return self.w_1.shape[1]
-
 
 @dataclass
 class SsmBlockParams:
     """One block: shared norm and in/out projections plus its scan heads."""
 
-    norm_scale: np.ndarray  # (D,)
-    norm_bias: np.ndarray  # (D,)
-    in_proj: np.ndarray  # (D, 2E) -> stream u and gate z
-    out_proj: np.ndarray  # (E, D)
+    norm_scale: np.ndarray
+    norm_bias: np.ndarray
+    in_proj: np.ndarray  # -> stream u and gate z
+    out_proj: np.ndarray
     heads: list[SsmHeadParams]
 
     def __post_init__(self) -> None:
-        for name in BLOCK_ARRAYS:
+        for name in BLOCK_SHAPES:
             setattr(self, name, as_f32(getattr(self, name)))
         if not self.heads:
             raise ValueError("a block needs at least one scan head")
-        d = self.norm_scale.shape[0]
-        e = self.out_proj.shape[0]
-        if e < d:
-            raise ValueError(f"inner dim {e} must be >= feat dim {d}")
-        if self.in_proj.shape != (d, 2 * e):
-            raise ValueError(f"in_proj shape {self.in_proj.shape} != ({d}, {2 * e})")
-        if self.out_proj.shape != (e, d):
-            raise ValueError(f"out_proj shape {self.out_proj.shape} != ({e}, {d})")
-        for head in self.heads:
-            if head.feat_dim != e:
-                raise ValueError(
-                    f"head feat_dim {head.feat_dim} inconsistent with block inner dim {e}"
-                )
+        dims = check_shapes(vars(self), BLOCK_SHAPES, {})
+        if dims["Z"] != 2 * dims["E"] or dims["E"] < dims["D"]:
+            raise ValueError(f"in_proj shape {self.in_proj.shape}, out_proj shape "
+                             f"{self.out_proj.shape}: need {AXES['Z']} = 2 x {AXES['E']} "
+                             f">= 2 x {AXES['D']}")
+        for j, head in enumerate(self.heads):
+            check_shapes(vars(head), HEAD_SHAPES, dims, f"heads.{j}.")
 
     @property
     def feat_dim(self) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from mambapress.checkpoint import (
     FormatError,
     ShapeMismatchError,
     TruncationError,
+    _flatten_params,
     load,
     load_model,
     save,
     save_model,
 )
-from mambapress.model import ModelConfig, VisionModel
+from mambapress.model import CLS_POSITIONS, TOP_SHAPES, ModelConfig, ModelParams, VisionModel
+from mambapress.ssm import BLOCK_SHAPES, DIRECTIONS, HEAD_SHAPES, SsmBlockParams, SsmHeadParams
 
 
 class TestByteLayout:
@@ -184,3 +187,37 @@ class TestModelCheckpoints:
         save(ckpt, mangled)
         with pytest.raises(ShapeMismatchError, match="patch.b"):
             load_model(mangled)
+
+
+def array_fields(cls, *others: str) -> list[str]:
+    return [f.name for f in fields(cls) if f.init and f.name not in others]
+
+
+class TestShapeTables:
+    """The shape tables list every weight array, so an array added to a
+    params class without a table entry fails here."""
+
+    def test_tables_name_the_array_fields_in_order(self):
+        assert list(HEAD_SHAPES) == array_fields(SsmHeadParams, "scan_direction")
+        assert list(BLOCK_SHAPES) == array_fields(SsmBlockParams, "heads")
+        assert list(TOP_SHAPES) == array_fields(ModelParams, "blocks")
+
+    @pytest.mark.parametrize("cls_position", CLS_POSITIONS)
+    def test_saved_entry_names_are_the_tables(self, cls_position):
+        # The format document's names of the arrays outside the blocks; the
+        # blocks sit where ModelParams has its blocks field.
+        top_entries = {"patch_w": "patch.w", "patch_b": "patch.b", "cls_embed": "cls",
+                       "head_norm_scale": "head.norm_scale", "head_norm_bias": "head.norm_bias",
+                       "head_w": "head.w", "head_b": "head.b"}
+        config = ModelConfig(16, 4, 8, 3, state_dim=4, cls_position=cls_position)
+        names = []
+        for field in array_fields(ModelParams):
+            if field == "blocks":
+                for i in range(config.depth):
+                    names += [f"blocks.{i}.{f}" for f in BLOCK_SHAPES]
+                    names += [f"blocks.{i}.heads.{j}.{f}"
+                              for j in range(len(DIRECTIONS)) for f in HEAD_SHAPES]
+            elif field != "cls_embed" or config.cls_slot is not None:
+                names.append(top_entries[field])
+        params = VisionModel.seeded(config, seed=11).params
+        assert list(_flatten_params(params)) == names

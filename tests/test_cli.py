@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mambapress import cli
-from mambapress.checkpoint import load, save
+from mambapress.checkpoint import Checkpoint, load, save
 from mambapress.importance import Indicator
 from mambapress.mask import TINT, render_mask
 from mambapress.model import ModelConfig, VisionModel
@@ -197,6 +197,58 @@ def test_narrow_conv_kernels_exit_3(capsys, small_ckpt, tmp_path):
     save(ckpt, path)
     assert cli.main(["run", "--ckpt", str(path), "--synthetic", "1"]) == 3
     assert "conv width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name", ["blocks.0.heads.0.dt_bias", "blocks.0.heads.2.a_log", "blocks.7.in_proj"]
+)
+def test_entries_without_a_place_exit_3(capsys, small_ckpt, tmp_path, name):
+    # A head array the model lacks, a third head, a block past the depth.
+    ckpt = load(small_ckpt)
+    ckpt.entries[name] = np.zeros(16, dtype=np.float32)
+    path = tmp_path / "extra.bin"
+    save(ckpt, path)
+    assert cli.main(["run", "--ckpt", str(path), "--synthetic", "1"]) == 3
+    assert name in capsys.readouterr().err
+
+
+def malformed(arr: np.ndarray, kind: str) -> list[np.ndarray]:
+    """Replacements for a weight entry of another rank, or one element longer
+    on one axis. A 1-D entry gets no 1-D replacement: it would be the same."""
+    if kind == "0-D":
+        return [np.array(0.5, dtype=np.float32)]
+    if kind == "1-D":
+        return [] if arr.ndim == 1 else [arr.reshape(-1)]
+    if kind == "3-D":
+        return [arr.reshape((1,) * (3 - arr.ndim) + arr.shape)]
+    longer = []
+    for axis in range(arr.ndim):
+        shape = list(arr.shape)
+        shape[axis] += 1
+        longer.append(np.ones(shape, dtype=np.float32))
+    return longer
+
+
+@pytest.mark.parametrize("kind", ["0-D", "1-D", "3-D", "one longer axis"])
+def test_malformed_entries_exit_3_naming_the_entry(capsys, tmp_path, kind):
+    # Each entry of a depth-1 checkpoint, one at a time: a scalar norm bias
+    # used to run, a longer one failed in the forward pass (exit 2), and a
+    # low-rank timescale projection, a norm scale or an out-projection of
+    # too low a rank raised IndexError out of cli.main.
+    good = tmp_path / "depth1.bin"
+    assert cli.main(["init", "--out", str(good), *SMALL_FLAGS, "--depth", "1"]) == 0
+    ckpt = load(good)
+    failures = []
+    for name, arr in ckpt.entries.items():
+        for bad in malformed(arr, kind):
+            path = tmp_path / "bad.bin"
+            save(Checkpoint(entries={**ckpt.entries, name: bad}, meta=ckpt.meta), path)
+            capsys.readouterr()
+            code = cli.main(["run", "--ckpt", str(path), "--synthetic", "1"])
+            err = capsys.readouterr().err
+            if code != 3 or f"{name} shape {bad.shape}" not in err:
+                failures.append((name, bad.shape, code, err))
+    assert failures == []
 
 
 def test_nan_weight_exits_4(capsys, small_ckpt, tmp_path):

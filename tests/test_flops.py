@@ -1,13 +1,13 @@
 """Cost-model exactness against instrumented kernels, and solver behavior."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mambapress import kernels
 from mambapress.flops import (
-    BlockDims,
     FlopsModel,
     ReductionPlan,
     block_flops,
@@ -21,36 +21,30 @@ from mambapress.reduction import Strategy
 from mambapress.ssm import mamba_block
 
 TOY = ModelConfig(image_size=224, patch_size=16, feat_dim=192, depth=24)
+BLOCK = ModelConfig(image_size=8, patch_size=2, feat_dim=8, depth=1, state_dim=4, delta_rank=1)
 
 
 class TestBlockFlops:
     def test_single_token_is_per_token_cost(self):
-        dims = BlockDims(feat_dim=8, inner_dim=16, state_dim=4, delta_rank=1)
-        assert block_flops(1, dims) == per_token_block_flops(dims)
+        assert block_flops(1, BLOCK) == per_token_block_flops(BLOCK)
 
     def test_zero_tokens_forbidden(self):
-        dims = BlockDims(feat_dim=8, inner_dim=16, state_dim=4, delta_rank=1)
         with pytest.raises(ValueError, match="at least one token"):
-            block_flops(0, dims)
+            block_flops(0, BLOCK)
 
     def test_exactly_linear(self):
-        dims = BlockDims(feat_dim=8, inner_dim=16, state_dim=4, delta_rank=1)
-        assert block_flops(10, dims) == 2 * block_flops(5, dims)
-        assert block_flops(7, dims) == 7 * block_flops(1, dims)
+        assert block_flops(10, BLOCK) == 2 * block_flops(5, BLOCK)
+        assert block_flops(7, BLOCK) == 7 * block_flops(1, BLOCK)
 
     def test_matches_instrumented_counter(self):
         # The analytic table must mirror the kernel calls to the FLOP.
         rng = np.random.default_rng(0)
-        config = ModelConfig(
-            image_size=8, patch_size=2, feat_dim=8, depth=1, state_dim=4, delta_rank=1
-        )
-        params = init_params(config, seed=1)
+        params = init_params(BLOCK, seed=1)
         x = rng.standard_normal((10, 8)).astype(np.float32)
         with kernels.count_flops() as counter:
             mamba_block(x, params.blocks[0])
-        dims = config.block_dims()
-        assert dims == BlockDims(feat_dim=8, inner_dim=16, state_dim=4, delta_rank=1)
-        assert counter.total == block_flops(10, dims)
+        assert [BLOCK.dims[a] for a in "DENRW"] == [8, 16, 4, 1, 4]
+        assert counter.total == block_flops(10, BLOCK)
 
     def test_matches_instrumented_counter_other_dims(self):
         rng = np.random.default_rng(1)
@@ -63,14 +57,15 @@ class TestBlockFlops:
             x = rng.standard_normal((length, d)).astype(np.float32)
             with kernels.count_flops() as counter:
                 mamba_block(x, params.blocks[0])
-            assert counter.total == block_flops(length, config.block_dims())
+            assert counter.total == block_flops(length, config)
 
     def test_monotone_in_dims(self):
-        base = BlockDims(feat_dim=8, inner_dim=16, state_dim=4, delta_rank=2)
+        base = replace(BLOCK, delta_rank=2)
         for grown in (
-            BlockDims(9, 16, 4, 2),
-            BlockDims(8, 18, 4, 2),
-            BlockDims(8, 16, 5, 2),
+            replace(base, feat_dim=9),  # E grows with D at the same expand
+            replace(base, expand=3),
+            replace(base, state_dim=5),
+            replace(base, delta_rank=3),
         ):
             assert per_token_block_flops(grown) > per_token_block_flops(base)
 
@@ -126,7 +121,7 @@ class TestSolveK:
         plan = solve_k(fm, 0.30, (0,))
         kept = fm.token_counts(plan.k, (0,))[1]
         assert kept < 256
-        per_token = per_token_block_flops(config.block_dims())
+        per_token = per_token_block_flops(config)
 
         def total(count: int) -> int:
             return fm.patch_embed_cost + (256 + 5 * count) * per_token + fm.head_cost(count)
@@ -145,7 +140,7 @@ class TestSolveK:
             count = 197
             total = fm.patch_embed_cost
             for layer in range(24):
-                total += count * per_token_block_flops(TOY.block_dims())
+                total += count * per_token_block_flops(TOY)
                 if layer in layers:
                     count -= int(np.floor(plan.k * (count - 1)))
             total += fm.head_cost(count)

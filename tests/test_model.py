@@ -278,12 +278,12 @@ class TestForward:
         for cls_position in CLS_POSITIONS:
             config = replace(SMALL, cls_position=cls_position)
             model = VisionModel.seeded(config, seed=25)
-            fm, dims = FlopsModel.from_config(config), config.block_dims()
+            fm = FlopsModel.from_config(config)
             plans = [None] + [solve_k(fm, 0.3, (0, 1, 2), strategy) for strategy in Strategy]
             for plan in plans:
                 with_diag, diag = model.forward(img, plan)
                 without, none = model.forward(img, plan, collect_diagnostics=False)
                 assert none is None
                 assert with_diag.tobytes() == without.tobytes()
-                assert diag.layer_flops == [block_flops(n, dims) for n in diag.token_counts[:-1]]
+                assert diag.layer_flops == [block_flops(n, config) for n in diag.token_counts[:-1]]
                 assert sorted(diag.reductions) == ([] if plan is None else [0, 1, 2])

@@ -9,6 +9,8 @@ import pytest
 
 from mambapress import kernels
 from mambapress.ssm import (
+    BLOCK_SHAPES,
+    HEAD_SHAPES,
     NumericError,
     SsmBlockParams,
     SsmHeadParams,
@@ -235,6 +237,39 @@ class TestSelectiveScan:
         params = random_head(rng, e=4, n=2, r=1)
         with pytest.raises(ValueError, match="feat_dim"):
             selective_scan(np.zeros((5, 3), dtype=np.float32), params)
+
+
+class TestParamShapes:
+    """Each array's rank and sizes are checked at construction, before any
+    axis of it is read."""
+
+    @pytest.mark.parametrize("name", list(HEAD_SHAPES))
+    def test_head_rejects_a_scalar(self, name):
+        head = random_head(np.random.default_rng(7), e=4, n=2, r=1)
+        arrays = {f: getattr(head, f) for f in HEAD_SHAPES}
+        with pytest.raises(ValueError, match=f"{name} shape \\(\\)"):
+            SsmHeadParams(**{**arrays, name: np.float32(1.0)})
+
+    @pytest.mark.parametrize("name", list(BLOCK_SHAPES))
+    def test_block_rejects_a_scalar(self, name):
+        block = random_block(np.random.default_rng(8), d=4, e=8, n=2, r=1)
+        arrays = {f: getattr(block, f) for f in BLOCK_SHAPES}
+        with pytest.raises(ValueError, match=f"{name} shape \\(\\)"):
+            SsmBlockParams(**{**arrays, name: np.float32(1.0)}, heads=block.heads)
+
+    def test_block_checks_its_heads_at_its_sizes(self):
+        rng = np.random.default_rng(9)
+        block = random_block(rng, d=4, e=8, n=2, r=1)
+        arrays = {f: getattr(block, f) for f in BLOCK_SHAPES}
+        narrow = random_head(rng, e=6, n=2, r=1, direction="backward")
+        with pytest.raises(ValueError, match=r"heads\.1\.a_log shape \(6, 2\) != \(inner dim 8"):
+            SsmBlockParams(**arrays, heads=[block.heads[0], narrow])
+
+    def test_block_in_projection_is_twice_the_inner_dim(self):
+        block = random_block(np.random.default_rng(10), d=4, e=8, n=2, r=1)
+        arrays = {f: getattr(block, f) for f in BLOCK_SHAPES}
+        with pytest.raises(ValueError, match="in-projection width = 2 x inner dim"):
+            SsmBlockParams(**{**arrays, "in_proj": arrays["in_proj"][:, :14]}, heads=block.heads)
 
 
 def scan_inputs(rng, length, e, n, special=False):
