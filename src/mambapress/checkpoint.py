@@ -17,29 +17,16 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import TOP_SHAPES, ModelConfig, ModelParams, VisionModel
-from .ssm import BLOCK_SHAPES, DIRECTIONS, HEAD_SHAPES, SsmBlockParams, SsmHeadParams, check_shapes
+from .model import TOP_ARRAYS, ModelConfig, ModelParams, VisionModel
+from .ssm import BLOCK_SHAPES, DIRECTIONS, HEAD_SHAPES, SsmBlockParams, SsmHeadParams
 
 MAGIC = b"MTRC"
 VERSION = 1
 MAX_NAME_BYTES = 256
-
-# The entry names, in file order: the stem's (entry, ModelParams attribute)
-# pairs, then per block its BLOCK_SHAPES and each head's HEAD_SHAPES, then
-# the classifier's. "cls" is written only when the model has a cls token.
-_STEM_ENTRIES = (("patch.w", "patch_w"), ("patch.b", "patch_b"), ("cls", "cls_embed"))
-_CLASSIFIER_ENTRIES = (
-    ("head.norm_scale", "head_norm_scale"),
-    ("head.norm_bias", "head_norm_bias"),
-    ("head.w", "head_w"),
-    ("head.b", "head_b"),
-)
-_TOP_ENTRIES = _STEM_ENTRIES + _CLASSIFIER_ENTRIES
-
 
 class CheckpointError(Exception):
     """Base class for checkpoint container problems."""
@@ -159,6 +146,7 @@ def load(path) -> Checkpoint:
             name = raw_name.decode("ascii")
         except UnicodeDecodeError as err:
             raise FormatError(f"entry {i} name {raw_name!r} is not ASCII") from err
+        _validate_name(name)  # what save refuses, load refuses
         ndim = r.u8(f"entry {name!r} ndim")
         shape = tuple(r.u32(f"entry {name!r} dim {d}") for d in range(ndim))
         payload_len = r.u64(f"entry {name!r} payload length")
@@ -182,12 +170,18 @@ def load(path) -> Checkpoint:
 
 
 def _flatten_params(params: ModelParams) -> dict[str, np.ndarray]:
-    entries = {name: getattr(params, attr) for name, attr in _STEM_ENTRIES}
-    for i, block in enumerate(params.blocks):
-        entries.update((f"blocks.{i}.{f}", getattr(block, f)) for f in BLOCK_SHAPES)
-        for j, head in enumerate(block.heads):
-            entries.update((f"blocks.{i}.heads.{j}.{f}", getattr(head, f)) for f in HEAD_SHAPES)
-    entries.update((name, getattr(params, attr)) for name, attr in _CLASSIFIER_ENTRIES)
+    """The entries in file order: ModelParams field order, each top array
+    named by TOP_ARRAYS, each block's arrays by BLOCK_SHAPES and each
+    head's by HEAD_SHAPES where the blocks field is."""
+    entries = {}
+    for f in fields(ModelParams):
+        if f.name != "blocks":
+            entries[TOP_ARRAYS[f.name][0]] = getattr(params, f.name)
+            continue
+        for i, block in enumerate(params.blocks):
+            entries.update((f"blocks.{i}.{n}", getattr(block, n)) for n in BLOCK_SHAPES)
+            for j, head in enumerate(block.heads):
+                entries.update((f"blocks.{i}.heads.{j}.{n}", getattr(head, n)) for n in HEAD_SHAPES)
     return {name: arr for name, arr in entries.items() if arr is not None}  # "cls" is optional
 
 
@@ -206,8 +200,9 @@ def _take_entry(entries: dict[str, np.ndarray], name: str) -> np.ndarray:
 
 
 def checkpoint_to_model(ckpt: Checkpoint) -> VisionModel:
-    """Rebuild a model. Every entry is checked against the shape tables at
-    the embedded config's sizes, and an entry they do not name is rejected."""
+    """Rebuild a model. An entry the model has no place for is rejected, and
+    the model checks every array at the embedded config's sizes, naming a
+    wrong one as the file does."""
     if not isinstance(ckpt.meta, dict):
         raise FormatError(f"checkpoint meta must be a JSON object, got {type(ckpt.meta).__name__}")
     try:
@@ -215,37 +210,25 @@ def checkpoint_to_model(ckpt: Checkpoint) -> VisionModel:
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"checkpoint meta does not describe a model config: {err}") from err
     e = dict(ckpt.entries)  # what is left once every array is taken has no place
-    taken = []  # (prefix, shapes, arrays) of each head, block and the rest
 
-    def take(prefix: str, shapes: dict[str, str]) -> dict[str, np.ndarray]:
-        taken.append((prefix, shapes, {f: _take_entry(e, f"{prefix}{f}") for f in shapes}))
-        return taken[-1][2]
+    def take(prefix: str, names) -> dict[str, np.ndarray]:
+        return {n: _take_entry(e, f"{prefix}{n}") for n in names}
 
-    top_shapes = {name: TOP_SHAPES[attr] for name, attr in _TOP_ENTRIES
-                  if name != "cls" or config.cls_slot is not None}
+    blocks = [
+        SsmBlockParams(**take(f"blocks.{i}.", BLOCK_SHAPES), heads=[
+            SsmHeadParams(**take(f"blocks.{i}.heads.{j}.", HEAD_SHAPES), scan_direction=d)
+            for j, d in enumerate(DIRECTIONS)
+        ])
+        for i in range(config.depth)
+    ]
+    top = {name: None if name == "cls_embed" and config.cls_slot is None else _take_entry(e, entry)
+           for name, (entry, _) in TOP_ARRAYS.items()}
+    if e:
+        raise ShapeMismatchError(f"checkpoint entries {list(e)} have no place in the model")
     try:
-        blocks = [
-            SsmBlockParams(**take(f"blocks.{i}.", BLOCK_SHAPES), heads=[
-                SsmHeadParams(**take(f"blocks.{i}.heads.{j}.", HEAD_SHAPES), scan_direction=d)
-                for j, d in enumerate(DIRECTIONS)
-            ])
-            for i in range(config.depth)
-        ]
-        top = take("", top_shapes)
-        if e:
-            raise ShapeMismatchError(f"checkpoint entries {list(e)} have no place in the model")
-        params = ModelParams(**{attr: top.get(name) for name, attr in _TOP_ENTRIES}, blocks=blocks)
-        return VisionModel(config, params)
+        return VisionModel(config, ModelParams(**top, blocks=blocks))
     except ValueError as err:
-        # A head or block sizes each axis by its first array, and the rest
-        # are named by ModelParams attribute: at the config's sizes, the
-        # wrong entry is named as the file names it.
-        for prefix, shapes, arrays in taken:
-            try:
-                check_shapes(arrays, shapes, config.dims, prefix)
-            except ValueError as named:
-                raise ShapeMismatchError(f"checkpoint entry {named}") from err
-        raise ShapeMismatchError(f"checkpoint shapes inconsistent with config: {err}") from err
+        raise ShapeMismatchError(f"checkpoint entry {err}") from err
 
 
 def load_model(path) -> VisionModel:

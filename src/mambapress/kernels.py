@@ -82,8 +82,9 @@ The C kernels, and what runs without the library:
   taps. These two are the only kernels that know a head's scan direction.
 - ``silu`` (:func:`silu`) is x / (1 + exp(-x)) in one pass, each step
   rounded. Fallback: the same chain in numpy over :func:`_exp_numpy`.
-- ``exp_f32`` is the exp of :func:`softplus`, in place over its buffer.
-  Fallback: :func:`_exp_numpy`. The rest of softplus is numpy, including
+- ``exp_f32`` (:func:`exp_in_place`) is the exp of :func:`softplus` and
+  of a scan head's state matrix, in place over its buffer. Fallback:
+  :func:`_exp_numpy`. The rest of softplus is numpy, including
   ``np.log1p``, whose bits still depend on the SIMD dispatch.
 - ``gate`` (:func:`gate`) is the block gate silu(z) * (y0 + y1 + ...) in
   one pass: it reads z in place with its row stride, adds the heads in
@@ -472,25 +473,32 @@ def ssm_scan(delta, a, x, b, c, skip, reverse: bool = False):
     return y
 
 
+def exp_in_place(buf: np.ndarray) -> np.ndarray:
+    """Overwrite a C-contiguous float32 array with the pinned exp of its
+    values, and return it: C ``exp_f32`` when the library is loaded, else
+    :func:`_exp_numpy`, the same bits. Books no FLOPs; its callers do."""
+    lib = _library()
+    if lib is None:
+        buf[...] = _exp_numpy(buf)
+    elif buf.size:
+        # ctypes releases the GIL for the call; buf stays referenced here.
+        lib.exp_f32(buf.ctypes.data, buf.ctypes.data, buf.size)
+    return buf
+
+
 def softplus(x) -> np.ndarray:
     """Elementwise ln(1+exp(x)) with an overflow-safe linear branch.
 
     For x > SOFTPLUS_CUTOFF the identity branch returns x directly. The
     result is clamped to the smallest positive normal float32 so it is
     strictly positive for every finite input, even where exp() underflows.
-    The exp is the engine's own (C ``exp_f32`` in place, or
-    :func:`_exp_numpy`); ``np.log1p`` is numpy's. Every step writes one
-    output buffer.
+    The exp is the engine's own (:func:`exp_in_place`); ``np.log1p`` is
+    numpy's. Every step writes one output buffer.
     """
     x = as_f32(x)
     _tally("softplus", x.size)
     cutoff = F32(SOFTPLUS_CUTOFF)
-    out = np.minimum(x, cutoff, out=np.empty(x.shape, dtype=np.float32))
-    lib = _library()
-    if lib is None:
-        out[...] = _exp_numpy(out)
-    elif out.size:
-        lib.exp_f32(out.ctypes.data, out.ctypes.data, out.size)
+    out = exp_in_place(np.minimum(x, cutoff, out=np.empty(x.shape, dtype=np.float32)))
     np.log1p(out, out=out)
     np.copyto(out, x, where=x > cutoff)
     return np.maximum(out, _TINY, out=out)
@@ -574,7 +582,8 @@ def _layernorm_numpy(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.n
 
 
 def layernorm(x, scale, bias) -> np.ndarray:
-    """Row-wise layer normalization with eps 1e-5. Cost convention: 7 per element.
+    """Row-wise layer normalization with eps 1e-5, ``scale`` and ``bias`` of
+    shape (D,) for rows of D. Cost convention: 7 per element.
 
     Both means sum a row in numpy's pairwise float32 order and divide in
     float64, as ``np.mean`` does; every other step is a rounded float32
@@ -586,7 +595,10 @@ def layernorm(x, scale, bias) -> np.ndarray:
     if x.ndim < 1:
         raise ValueError("layernorm expects rows, got a scalar")
     d = x.shape[-1]
-    scale, bias = (np.ascontiguousarray(np.broadcast_to(as_f32(v), (d,))) for v in (scale, bias))
+    scale, bias = (np.ascontiguousarray(v, dtype=np.float32) for v in (scale, bias))
+    if scale.shape != (d,) or bias.shape != (d,):
+        raise ValueError(f"layernorm shape mismatch: rows of {d}, scale {scale.shape}, "
+                         f"bias {bias.shape}")
     _tally("layernorm", 7 * x.size)
     lib = _library()
     if lib is None:

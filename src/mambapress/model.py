@@ -42,14 +42,20 @@ MAX_PATCH_INPUTS = 64 * 64 * 4
 # of any size.
 MAX_WEIGHTS = 2**27
 
-# The ModelParams arrays outside the blocks, in field order, with their axis
-# letters (ssm.AXES). cls_embed exists only when the config has a cls token.
-TOP_SHAPES = {"patch_w": "PD", "patch_b": "D", "cls_embed": "D", "head_norm_scale": "D",
-              "head_norm_bias": "D", "head_w": "DC", "head_b": "C"}
+# The ModelParams arrays outside the blocks, in field order: each one's
+# checkpoint entry name and axis letters (ssm.AXES). A checkpoint holds them
+# in this order, with the blocks where ModelParams has its blocks field.
+# cls_embed exists only when the config has a cls token.
+TOP_ARRAYS = {"patch_w": ("patch.w", "PD"), "patch_b": ("patch.b", "D"),
+              "cls_embed": ("cls", "D"), "head_norm_scale": ("head.norm_scale", "D"),
+              "head_norm_bias": ("head.norm_bias", "D"), "head_w": ("head.w", "DC"),
+              "head_b": ("head.b", "C")}
 
 
 def _top_shapes(has_cls: bool) -> dict[str, str]:
-    return {name: axes for name, axes in TOP_SHAPES.items() if has_cls or name != "cls_embed"}
+    """The axis letters of the top arrays a model has, by entry name."""
+    return {entry: axes for name, (entry, axes) in TOP_ARRAYS.items()
+            if has_cls or name != "cls_embed"}
 
 
 @dataclass(frozen=True)
@@ -172,11 +178,14 @@ class ModelParams:
     head_b: np.ndarray
 
     def validate_against(self, config: ModelConfig) -> None:
-        """Check every array against the shape tables at the config's sizes."""
+        """Check every array against the shape tables at the config's sizes,
+        naming a wrong one as its checkpoint entry. This is the engine's one
+        shape check: the params classes check none."""
         if (self.cls_embed is None) != (config.cls_slot is None):
             raise ValueError("cls embedding presence inconsistent with cls_position")
         dims = config.dims
-        ssm.check_shapes(vars(self), _top_shapes(self.cls_embed is not None), dims)
+        top = {entry: getattr(self, name) for name, (entry, _) in TOP_ARRAYS.items()}
+        ssm.check_shapes(top, _top_shapes(self.cls_embed is not None), dims)
         if len(self.blocks) != config.depth:
             raise ValueError(f"{len(self.blocks)} blocks != depth {config.depth}")
         for i, block in enumerate(self.blocks):

@@ -8,6 +8,12 @@ scan keeps its timescales and its input-dependent B and C in a
 A head's direction is passed to the two recurrences,
 :func:`kernels.causal_conv` and :func:`kernels.ssm_scan`, as ``reverse``;
 every other step and array is in original token order.
+
+The params classes hold their arrays as float32 and check no shape. A
+model checks every array once, with :func:`check_shapes` at its config's
+sizes (``model.ModelParams.validate_against``). A block used directly runs
+at the sizes its arrays agree on, and the kernels raise ValueError on
+operands they cannot combine.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ CONV_WIDTH = 4
 
 # The weight arrays of a scan head and of a block, in checkpoint file order,
 # each with one axis letter per dimension. The letters, here and in
-# model.TOP_SHAPES, are named in AXES.
+# model.TOP_ARRAYS, are named in AXES and sized by model.ModelConfig.dims.
 HEAD_SHAPES = {"a_log": "EN", "w_b": "EN", "w_c": "EN", "w_1": "ER", "w_2": "RE",
                "skip_d": "E", "conv_kernel": "EW"}
 BLOCK_SHAPES = {"norm_scale": "D", "norm_bias": "D", "in_proj": "DZ", "out_proj": "ED"}
@@ -39,27 +45,21 @@ class NumericError(RuntimeError):
 
 
 def check_shapes(arrays: dict[str, np.ndarray], shapes: dict[str, str], dims: dict[str, int],
-                 prefix: str = "") -> dict[str, int]:
-    """Check the rank and axis sizes of each array that ``shapes`` names.
-
-    A letter takes its size from ``dims``, or else from the first array
-    that has it; returns ``dims`` with those sizes bound. A mismatch raises
-    ValueError naming the array (after ``prefix``), its shape and the
-    expected axes in words.
+                 prefix: str = "") -> None:
+    """Check the rank and axis sizes of each array that ``shapes`` names at
+    the sizes ``dims`` gives every letter. A mismatch raises ValueError
+    naming the array (after ``prefix``), its shape and the expected axes.
     """
-    dims = dict(dims)
-    bind = dims.setdefault
     for name, axes in shapes.items():
         shape = arrays[name].shape
-        if len(shape) != len(axes) or tuple(map(bind, axes, shape)) != shape:
-            want = ", ".join(f"{AXES[a]} {dims[a]}" if a in dims else AXES[a] for a in axes)
+        if shape != tuple(dims[a] for a in axes):
+            want = ", ".join(f"{AXES[a]} {dims[a]}" for a in axes)
             raise ValueError(f"{prefix}{name} shape {shape} != ({want})")
-    return dims
 
 
 @dataclass
 class SsmHeadParams:
-    """Parameters of one directional scan head.
+    """Parameters of one directional scan head, cast to float32.
 
     The state decay matrix is stored as ``a_log`` with A = -exp(a_log), so
     A is strictly negative and the discretized decay lands in (0, 1) for
@@ -80,19 +80,16 @@ class SsmHeadParams:
     def __post_init__(self) -> None:
         for name in HEAD_SHAPES:
             setattr(self, name, as_f32(getattr(self, name)))
-        check_shapes(vars(self), HEAD_SHAPES, {})
         if self.scan_direction not in DIRECTIONS:
             raise ValueError(f"unknown scan direction {self.scan_direction!r}")
-        self.a = -kernels._exp_numpy(self.a_log)  # the engine's own exp, as the scan uses
-
-    @property
-    def feat_dim(self) -> int:
-        return self.a_log.shape[0]
+        # The engine's own exp, as the scan uses, into a copy of a_log.
+        self.a = -kernels.exp_in_place(np.array(self.a_log, order="C"))
 
 
 @dataclass
 class SsmBlockParams:
-    """One block: shared norm and in/out projections plus its scan heads."""
+    """One block: shared norm and in/out projections plus its scan heads,
+    cast to float32. The arrays' shapes are BLOCK_SHAPES."""
 
     norm_scale: np.ndarray
     norm_bias: np.ndarray
@@ -103,23 +100,6 @@ class SsmBlockParams:
     def __post_init__(self) -> None:
         for name in BLOCK_SHAPES:
             setattr(self, name, as_f32(getattr(self, name)))
-        if not self.heads:
-            raise ValueError("a block needs at least one scan head")
-        dims = check_shapes(vars(self), BLOCK_SHAPES, {})
-        if dims["Z"] != 2 * dims["E"] or dims["E"] < dims["D"]:
-            raise ValueError(f"in_proj shape {self.in_proj.shape}, out_proj shape "
-                             f"{self.out_proj.shape}: need {AXES['Z']} = 2 x {AXES['E']} "
-                             f">= 2 x {AXES['D']}")
-        for j, head in enumerate(self.heads):
-            check_shapes(vars(head), HEAD_SHAPES, dims, f"heads.{j}.")
-
-    @property
-    def feat_dim(self) -> int:
-        return self.norm_scale.shape[0]
-
-    @property
-    def inner_dim(self) -> int:
-        return self.out_proj.shape[0]
 
 
 @dataclass
@@ -148,13 +128,8 @@ def selective_scan(x: np.ndarray, params: SsmHeadParams) -> ScanTrace:
     trace stay in original token order either way.
     """
     x = as_f32(x)
-    if x.ndim != 2 or x.shape[1] != params.feat_dim:
-        raise ValueError(
-            f"scan input shape {x.shape} inconsistent with feat_dim {params.feat_dim}"
-        )
-    length = x.shape[0]
-    if length < 1:
-        raise ValueError("selective_scan needs at least one token")
+    if x.ndim != 2 or len(x) < 1:
+        raise ValueError(f"selective_scan needs (L, E) input of at least one token, got {x.shape}")
     delta = kernels.softplus(kernels.matmul(kernels.matmul(x, params.w_1), params.w_2))
     # softplus is at least the smallest normal float32 wherever its input is
     # a number, so only a NaN weight or input fails this check.
@@ -175,13 +150,9 @@ def mamba_block(x: np.ndarray, params: SsmBlockParams) -> tuple[np.ndarray, list
     backward head's taps read the tokens after the current one.
     """
     x = as_f32(x)
-    if x.ndim != 2 or x.shape[1] != params.feat_dim:
-        raise ValueError(
-            f"block input shape {x.shape} inconsistent with feat_dim {params.feat_dim}"
-        )
-    e = params.inner_dim
     normed = kernels.layernorm(x, params.norm_scale, params.norm_bias)
     uz = kernels.matmul(normed, params.in_proj)
+    e = uz.shape[1] // 2
     # One contiguous copy of u serves every head's conv, which would copy it otherwise.
     u, z = np.ascontiguousarray(uz[:, :e]), uz[:, e:]
 

@@ -18,7 +18,7 @@ from mambapress.checkpoint import (
     save,
     save_model,
 )
-from mambapress.model import CLS_POSITIONS, TOP_SHAPES, ModelConfig, ModelParams, VisionModel
+from mambapress.model import CLS_POSITIONS, TOP_ARRAYS, ModelConfig, ModelParams, VisionModel
 from mambapress.ssm import BLOCK_SHAPES, DIRECTIONS, HEAD_SHAPES, SsmBlockParams, SsmHeadParams
 
 
@@ -139,6 +139,16 @@ class TestErrors:
         with pytest.raises(ShapeMismatchError, match="w"):
             load(path)
 
+    @pytest.mark.parametrize("length", [0, 257])
+    def test_entry_name_length_save_refuses(self, tmp_path, length):
+        # save(load(f)) is the identity, so load refuses what save would.
+        path = tmp_path / "name.bin"
+        body = (b"MTRC" + struct.pack("<III", 1, 0, 1) + struct.pack("<H", length)
+                + b"w" * length + struct.pack("<BIQ", 1, 1, 4) + bytes(4))
+        path.write_bytes(body)
+        with pytest.raises(FormatError, match=r"must be 1\.\.256 bytes"):
+            load(path)
+
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "extra.bin"
         save(Checkpoint(), path)
@@ -200,7 +210,7 @@ class TestShapeTables:
     def test_tables_name_the_array_fields_in_order(self):
         assert list(HEAD_SHAPES) == array_fields(SsmHeadParams, "scan_direction")
         assert list(BLOCK_SHAPES) == array_fields(SsmBlockParams, "heads")
-        assert list(TOP_SHAPES) == array_fields(ModelParams, "blocks")
+        assert list(TOP_ARRAYS) == array_fields(ModelParams, "blocks")
 
     @pytest.mark.parametrize("cls_position", CLS_POSITIONS)
     def test_saved_entry_names_are_the_tables(self, cls_position):
@@ -209,6 +219,7 @@ class TestShapeTables:
         top_entries = {"patch_w": "patch.w", "patch_b": "patch.b", "cls_embed": "cls",
                        "head_norm_scale": "head.norm_scale", "head_norm_bias": "head.norm_bias",
                        "head_w": "head.w", "head_b": "head.b"}
+        assert {name: entry for name, (entry, _) in TOP_ARRAYS.items()} == top_entries
         config = ModelConfig(16, 4, 8, 3, state_dim=4, cls_position=cls_position)
         names = []
         for field in array_fields(ModelParams):

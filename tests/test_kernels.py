@@ -989,12 +989,17 @@ class TestCompiledLayernorm:
     def test_layouts_and_shapes(self, path):
         rng = np.random.default_rng(950)
         x = layernorm_rows(rng, 129)[6:]
-        scale, bias = np.float32(1.5), rng.standard_normal(129)
+        scale, bias = np.full(129, 1.5, np.float32), rng.standard_normal(129)
         want = kernels.layernorm(x, scale, bias)
         assert_same_bits(kernels.layernorm(np.asfortranarray(x), scale, bias), want)
         assert_same_bits(kernels.layernorm(x.astype(np.float64), scale, bias), want)
         assert_same_bits(kernels.layernorm(x[1], scale, bias), want[1])
         assert kernels.layernorm(x[:0], scale, bias).shape == (0, 129)
+        for bad in (np.float32(1.5), np.ones(1, np.float32), np.ones(130, np.float32)):
+            with pytest.raises(ValueError, match="layernorm shape mismatch"):
+                kernels.layernorm(x, bad, bias)
+            with pytest.raises(ValueError, match="layernorm shape mismatch"):
+                kernels.layernorm(x, scale, bad)
 
 
 def gate_chain(z, ys):

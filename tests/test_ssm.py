@@ -1,13 +1,17 @@
 """Scan correctness against an unrolled float64 oracle, plus block contracts."""
 
 import math
+import re
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mambapress import kernels
+from mambapress.checkpoint import _flatten_params
+from mambapress.model import TOP_ARRAYS, ModelConfig, ModelParams, VisionModel, init_params
 from mambapress.ssm import (
     BLOCK_SHAPES,
     HEAD_SHAPES,
@@ -235,41 +239,105 @@ class TestSelectiveScan:
     def test_shape_mismatch(self):
         rng = np.random.default_rng(6)
         params = random_head(rng, e=4, n=2, r=1)
-        with pytest.raises(ValueError, match="feat_dim"):
+        with pytest.raises(ValueError, match="shape mismatch"):
             selective_scan(np.zeros((5, 3), dtype=np.float32), params)
 
 
+# A depth-2 model whose blocks are random_block(d=4, e=8, n=2, r=1).
+SHAPES_CONFIG = ModelConfig(8, 4, 4, 2, expand=2, state_dim=2, delta_rank=1, class_count=3)
+
+
+def with_entry(params: ModelParams, entry: str, arr) -> ModelParams:
+    """A copy of ``params`` with the array of checkpoint entry ``entry``
+    replaced, its head and block rebuilt."""
+    parts = entry.split(".")
+    if parts[0] != "blocks":
+        name = next(n for n, (e, _) in TOP_ARRAYS.items() if e == entry)
+        return replace(params, **{name: arr})
+    blocks = list(params.blocks)
+    block = blocks[int(parts[1])]
+    if parts[2] == "heads":
+        heads = list(block.heads)
+        heads[int(parts[3])] = replace(heads[int(parts[3])], **{parts[4]: arr})
+        block = replace(block, heads=heads)
+    else:
+        block = replace(block, **{parts[2]: arr})
+    blocks[int(parts[1])] = block
+    return replace(params, blocks=blocks)
+
+
+def longer_axes(arr: np.ndarray) -> list[np.ndarray]:
+    """One array per axis of ``arr``, that axis one longer."""
+    return [np.ones(arr.shape[:i] + (arr.shape[i] + 1,) + arr.shape[i + 1:], np.float32)
+            for i in range(arr.ndim)]
+
+
 class TestParamShapes:
-    """Each array's rank and sizes are checked at construction, before any
-    axis of it is read."""
+    """A model checks each array's rank and sizes once, at construction, at
+    its config's sizes, and names a wrong one as its checkpoint entry. The
+    params classes check none."""
 
     @pytest.mark.parametrize("name", list(HEAD_SHAPES))
     def test_head_rejects_a_scalar(self, name):
-        head = random_head(np.random.default_rng(7), e=4, n=2, r=1)
-        arrays = {f: getattr(head, f) for f in HEAD_SHAPES}
-        with pytest.raises(ValueError, match=f"{name} shape \\(\\)"):
-            SsmHeadParams(**{**arrays, name: np.float32(1.0)})
+        params = init_params(SHAPES_CONFIG)
+        entry = f"blocks.1.heads.1.{name}"
+        with pytest.raises(ValueError, match=f"^{re.escape(entry)} shape \\(\\)"):
+            VisionModel(SHAPES_CONFIG, with_entry(params, entry, np.float32(1.0)))
 
     @pytest.mark.parametrize("name", list(BLOCK_SHAPES))
     def test_block_rejects_a_scalar(self, name):
-        block = random_block(np.random.default_rng(8), d=4, e=8, n=2, r=1)
-        arrays = {f: getattr(block, f) for f in BLOCK_SHAPES}
-        with pytest.raises(ValueError, match=f"{name} shape \\(\\)"):
-            SsmBlockParams(**{**arrays, name: np.float32(1.0)}, heads=block.heads)
+        params = init_params(SHAPES_CONFIG)
+        entry = f"blocks.1.{name}"
+        with pytest.raises(ValueError, match=f"^{re.escape(entry)} shape \\(\\)"):
+            VisionModel(SHAPES_CONFIG, with_entry(params, entry, np.float32(1.0)))
 
     def test_block_checks_its_heads_at_its_sizes(self):
         rng = np.random.default_rng(9)
+        params = init_params(SHAPES_CONFIG)
         block = random_block(rng, d=4, e=8, n=2, r=1)
-        arrays = {f: getattr(block, f) for f in BLOCK_SHAPES}
-        narrow = random_head(rng, e=6, n=2, r=1, direction="backward")
-        with pytest.raises(ValueError, match=r"heads\.1\.a_log shape \(6, 2\) != \(inner dim 8"):
-            SsmBlockParams(**arrays, heads=[block.heads[0], narrow])
+        block.heads[1] = random_head(rng, e=6, n=2, r=1, direction="backward")
+        params.blocks[0] = block
+        with pytest.raises(ValueError, match=r"^blocks\.0\.heads\.1\.a_log shape \(6, 2\) "
+                                             r"!= \(inner dim 8, state dim 2\)"):
+            VisionModel(SHAPES_CONFIG, params)
 
     def test_block_in_projection_is_twice_the_inner_dim(self):
-        block = random_block(np.random.default_rng(10), d=4, e=8, n=2, r=1)
-        arrays = {f: getattr(block, f) for f in BLOCK_SHAPES}
-        with pytest.raises(ValueError, match="in-projection width = 2 x inner dim"):
-            SsmBlockParams(**{**arrays, "in_proj": arrays["in_proj"][:, :14]}, heads=block.heads)
+        params = init_params(SHAPES_CONFIG)
+        narrow = params.blocks[0].in_proj[:, :14]
+        with pytest.raises(ValueError, match=r"in_proj shape \(4, 14\) != "
+                                             r"\(feat dim 4, in-projection width 16\)"):
+            VisionModel(SHAPES_CONFIG, with_entry(params, "blocks.0.in_proj", narrow))
+
+    def test_longer_axes_and_top_arrays_are_named(self, path):
+        # Each array one longer on each axis, and each top array at 0-D.
+        params = init_params(SHAPES_CONFIG)
+        cases = [(entry, bad) for entry, arr in _flatten_params(params).items()
+                 for bad in longer_axes(arr)]
+        cases += [(entry, np.float32(0.5)) for entry, _ in TOP_ARRAYS.values()]
+        failures = []
+        for entry, bad in cases:
+            try:
+                VisionModel(SHAPES_CONFIG, with_entry(params, entry, bad))
+                failures.append((entry, bad.shape, "accepted"))
+            except ValueError as err:
+                if not str(err).startswith(f"{entry} shape {bad.shape} != ("):
+                    failures.append((entry, bad.shape, str(err)))
+        assert len(cases) == 9 + 2 * 32 + 7  # top axes, each block's axes, top arrays
+        assert failures == []
+
+    @pytest.mark.parametrize("kind", ["0-D", "first axis longer"])
+    @pytest.mark.parametrize("name", list(BLOCK_SHAPES) + [f"heads.1.{n}" for n in HEAD_SHAPES])
+    def test_block_used_directly_fails_in_a_kernel(self, path, name, kind):
+        # Without a model to check it, a malformed array reaches the kernel
+        # that reads it, which raises ValueError: no IndexError, no output.
+        rng = np.random.default_rng(12)
+        params = init_params(SHAPES_CONFIG)
+        arr = _flatten_params(params)[f"blocks.0.{name}"]
+        bad = np.float32(0.5) if kind == "0-D" else longer_axes(arr)[0]
+        block = with_entry(params, f"blocks.0.{name}", bad).blocks[0]
+        x = rng.standard_normal((5, 4)).astype(np.float32)
+        with pytest.raises(ValueError):
+            mamba_block(x, block)
 
 
 def scan_inputs(rng, length, e, n, special=False):
