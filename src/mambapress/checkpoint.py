@@ -9,13 +9,16 @@ Layout (all integers little-endian, no padding or alignment gaps):
 
 The full format reference lives in ``docs/checkpoint_format.md``. Files
 are platform-independent; save->load and load->save are bitwise
-identities.
+identities. Both directions stream: neither holds more than one copy of
+the weights.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -27,6 +30,7 @@ from .ssm import BLOCK_SHAPES, DIRECTIONS, HEAD_SHAPES, SsmBlockParams, SsmHeadP
 MAGIC = b"MTRC"
 VERSION = 1
 MAX_NAME_BYTES = 256
+ALIGN = 64  # byte alignment of every loaded array (of memory, not of the file)
 
 class CheckpointError(Exception):
     """Base class for checkpoint container problems."""
@@ -63,44 +67,61 @@ def _validate_name(name: str) -> bytes:
 
 
 def save(ckpt: Checkpoint, path) -> None:
-    """Write the container; surfaces I/O errors with the path attached."""
+    """Write the container, streaming each array from its own memory.
+
+    Every entry is checked and converted before the file is opened, so a bad
+    one leaves no file. An array that already is C-ordered little-endian
+    float32 is written without a copy. I/O errors carry the path.
+    """
     meta_bytes = json.dumps(ckpt.meta, sort_keys=True).encode("utf-8") if ckpt.meta else b""
-    chunks = [MAGIC, struct.pack("<I", VERSION)]
-    chunks.append(struct.pack("<I", len(meta_bytes)))
-    chunks.append(meta_bytes)
-    chunks.append(struct.pack("<I", len(ckpt.entries)))
+    entries = []
     for name, arr in ckpt.entries.items():
         raw_name = _validate_name(name)
-        arr = np.asarray(arr, dtype="<f4")
-        payload = np.ascontiguousarray(arr).tobytes()
-        chunks.append(struct.pack("<H", len(raw_name)))
-        chunks.append(raw_name)
-        chunks.append(struct.pack("<B", arr.ndim))
-        for dim in arr.shape:
-            chunks.append(struct.pack("<I", dim))
-        chunks.append(struct.pack("<Q", len(payload)))
-        chunks.append(payload)
+        arr = np.require(arr, "<f4", "C")  # unlike ascontiguousarray, keeps a 0-D shape
+        header = struct.pack(f"<H{len(raw_name)}sB{arr.ndim}IQ",
+                             len(raw_name), raw_name, arr.ndim, *arr.shape, arr.nbytes)
+        entries.append((header, arr))
     try:
         with open(path, "wb") as fh:
-            fh.write(b"".join(chunks))
+            fh.write(MAGIC + struct.pack("<II", VERSION, len(meta_bytes)) + meta_bytes
+                     + struct.pack("<I", len(entries)))
+            for header, arr in entries:
+                fh.write(header)
+                fh.write(arr.data)
     except OSError as err:
         raise OSError(f"cannot write checkpoint {path}: {err}") from err
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Reads a file's fields in order, refusing one that runs past its end
+    before reading or allocating anything for it."""
+
+    def __init__(self, fh, size: int):
+        self.fh = fh
+        self.size = size
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
+    def _advance(self, n: int, what: str) -> int:
+        if n > self.size - self.pos:
             raise TruncationError(
                 f"file truncated while reading {what}: needed {n} bytes at "
-                f"offset {self.pos}, have {len(self.data) - self.pos}"
+                f"offset {self.pos}, have {self.size - self.pos}"
             )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
+        start, self.pos = self.pos, self.pos + n
+        return start
+
+    def take(self, n: int, what: str) -> bytes:
+        self._advance(n, what)
+        out = self.fh.read(n)
+        if len(out) != n:  # the file shrank after it was measured
+            raise TruncationError(f"file truncated while reading {what}")
         return out
+
+    def skip(self, n: int, what: str) -> int:
+        """Step over n bytes; returns the offset they start at."""
+        start = self._advance(n, what)
+        self.fh.seek(self.pos)
+        return start
 
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
@@ -116,14 +137,26 @@ class _Reader:
 
 
 def load(path) -> Checkpoint:
-    """Exact inverse of :func:`save`; every corruption mode is a distinct error."""
+    """Exact inverse of :func:`save`; every corruption mode is a distinct error.
+
+    The headers are read first, stepping over the payloads, so a malformed
+    file is refused before any payload memory is allocated. The payloads are
+    then read straight into one buffer, each at a 64-byte aligned offset:
+    every array is a float32 view of it, and the file is never held whole.
+    """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            st = os.fstat(fh.fileno())
+            if not stat.S_ISREG(st.st_mode):
+                raise CheckpointError(
+                    f"checkpoint {path} is not a regular file: its size must be known before reading")
+            return _read(fh, st.st_size)
     except OSError as err:
         raise OSError(f"cannot read checkpoint {path}: {err}") from err
 
-    r = _Reader(data)
+
+def _read(fh, size: int) -> Checkpoint:
+    r = _Reader(fh, size)
     magic = r.take(4, "magic")
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -137,7 +170,9 @@ def load(path) -> Checkpoint:
     except (ValueError, RecursionError) as err:  # bad UTF-8, bad JSON, nesting too deep
         raise FormatError(f"meta block is not valid UTF-8 JSON: {err}") from err
 
-    entries: dict[str, np.ndarray] = {}
+    # name -> (shape, payload offset in the file, offset in the buffer)
+    index: dict[str, tuple[tuple[int, ...], int, int]] = {}
+    buf_len = 0
     count = r.u32("entry count")
     for i in range(count):
         name_len = r.u16(f"entry {i} name length")
@@ -156,16 +191,28 @@ def load(path) -> Checkpoint:
                 f"entry {name!r}: payload {payload_len} bytes does not match "
                 f"shape {shape} ({expected} bytes)"
             )
-        payload = r.take(payload_len, f"entry {name!r} payload")
-        if name in entries:
+        file_at = r.skip(payload_len, f"entry {name!r} payload")
+        if name in index:
             raise FormatError(f"duplicate entry name {name!r}")
+        buf_at = -(-buf_len // ALIGN) * ALIGN
+        index[name] = (shape, file_at, buf_at)
+        buf_len = buf_at + payload_len
+    if r.pos != size:
+        raise FormatError(f"{size - r.pos} trailing bytes after last entry")
+
+    raw = np.empty(buf_len + ALIGN - 1, dtype=np.uint8)
+    start = -raw.ctypes.data % ALIGN
+    buf = raw[start : start + buf_len]
+    entries: dict[str, np.ndarray] = {}
+    for name, (shape, file_at, buf_at) in index.items():
         try:
-            arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
+            arr = np.ndarray(shape, "<f4", buffer=buf, offset=buf_at)
         except ValueError as err:  # over 64 dims, or a zero dim beside huge ones
             raise ShapeMismatchError(f"entry {name!r}: shape {shape} unusable: {err}") from err
-        entries[name] = arr.astype(np.float32)  # owned, native-order copy
-    if r.pos != len(data):
-        raise FormatError(f"{len(data) - r.pos} trailing bytes after last entry")
+        fh.seek(file_at)
+        if fh.readinto(arr) != arr.nbytes:
+            raise TruncationError(f"file truncated while reading entry {name!r} payload")
+        entries[name] = arr.astype(np.float32, copy=False)  # a no-op on little-endian hosts
     return Checkpoint(entries=entries, meta=meta)
 
 

@@ -163,4 +163,6 @@ def mamba_block(x: np.ndarray, params: SsmBlockParams) -> tuple[np.ndarray, list
 
     gated = kernels.gate(z, [trace.y for trace in traces])
     out = kernels.matmul(gated, params.out_proj)
+    if out.shape != x.shape:  # the residual add would broadcast it
+        raise ValueError(f"out_proj output width {out.shape[1]} != input width {x.shape[1]}")
     return kernels.add(x, out), traces

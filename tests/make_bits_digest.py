@@ -76,9 +76,11 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(case: Case) -> list[dict]:
-    """One entry per image of what the case's forward passes produced."""
-    model = VisionModel.seeded(case.config, WEIGHT_SEED)
+def digest(case: Case, model: VisionModel | None = None) -> list[dict]:
+    """One entry per image of what the case's forward passes produced, on
+    ``model`` or, by default, the case's seeded model."""
+    if model is None:
+        model = VisionModel.seeded(case.config, WEIGHT_SEED)
     plan = solve_k(FlopsModel.from_config(case.config), case.ratio, case.layers, case.strategy)
     out = []
     for seed in IMAGE_SEEDS:

@@ -2,12 +2,14 @@
 
 import json
 import struct
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mambapress.checkpoint import (
+    ALIGN,
     Checkpoint,
     FormatError,
     ShapeMismatchError,
@@ -232,3 +234,86 @@ class TestShapeTables:
                 names.append(top_entries[field])
         params = VisionModel.seeded(config, seed=11).params
         assert list(_flatten_params(params)) == names
+
+
+def allocated_at_peak(fn, *args):
+    """fn(*args) and the most bytes it had allocated at once beyond what was
+    live before it; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
+
+
+MEMORY_CONFIG = ModelConfig(image_size=32, patch_size=4, feat_dim=64, depth=4, state_dim=8)
+
+
+class TestMemory:
+    """save and load each hold at most one copy of the weights."""
+
+    def test_save_allocates_well_under_a_copy_of_the_weights(self, tmp_path):
+        model = VisionModel.seeded(MEMORY_CONFIG, seed=1)
+        weight_bytes = 4 * MEMORY_CONFIG.weight_count
+        _, peak = allocated_at_peak(save_model, model, tmp_path / "m.bin")
+        assert peak < weight_bytes / 4, (peak, weight_bytes)
+
+    def test_load_allocates_the_payloads_and_a_little_slack(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(VisionModel.seeded(MEMORY_CONFIG, seed=1), path)
+        ckpt, peak = allocated_at_peak(load, path)
+        payload = sum(arr.nbytes for arr in ckpt.entries.values())
+        assert payload == 4 * MEMORY_CONFIG.weight_count
+        # Alignment pads each entry by under ALIGN bytes; the rest is the
+        # entry objects and the headers, about 1 kB an entry.
+        assert peak <= payload + (ALIGN + 1024) * (len(ckpt.entries) + 1), (peak, payload)
+
+    @pytest.mark.parametrize("body", [
+        struct.pack("<III", 1, 0, 2**32 - 1),  # 2**32 - 1 entries, none present
+        struct.pack("<III", 1, 2**32 - 1, 0),  # a 4 GiB meta block
+        struct.pack("<III", 1, 0, 1) + struct.pack("<H", 1) + b"w"
+        + struct.pack("<BIIQ", 2, 2**19, 2**19, 2**40),  # a 1 TiB payload
+    ], ids=["entry-count", "meta-length", "payload-length"])
+    def test_hostile_header_raises_without_a_large_allocation(self, tmp_path, body):
+        path = tmp_path / "hostile.bin"
+        path.write_bytes(b"MTRC" + body)
+        assert 16 <= path.stat().st_size <= 64
+
+        def load_error(p):
+            with pytest.raises(TruncationError) as info:
+                load(p)
+            return info.value
+
+        _, peak = allocated_at_peak(load_error, path)
+        assert peak < 64 * 1024
+
+
+class TestLayout:
+    def test_loaded_arrays_are_aligned_writable_float32(self, tmp_path):
+        entries = {**_flatten_params(VisionModel.seeded(MEMORY_CONFIG, seed=2).params),
+                   "scalar": np.float32(2.5), "empty": np.zeros((0, 3), np.float32),
+                   "odd": np.arange(5, dtype=np.float32)}
+        path = tmp_path / "m.bin"
+        save(Checkpoint(entries=entries), path)
+        back = load(path).entries
+        for name, arr in entries.items():
+            got = back[name]
+            assert got.shape == np.shape(arr) and np.array_equal(got, arr), name
+            assert got.dtype == np.float32, name
+            assert got.flags.c_contiguous and got.flags.writeable, name
+            assert got.ctypes.data % ALIGN == 0, name
+
+    def test_save_converts_without_changing_the_bytes(self, tmp_path):
+        # float64, big-endian, Fortran-ordered and strided arrays are written
+        # as the C-ordered little-endian float32 values they hold.
+        want = np.arange(6, dtype=np.float32).reshape(3, 2)
+        paths = []
+        for i, arr in enumerate([want, want.astype(np.float64), want.astype(">f4"),
+                                 np.asfortranarray(want), np.repeat(want, 2, axis=1)[:, ::2]]):
+            paths.append(tmp_path / f"{i}.bin")
+            save(Checkpoint(entries={"w": arr}), paths[-1])
+        assert len({p.read_bytes() for p in paths}) == 1

@@ -2,13 +2,14 @@
 
 import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from mambapress import cli
-from mambapress.checkpoint import Checkpoint, load, save
+from mambapress.checkpoint import Checkpoint, CheckpointError, load, save
 from mambapress.importance import Indicator
 from mambapress.mask import TINT, render_mask
 from mambapress.model import ModelConfig, VisionModel
@@ -249,6 +250,23 @@ def test_malformed_entries_exit_3_naming_the_entry(capsys, tmp_path, kind):
             if code != 3 or f"{name} shape {bad.shape}" not in err:
                 failures.append((name, bad.shape, code, err))
     assert failures == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
+def test_checkpoint_from_a_pipe_exits_3(capsys, small_ckpt):
+    # The reader bounds every read by the file's size, so a pipe, which has
+    # none, is refused with a typed error rather than read.
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, small_ckpt.read_bytes()[:4096])
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+        with pytest.raises(CheckpointError, match="not a regular file"):
+            load(path)
+        assert cli.main(["run", "--ckpt", path, "--synthetic", "1"]) == 3
+        assert "not a regular file" in capsys.readouterr().err
+    finally:
+        os.close(read_end)
 
 
 def test_nan_weight_exits_4(capsys, small_ckpt, tmp_path):

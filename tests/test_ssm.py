@@ -339,6 +339,16 @@ class TestParamShapes:
         with pytest.raises(ValueError):
             mamba_block(x, block)
 
+    def test_block_with_a_one_column_out_proj_raises(self, path):
+        # The residual add broadcasts: a (L, 1) projection would be spread
+        # over every feature and the block would return (L, D).
+        params = init_params(SHAPES_CONFIG)
+        out_proj = params.blocks[0].out_proj[:, :1]
+        block = with_entry(params, "blocks.0.out_proj", out_proj).blocks[0]
+        x = np.random.default_rng(13).standard_normal((5, 4)).astype(np.float32)
+        with pytest.raises(ValueError, match="out_proj output width 1 != input width 4"):
+            mamba_block(x, block)
+
 
 def scan_inputs(rng, length, e, n, special=False):
     """Random (delta, a, x, b, c, skip) for kernels.ssm_scan; ``special``
