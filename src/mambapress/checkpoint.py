@@ -20,12 +20,11 @@ import math
 import os
 import stat
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import TOP_ARRAYS, ModelConfig, ModelParams, VisionModel
-from .ssm import BLOCK_SHAPES, DIRECTIONS, HEAD_SHAPES, SsmBlockParams, SsmHeadParams
+from .model import ModelConfig, ModelParams, VisionModel
 
 MAGIC = b"MTRC"
 VERSION = 1
@@ -216,64 +215,31 @@ def _read(fh, size: int) -> Checkpoint:
     return Checkpoint(entries=entries, meta=meta)
 
 
-def _flatten_params(params: ModelParams) -> dict[str, np.ndarray]:
-    """The entries in file order: ModelParams field order, each top array
-    named by TOP_ARRAYS, each block's arrays by BLOCK_SHAPES and each
-    head's by HEAD_SHAPES where the blocks field is."""
-    entries = {}
-    for f in fields(ModelParams):
-        if f.name != "blocks":
-            entries[TOP_ARRAYS[f.name][0]] = getattr(params, f.name)
-            continue
-        for i, block in enumerate(params.blocks):
-            entries.update((f"blocks.{i}.{n}", getattr(block, n)) for n in BLOCK_SHAPES)
-            for j, head in enumerate(block.heads):
-                entries.update((f"blocks.{i}.heads.{j}.{n}", getattr(head, n)) for n in HEAD_SHAPES)
-    return {name: arr for name, arr in entries.items() if arr is not None}  # "cls" is optional
-
-
 def model_to_checkpoint(model: VisionModel) -> Checkpoint:
-    return Checkpoint(entries=_flatten_params(model.params), meta=model.config.to_json())
+    entries = {entry: arr for entry, _, arr in model.params.arrays()}
+    return Checkpoint(entries=entries, meta=model.config.to_json())
 
 
 def save_model(model: VisionModel, path) -> None:
     save(model_to_checkpoint(model), path)
 
 
-def _take_entry(entries: dict[str, np.ndarray], name: str) -> np.ndarray:
-    if name not in entries:
-        raise ShapeMismatchError(f"checkpoint is missing entry {name!r}")
-    return entries.pop(name)
-
-
 def checkpoint_to_model(ckpt: Checkpoint) -> VisionModel:
-    """Rebuild a model. An entry the model has no place for is rejected, and
-    the model checks every array at the embedded config's sizes, naming a
-    wrong one as the file does."""
+    """Rebuild a model around the loaded arrays, copying none. A missing
+    entry, one the model has no place for, or a wrong shape (named as the
+    file names it) raises ShapeMismatchError."""
     if not isinstance(ckpt.meta, dict):
         raise FormatError(f"checkpoint meta must be a JSON object, got {type(ckpt.meta).__name__}")
     try:
         config = ModelConfig.from_json(ckpt.meta)
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"checkpoint meta does not describe a model config: {err}") from err
-    e = dict(ckpt.entries)  # what is left once every array is taken has no place
-
-    def take(prefix: str, names) -> dict[str, np.ndarray]:
-        return {n: _take_entry(e, f"{prefix}{n}") for n in names}
-
-    blocks = [
-        SsmBlockParams(**take(f"blocks.{i}.", BLOCK_SHAPES), heads=[
-            SsmHeadParams(**take(f"blocks.{i}.heads.{j}.", HEAD_SHAPES), scan_direction=d)
-            for j, d in enumerate(DIRECTIONS)
-        ])
-        for i in range(config.depth)
-    ]
-    top = {name: None if name == "cls_embed" and config.cls_slot is None else _take_entry(e, entry)
-           for name, (entry, _) in TOP_ARRAYS.items()}
-    if e:
-        raise ShapeMismatchError(f"checkpoint entries {list(e)} have no place in the model")
     try:
-        return VisionModel(config, ModelParams(**top, blocks=blocks))
+        params = ModelParams.from_entries(config, ckpt.entries)
+    except ValueError as err:
+        raise ShapeMismatchError(str(err)) from err
+    try:
+        return VisionModel(config, params)
     except ValueError as err:
         raise ShapeMismatchError(f"checkpoint entry {err}") from err
 

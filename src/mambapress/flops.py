@@ -73,6 +73,12 @@ def default_reduction_layers(depth: int) -> tuple[int, ...]:
     return tuple(range(5, depth, 5))
 
 
+def _check_layers(layers: Iterable[int], depth: int) -> None:
+    for i in layers:
+        if not 0 <= i < depth:
+            raise ValueError(f"reduction layer {i} outside 0..{depth - 1}")
+
+
 @dataclass(frozen=True)
 class FlopsModel:
     """Whole-model analytic cost as a function of the reduction schedule."""
@@ -92,9 +98,7 @@ class FlopsModel:
         """Simulated per-block input token counts plus the final count."""
         depth = self.config.depth
         layer_set = set(int(i) for i in reduce_at_layers)
-        for i in layer_set:
-            if not 0 <= i < depth:
-                raise ValueError(f"reduction layer {i} outside 0..{depth - 1}")
+        _check_layers(layer_set, depth)
         cls = 0 if self.config.cls_slot is None else 1
         count = self.config.token_count
         counts = []
@@ -141,6 +145,7 @@ def solve_k(
     strategy = Strategy(strategy)
     if not 0.0 <= target_reduction < 1.0:
         raise ValueError(f"target reduction must lie in [0, 1), got {target_reduction}")
+    _check_layers(layers, model.config.depth)  # at target 0 no count would check them
 
     def achieved(k: float) -> float:
         return model.achieved_reduction(k, layers)

@@ -50,7 +50,7 @@ def render_mask(
             if orig > cls_orig:
                 orig -= 1
         row, col = divmod(orig, grid_w)
-        if row >= h // patch_size:
+        if not 0 <= row < h // patch_size:
             raise ValueError(f"original index {orig} outside the patch grid")
         return (
             slice(row * patch_size, (row + 1) * patch_size),

@@ -9,9 +9,9 @@ path goes through the deterministic kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,19 +43,13 @@ MAX_PATCH_INPUTS = 64 * 64 * 4
 MAX_WEIGHTS = 2**27
 
 # The ModelParams arrays outside the blocks, in field order: each one's
-# checkpoint entry name and axis letters (ssm.AXES). A checkpoint holds them
-# in this order, with the blocks where ModelParams has its blocks field.
-# cls_embed exists only when the config has a cls token.
+# checkpoint entry name and axis letters (ssm.AXES). ModelParams.arrays()
+# yields them in this order, with the blocks where ModelParams has its
+# blocks field. cls_embed exists only when the config has a cls token.
 TOP_ARRAYS = {"patch_w": ("patch.w", "PD"), "patch_b": ("patch.b", "D"),
               "cls_embed": ("cls", "D"), "head_norm_scale": ("head.norm_scale", "D"),
               "head_norm_bias": ("head.norm_bias", "D"), "head_w": ("head.w", "DC"),
               "head_b": ("head.b", "C")}
-
-
-def _top_shapes(has_cls: bool) -> dict[str, str]:
-    """The axis letters of the top arrays a model has, by entry name."""
-    return {entry: axes for name, (entry, axes) in TOP_ARRAYS.items()
-            if has_cls or name != "cls_embed"}
 
 
 @dataclass(frozen=True)
@@ -142,21 +136,17 @@ class ModelConfig:
 
     @property
     def weight_count(self) -> int:
-        """Float32 values in the parameters of this config: the sizes of the
-        arrays the shape tables declare, summed."""
+        """Float32 values in this config's parameters, summed from the shape
+        tables: arithmetic, so it bounds the depth before any block exists."""
         dims = self.dims
 
         def size(shapes: dict[str, str]) -> int:
-            total = 0
-            for axes in shapes.values():
-                count = 1
-                for letter in axes:
-                    count *= dims[letter]
-                total += count
-            return total
+            return sum(math.prod(dims[a] for a in axes) for axes in shapes.values())
 
+        top = {name: axes for name, (_, axes) in TOP_ARRAYS.items()
+               if name != "cls_embed" or self.cls_slot is not None}
         block = size(ssm.BLOCK_SHAPES) + len(ssm.DIRECTIONS) * size(ssm.HEAD_SHAPES)
-        return size(_top_shapes(self.cls_slot is not None)) + self.depth * block
+        return size(top) + self.depth * block
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -168,6 +158,8 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
+    """A model's weights, the arrays outside the blocks cast to float32."""
+
     patch_w: np.ndarray
     patch_b: np.ndarray
     cls_embed: np.ndarray | None  # None without a cls token
@@ -177,24 +169,70 @@ class ModelParams:
     head_w: np.ndarray
     head_b: np.ndarray
 
+    def __post_init__(self) -> None:
+        for name in TOP_ARRAYS:
+            if getattr(self, name) is not None:
+                setattr(self, name, as_f32(getattr(self, name)))
+
+    def arrays(self) -> Iterator[tuple[str, str, np.ndarray]]:
+        """Every weight as (checkpoint entry name, axis letters, array), in
+        checkpoint file order: field order, with each block's arrays and
+        then its heads' where the blocks field is. This and
+        :meth:`from_entries` are the one place that spells the entry names."""
+        for f in fields(self):
+            if f.name == "blocks":
+                for i, block in enumerate(self.blocks):
+                    for name, axes in ssm.BLOCK_SHAPES.items():
+                        yield f"blocks.{i}.{name}", axes, getattr(block, name)
+                    for j, head in enumerate(block.heads):
+                        for name, axes in ssm.HEAD_SHAPES.items():
+                            yield f"blocks.{i}.heads.{j}.{name}", axes, getattr(head, name)
+            elif getattr(self, f.name) is not None:
+                yield *TOP_ARRAYS[f.name], getattr(self, f.name)
+
+    @classmethod
+    def from_entries(cls, config: ModelConfig, entries: Mapping[str, np.ndarray]) -> "ModelParams":
+        """The inverse of :meth:`arrays`: the params of ``config`` built from
+        checkpoint entries, each taken by name and kept as given. A missing
+        entry, or one left over, raises ValueError; the model checks shapes."""
+        left = dict(entries)
+
+        def take(entry: str) -> np.ndarray:
+            if entry not in left:
+                raise ValueError(f"checkpoint is missing entry {entry!r}")
+            return left.pop(entry)
+
+        blocks = []
+        for i in range(config.depth):
+            arrays = {n: take(f"blocks.{i}.{n}") for n in ssm.BLOCK_SHAPES}
+            heads = [SsmHeadParams(**{n: take(f"blocks.{i}.heads.{j}.{n}")
+                                      for n in ssm.HEAD_SHAPES}, scan_direction=d)
+                     for j, d in enumerate(ssm.DIRECTIONS)]
+            blocks.append(SsmBlockParams(**arrays, heads=heads))
+        top = {name: None if name == "cls_embed" and config.cls_slot is None else take(entry)
+               for name, (entry, _) in TOP_ARRAYS.items()}
+        if left:
+            raise ValueError(f"checkpoint entries {list(left)} have no place in the model")
+        return cls(**top, blocks=blocks)
+
     def validate_against(self, config: ModelConfig) -> None:
-        """Check every array against the shape tables at the config's sizes,
-        naming a wrong one as its checkpoint entry. This is the engine's one
-        shape check: the params classes check none."""
+        """Check the cls token, the depth, the head directions and every
+        array's shape at the config's sizes, naming a wrong array as its
+        checkpoint entry. The engine's one shape check: the params classes
+        check none."""
         if (self.cls_embed is None) != (config.cls_slot is None):
             raise ValueError("cls embedding presence inconsistent with cls_position")
-        dims = config.dims
-        top = {entry: getattr(self, name) for name, (entry, _) in TOP_ARRAYS.items()}
-        ssm.check_shapes(top, _top_shapes(self.cls_embed is not None), dims)
         if len(self.blocks) != config.depth:
             raise ValueError(f"{len(self.blocks)} blocks != depth {config.depth}")
         for i, block in enumerate(self.blocks):
             directions = tuple(head.scan_direction for head in block.heads)
             if directions != ssm.DIRECTIONS:
                 raise ValueError(f"block {i} head directions {directions} != {ssm.DIRECTIONS}")
-            ssm.check_shapes(vars(block), ssm.BLOCK_SHAPES, dims, f"blocks.{i}.")
-            for j, head in enumerate(block.heads):
-                ssm.check_shapes(vars(head), ssm.HEAD_SHAPES, dims, f"blocks.{i}.heads.{j}.")
+        dims = config.dims
+        for entry, axes, arr in self.arrays():
+            if arr.shape != tuple(dims[a] for a in axes):
+                want = ", ".join(f"{ssm.AXES[a]} {dims[a]}" for a in axes)
+                raise ValueError(f"{entry} shape {arr.shape} != ({want})")
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:

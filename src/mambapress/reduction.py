@@ -231,6 +231,8 @@ def reduce_layer(
     strategy = Strategy(strategy)
     if np.any(seq.orig_index[1:] <= seq.orig_index[:-1]):
         raise ValueError("corrupt sequence: original indices not strictly increasing")
+    if np.shape(scores) != (len(seq),):
+        raise ValueError(f"scores shape {np.shape(scores)} != ({len(seq)},): one score per token")
     part = partition(scores, k, seq.cls_row)
     src = part.source_idx  # score-descending, so pruning takes the tail
     n_pruned = {Strategy.MERGE: 0, Strategy.PRUNE: len(src), Strategy.HYBRID: len(src) // 2}

@@ -10,7 +10,7 @@ A head's direction is passed to the two recurrences,
 every other step and array is in original token order.
 
 The params classes hold their arrays as float32 and check no shape. A
-model checks every array once, with :func:`check_shapes` at its config's
+model checks every array once, against the shape tables at its config's
 sizes (``model.ModelParams.validate_against``). A block used directly runs
 at the sizes its arrays agree on, and the kernels raise ValueError on
 operands they cannot combine.
@@ -42,19 +42,6 @@ AXES = {"P": "patch inputs", "D": "feat dim", "E": "inner dim", "Z": "in-project
 
 class NumericError(RuntimeError):
     """Raised when a forward pass produces non-finite activations or logits."""
-
-
-def check_shapes(arrays: dict[str, np.ndarray], shapes: dict[str, str], dims: dict[str, int],
-                 prefix: str = "") -> None:
-    """Check the rank and axis sizes of each array that ``shapes`` names at
-    the sizes ``dims`` gives every letter. A mismatch raises ValueError
-    naming the array (after ``prefix``), its shape and the expected axes.
-    """
-    for name, axes in shapes.items():
-        shape = arrays[name].shape
-        if shape != tuple(dims[a] for a in axes):
-            want = ", ".join(f"{AXES[a]} {dims[a]}" for a in axes)
-            raise ValueError(f"{prefix}{name} shape {shape} != ({want})")
 
 
 @dataclass

@@ -14,9 +14,10 @@ from mambapress.checkpoint import (
     FormatError,
     ShapeMismatchError,
     TruncationError,
-    _flatten_params,
+    checkpoint_to_model,
     load,
     load_model,
+    model_to_checkpoint,
     save,
     save_model,
 )
@@ -233,7 +234,7 @@ class TestShapeTables:
             elif field != "cls_embed" or config.cls_slot is not None:
                 names.append(top_entries[field])
         params = VisionModel.seeded(config, seed=11).params
-        assert list(_flatten_params(params)) == names
+        assert [entry for entry, _, _ in params.arrays()] == names
 
 
 def allocated_at_peak(fn, *args):
@@ -272,6 +273,15 @@ class TestMemory:
         # entry objects and the headers, about 1 kB an entry.
         assert peak <= payload + (ALIGN + 1024) * (len(ckpt.entries) + 1), (peak, payload)
 
+    def test_a_loaded_model_holds_the_loaded_arrays(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(VisionModel.seeded(MEMORY_CONFIG, seed=1), path)
+        ckpt = load(path)
+        model = checkpoint_to_model(ckpt)
+        held = {entry: arr for entry, _, arr in model.params.arrays()}
+        assert list(held) == list(ckpt.entries)
+        assert all(held[entry] is arr for entry, arr in ckpt.entries.items())
+
     @pytest.mark.parametrize("body", [
         struct.pack("<III", 1, 0, 2**32 - 1),  # 2**32 - 1 entries, none present
         struct.pack("<III", 1, 2**32 - 1, 0),  # a 4 GiB meta block
@@ -294,7 +304,7 @@ class TestMemory:
 
 class TestLayout:
     def test_loaded_arrays_are_aligned_writable_float32(self, tmp_path):
-        entries = {**_flatten_params(VisionModel.seeded(MEMORY_CONFIG, seed=2).params),
+        entries = {**model_to_checkpoint(VisionModel.seeded(MEMORY_CONFIG, seed=2)).entries,
                    "scalar": np.float32(2.5), "empty": np.zeros((0, 3), np.float32),
                    "odd": np.arange(5, dtype=np.float32)}
         path = tmp_path / "m.bin"

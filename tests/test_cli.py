@@ -4,11 +4,14 @@ import dataclasses
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mambapress import cli
+from mambapress import cli, kernels
 from mambapress.checkpoint import Checkpoint, CheckpointError, load, save
 from mambapress.importance import Indicator
 from mambapress.mask import TINT, render_mask
@@ -310,6 +313,19 @@ class TestRenderMask:
         assert np.allclose(out[2:4, 0:2], red, atol=1e-6)  # patch 2 tinted
 
 
+    @pytest.mark.parametrize("cls_orig", [None, 2])
+    @pytest.mark.parametrize("group", ["kept", "target", "source"])
+    def test_negative_index_is_outside_the_grid(self, group, cls_orig):
+        img = synthetic_image(8, seed=5)
+        groups = {"kept": [], "target": [], "source": [0], group: [-1]}
+        with pytest.raises(ValueError, match="original index -1 outside the patch grid"):
+            render_mask(img, 4, groups["kept"], groups["target"], groups["source"], cls_orig)
+
+    def test_nothing_removed_returns_before_checking_indices(self):
+        img = synthetic_image(8, seed=5)
+        assert np.array_equal(render_mask(img, 4, [], [-1, 4], [], cls_orig=None), img)
+
+
 class TestInitAndRun:
     def test_run_zero_target(self, capsys, small_ckpt):
         code, report = run_json(
@@ -381,6 +397,30 @@ class TestInitAndRun:
         write_ppm(img_path, synthetic_image(32, seed=10))
         code = cli.main(["run", "--ckpt", str(small_ckpt), "--image", str(img_path)])
         assert code == 2
+
+
+def test_run_without_a_compiler_matches_the_compiled_run(capsys, small_ckpt, tmp_path):
+    # An empty PATH has no gcc and an empty cache has no library, so the
+    # subprocess builds none and runs every kernel on the numpy fallback.
+    if kernels._library() is None:
+        pytest.skip("no compiled library: the numpy fallback is the kernel")
+    argv = ["run", "--ckpt", str(small_ckpt), "--synthetic", "2", "--json",
+            "--target-reduction", "0.2", "--layers", "0,1,2"]
+    code, want = run_json(capsys, argv)
+    assert code == 0 and want["token_counts"][-1] < want["token_counts"][0]
+    empty, cache = tmp_path / "bin", tmp_path / "cache"
+    empty.mkdir()
+    cache.mkdir()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PATH=str(empty), XDG_CACHE_HOME=str(cache), PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "mambapress.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    for key in ("logits", "token_counts", "flops"):
+        assert got[key] == want[key], key
+    assert list(cache.rglob("*.so")) == []
 
 
 class TestBench:

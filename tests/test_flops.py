@@ -169,6 +169,13 @@ class TestSolveK:
         with pytest.raises(ValueError, match="outside"):
             solve_k(fm, 0.1, (99,))
 
+    @pytest.mark.parametrize("target", [0.0, 0.1])
+    @pytest.mark.parametrize("layer", [-1, 4])
+    def test_rejects_a_layer_outside_the_depth_at_every_target(self, target, layer):
+        fm = FlopsModel.from_config(ModelConfig(image_size=16, patch_size=4, feat_dim=8, depth=4))
+        with pytest.raises(ValueError, match=f"reduction layer {layer} outside 0..3"):
+            solve_k(fm, target, (layer,))
+
     def test_plan_json_round_trip(self):
         plan = solve_k(FlopsModel.from_config(TOY), 0.3, (5, 10, 15, 20), Strategy.HYBRID)
         doc = plan.to_json()

@@ -13,6 +13,7 @@ from mambapress.model import (
     MAX_PATCH_INPUTS,
     MAX_PATCH_TOKENS,
     MAX_WEIGHTS,
+    TOP_ARRAYS,
     ModelConfig,
     NumericError,
     VisionModel,
@@ -272,6 +273,22 @@ class TestForward:
         img = np.zeros((16, 16, 3), dtype=np.float32)
         with pytest.raises(ValueError, match="outside"):
             model.forward(img, ReductionPlan((9,), 0.1, Strategy.MERGE, 0.0, 0.0))
+
+    @pytest.mark.parametrize("cls_position", CLS_POSITIONS)
+    def test_float64_top_arrays_give_float32_logits(self, cls_position):
+        config = replace(SMALL, cls_position=cls_position)
+        params = init_params(config, seed=27)
+        rng = np.random.default_rng(28)
+        wide = {name: rng.standard_normal(getattr(params, name).shape)
+                for name in TOP_ARRAYS if getattr(params, name) is not None}
+        narrow = {name: arr.astype(np.float32) for name, arr in wide.items()}
+        img = rng.random((16, 16, 3), dtype=np.float32)
+        plan = solve_k(FlopsModel.from_config(config), 0.3, (0, 1, 2))
+        for p in (None, plan):
+            got = VisionModel(config, replace(params, **wide)).forward(img, p)[0]
+            want = VisionModel(config, replace(params, **narrow)).forward(img, p)[0]
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
 
     def test_no_diagnostics_mode(self):
         img = np.random.default_rng(26).random((16, 16, 3), dtype=np.float32)

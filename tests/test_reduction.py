@@ -488,6 +488,15 @@ class TestReduceLayer:
         assert np.array_equal(out.weight, seq.weight)
         assert record.group_count == 0
 
+    @pytest.mark.parametrize("shape", [(6,), (14,), (10, 1)])
+    def test_rejects_scores_not_one_per_token(self, shape):
+        # Too few scores used to leave 9 of 10 tokens where the count law
+        # gives 7, and too many raised IndexError while matching.
+        seq = make_seq(np.random.default_rng(21), 10)
+        scores = np.linspace(1, 0, math.prod(shape), dtype=np.float32).reshape(shape)
+        with pytest.raises(ValueError, match=r"scores shape .* != \(10,\)"):
+            reduce_layer(seq, scores, 0.3, Strategy.MERGE)
+
     def test_count_law_196(self):
         rng = np.random.default_rng(14)
         seq = make_seq(rng, 196)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from mambapress import kernels
-from mambapress.checkpoint import _flatten_params
 from mambapress.model import TOP_ARRAYS, ModelConfig, ModelParams, VisionModel, init_params
 from mambapress.ssm import (
     BLOCK_SHAPES,
@@ -311,7 +310,7 @@ class TestParamShapes:
     def test_longer_axes_and_top_arrays_are_named(self, path):
         # Each array one longer on each axis, and each top array at 0-D.
         params = init_params(SHAPES_CONFIG)
-        cases = [(entry, bad) for entry, arr in _flatten_params(params).items()
+        cases = [(entry, bad) for entry, _, arr in params.arrays()
                  for bad in longer_axes(arr)]
         cases += [(entry, np.float32(0.5)) for entry, _ in TOP_ARRAYS.values()]
         failures = []
@@ -332,7 +331,7 @@ class TestParamShapes:
         # that reads it, which raises ValueError: no IndexError, no output.
         rng = np.random.default_rng(12)
         params = init_params(SHAPES_CONFIG)
-        arr = _flatten_params(params)[f"blocks.0.{name}"]
+        arr = next(a for e, _, a in params.arrays() if e == f"blocks.0.{name}")
         bad = np.float32(0.5) if kind == "0-D" else longer_axes(arr)[0]
         block = with_entry(params, f"blocks.0.{name}", bad).blocks[0]
         x = rng.standard_normal((5, 4)).astype(np.float32)
