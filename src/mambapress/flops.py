@@ -69,7 +69,7 @@ class ReductionPlan:
 
 
 def default_reduction_layers(depth: int) -> tuple[int, ...]:
-    """Every fifth block starting at index 5 (configurable elsewhere)."""
+    """Every fifth block starting at index 5 (the CLI's ``--layers`` picks others)."""
     return tuple(range(5, depth, 5))
 
 

@@ -4,9 +4,10 @@ The primary indicator is the timescale: a token whose scan timescale is
 large overwrites more of the running state, so it carries more information
 for downstream tokens. The remaining indicators (the scan's input-dependent
 B and C, raw hidden features, similarity to the classification token) exist
-for ablation. Timescales, B and C come from each head's :class:`ScanTrace`
-and share one aggregation: sum across heads first, then average across
-channels.
+for ablation. :func:`compute_scores` is the one dispatch on an indicator.
+Timescales, B and C are the :class:`ScanTrace` fields the indicator's value
+names, and the block input counts as a single head: all four share one
+aggregation, a sum across heads followed by a channel mean.
 
 Every indicator reads quantities the forward pass already computed, so
 scoring calls no kernel that books FLOPs and is outside the FLOPs model.
@@ -38,23 +39,22 @@ class ImportanceScores:
     """One scalar per token; higher means more important."""
 
     scores: np.ndarray  # (L,)
-    indicator: Indicator
 
 
-def _head_sum_channel_mean(
-    per_head: Sequence[np.ndarray], indicator: Indicator
-) -> ImportanceScores:
-    """Sum one (L, K) quantity across heads, then average it over K."""
+def _head_sum_channel_mean(per_head: Sequence[np.ndarray]) -> ImportanceScores:
+    """Sum one (L, K) quantity across heads in head order, then average it over K."""
     if not per_head:
-        raise ValueError(f"{indicator.value} scoring needs at least one head trace")
+        raise ValueError("scoring needs at least one head trace")
     shape = per_head[0].shape
+    if len(shape) != 2:
+        raise ValueError(f"scoring expects (L, K) per head, got {shape}")
     for arr in per_head[1:]:
         if arr.shape != shape:
-            raise ValueError(f"head {indicator.value} shapes differ: {arr.shape} vs {shape}")
+            raise ValueError(f"head shapes differ: {arr.shape} vs {shape}")
     total = per_head[0].astype(np.float32, copy=True)
     for arr in per_head[1:]:
         total = total + arr
-    return ImportanceScores(total.mean(axis=1, dtype=np.float32), indicator)
+    return ImportanceScores(total.mean(axis=1, dtype=np.float32))
 
 
 def score_delta(traces: Sequence[ScanTrace]) -> ImportanceScores:
@@ -62,26 +62,7 @@ def score_delta(traces: Sequence[ScanTrace]) -> ImportanceScores:
 
     Timescales are softplus outputs, so every score is strictly positive.
     """
-    return _head_sum_channel_mean([t.delta for t in traces], Indicator.DELTA)
-
-
-def score_projection(traces: Sequence[ScanTrace], indicator: Indicator) -> ImportanceScores:
-    """Input-projection score: each head's B (or C), as its scan computed it,
-    summed across heads, then averaged over the state dimension."""
-    indicator = Indicator(indicator)
-    if indicator is Indicator.B_PROJ:
-        return _head_sum_channel_mean([t.b for t in traces], indicator)
-    if indicator is Indicator.C_PROJ:
-        return _head_sum_channel_mean([t.c for t in traces], indicator)
-    raise ValueError(f"score_projection cannot produce {indicator}")
-
-
-def score_hidden(x: np.ndarray) -> ImportanceScores:
-    """Channel mean of the block-input features."""
-    x = as_f32(x)
-    if x.ndim != 2:
-        raise ValueError(f"score_hidden expects (L, D) features, got {x.shape}")
-    return ImportanceScores(x.mean(axis=1, dtype=np.float32), Indicator.HIDDEN_X)
+    return _head_sum_channel_mean([t.delta for t in traces])
 
 
 def score_cls_similarity(x: np.ndarray, cls_index: int) -> ImportanceScores:
@@ -97,7 +78,7 @@ def score_cls_similarity(x: np.ndarray, cls_index: int) -> ImportanceScores:
         raise IndexError(f"cls index {cls_index} out of range for {x.shape[0]} tokens")
     sims = kernels.cosine_matrix(x, x[cls_index][None, :])[:, 0]
     sims[cls_index] = np.inf
-    return ImportanceScores(sims, Indicator.CLS_SIM)
+    return ImportanceScores(sims)
 
 
 def compute_scores(
@@ -108,20 +89,17 @@ def compute_scores(
     traces: Sequence[ScanTrace],
     cls_row: int | None,
 ) -> ImportanceScores:
-    """Dispatch one indicator against a block's recorded quantities.
+    """Score a block's tokens by one indicator.
 
+    DELTA, B_PROJ and C_PROJ read the trace field their value names;
     HIDDEN_X reads the block input; CLS_SIM reads the block output, i.e.
     the sequence actually being compressed.
     """
     indicator = Indicator(indicator)
-    if indicator is Indicator.DELTA:
-        return score_delta(traces)
-    if indicator in (Indicator.B_PROJ, Indicator.C_PROJ):
-        return score_projection(traces, indicator)
-    if indicator is Indicator.HIDDEN_X:
-        return score_hidden(block_input)
     if indicator is Indicator.CLS_SIM:
         if cls_row is None:
             raise ValueError("cls similarity scoring needs a cls token")
         return score_cls_similarity(block_output, cls_row)
-    raise ValueError(f"unknown indicator {indicator!r}")
+    if indicator is Indicator.HIDDEN_X:
+        return _head_sum_channel_mean([block_input])
+    return _head_sum_channel_mean([getattr(t, indicator.value) for t in traces])

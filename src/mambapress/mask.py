@@ -44,12 +44,10 @@ def render_mask(
     out = image.copy()
 
     def patch_region(orig: int) -> tuple[slice, slice]:
-        if cls_orig is not None:
-            if orig == cls_orig:
-                raise ValueError("classification token has no patch")
-            if orig > cls_orig:
-                orig -= 1
-        row, col = divmod(orig, grid_w)
+        if orig == cls_orig:
+            raise ValueError("classification token has no patch")
+        after_cls = cls_orig is not None and orig > cls_orig
+        row, col = divmod(orig - after_cls, grid_w)
         if not 0 <= row < h // patch_size:
             raise ValueError(f"original index {orig} outside the patch grid")
         return (

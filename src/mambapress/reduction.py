@@ -55,6 +55,8 @@ class TokenSequence:
             raise ValueError(f"features must be (L, D), got {self.features.shape}")
         if self.orig_index.shape != (n,) or self.weight.shape != (n,):
             raise ValueError("orig_index/weight lengths inconsistent with features")
+        if np.any(self.weight < 1):
+            raise ValueError("every token weight must be >= 1")
 
     def __len__(self) -> int:
         return self.features.shape[0]

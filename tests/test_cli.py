@@ -321,6 +321,11 @@ class TestRenderMask:
         with pytest.raises(ValueError, match="original index -1 outside the patch grid"):
             render_mask(img, 4, groups["kept"], groups["target"], groups["source"], cls_orig)
 
+    def test_error_names_the_callers_index_past_the_cls_slot(self):
+        img = synthetic_image(8, seed=5)
+        with pytest.raises(ValueError, match="original index 6 outside the patch grid"):
+            render_mask(img, 4, [6], [], [], cls_orig=2)
+
     def test_nothing_removed_returns_before_checking_indices(self):
         img = synthetic_image(8, seed=5)
         assert np.array_equal(render_mask(img, 4, [], [-1, 4], [], cls_orig=None), img)
@@ -625,6 +630,19 @@ def test_plan_flags_reach_the_plan_and_forward(monkeypatch, capsys, small_ckpt, 
         assert plan.strategy is Strategy.PRUNE and plan.k > 0
         assert plan.reduce_at_layers == (0, 2)
         assert indicator is Indicator.C_PROJ
+
+
+@pytest.mark.parametrize("command", ["run", "mask"])
+def test_cls_indicator_without_a_cls_token_exits_2(capsys, tmp_path, command):
+    ckpt = tmp_path / "no_cls.bin"
+    assert cli.main(["init", "--out", str(ckpt), *SMALL_FLAGS, "--cls", "none"]) == 0
+    argv = [command, "--ckpt", str(ckpt), "--indicator", "cls", "--layers", "0",
+            "--target-reduction", "0.2"]
+    if command == "mask":
+        argv += ["--layer", "0", "--out", str(tmp_path / "m.ppm")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert "cls similarity scoring needs a cls token" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("depth, defaults", [(4, []), (6, [5])])

@@ -1,18 +1,12 @@
 """Indicator scoring: arithmetic examples, loop oracles, ordering properties."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from mambapress import kernels
-from mambapress.importance import (
-    Indicator,
-    score_cls_similarity,
-    score_delta,
-    score_hidden,
-    score_projection,
-)
+from mambapress.importance import Indicator, compute_scores, score_cls_similarity, score_delta
 from mambapress.ssm import DIRECTIONS, ScanTrace, selective_scan
 from tests import oracles
 from tests.test_kernels import naive_matmul_f32
@@ -23,6 +17,13 @@ def trace_with_delta(delta: np.ndarray) -> ScanTrace:
     delta = np.asarray(delta, dtype=np.float32)
     zeros = np.zeros_like(delta)
     return ScanTrace(y=zeros, delta=delta, b=zeros, c=zeros)
+
+
+def score(indicator, traces=(), x=None, cls_row=None) -> np.ndarray:
+    """``compute_scores`` with ``x`` as both the block input and output."""
+    return compute_scores(
+        indicator, block_input=x, block_output=x, traces=traces, cls_row=cls_row
+    ).scores
 
 
 def projection_traces(xs, ws, indicator) -> list[ScanTrace]:
@@ -43,7 +44,7 @@ class TestScoreDelta:
         t1 = trace_with_delta([[0.2, 0.4]])
         t2 = trace_with_delta([[0.1, 0.3]])
         out = score_delta([t1, t2])
-        assert out.indicator is Indicator.DELTA
+        assert np.array_equal(out.scores, score(Indicator.DELTA, [t1, t2]))
         assert out.scores[0] == pytest.approx(0.5, abs=1e-7)
 
     def test_uniform_delta_gives_identity_ranking(self):
@@ -95,27 +96,26 @@ class TestScoreProjection:
     def test_zero_weights(self):
         x = np.random.default_rng(4).standard_normal((5, 3)).astype(np.float32)
         traces = projection_traces([x], [np.zeros((3, 2), np.float32)], Indicator.B_PROJ)
-        out = score_projection(traces, Indicator.B_PROJ)
-        assert np.array_equal(out.scores, np.zeros(5, dtype=np.float32))
+        assert np.array_equal(score(Indicator.B_PROJ, traces), np.zeros(5, dtype=np.float32))
 
     def test_selector_column(self):
         x = np.random.default_rng(5).standard_normal((4, 3)).astype(np.float32)
         w = np.zeros((3, 1), dtype=np.float32)
         w[0, 0] = 1.0
-        out = score_projection(projection_traces([x], [w], Indicator.C_PROJ), Indicator.C_PROJ)
-        assert np.allclose(out.scores, x[:, 0], atol=1e-7)
+        out = score(Indicator.C_PROJ, projection_traces([x], [w], Indicator.C_PROJ))
+        assert np.allclose(out, x[:, 0], atol=1e-7)
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(6)
         xs = [rng.standard_normal((7, 4)).astype(np.float32) for _ in range(2)]
         ws = [rng.standard_normal((4, 3)).astype(np.float32) for _ in range(2)]
-        out = score_projection(projection_traces(xs, ws, Indicator.B_PROJ), Indicator.B_PROJ)
+        out = score(Indicator.B_PROJ, projection_traces(xs, ws, Indicator.B_PROJ))
         for t in range(7):
             acc = 0.0
             for n in range(3):
                 for h in range(2):
                     acc += float(np.dot(xs[h][t].astype(np.float64), ws[h][:, n].astype(np.float64)))
-            assert abs(out.scores[t] - acc / 3) < 1e-6
+            assert abs(out[t] - acc / 3) < 1e-6
 
     @pytest.mark.parametrize("indicator", [Indicator.B_PROJ, Indicator.C_PROJ])
     def test_books_nothing_and_keeps_bits(self, indicator):
@@ -128,39 +128,33 @@ class TestScoreProjection:
         total = naive_matmul_f32(xs[0], ws[0]) + naive_matmul_f32(xs[1], ws[1])
         want = total.mean(axis=1, dtype=np.float32)
         with kernels.count_flops() as counter:
-            out = score_projection(traces, indicator)
+            out = score(indicator, traces)
             assert kernels._ACTIVE.get() is counter
         assert counter.total == 0 and not counter.by_op
-        assert np.array_equal(out.scores.view(np.uint32), want.view(np.uint32))
-
-    def test_rejects_wrong_indicator(self):
-        x = np.zeros((2, 2), np.float32)
-        traces = projection_traces([x], [np.zeros((2, 1), np.float32)], Indicator.B_PROJ)
-        with pytest.raises(ValueError, match="cannot produce"):
-            score_projection(traces, Indicator.DELTA)
+        assert np.array_equal(out.view(np.uint32), want.view(np.uint32))
 
     def test_rejects_shape_mismatch(self):
         xs = [np.zeros((2, 3), np.float32), np.zeros((2, 3), np.float32)]
         ws = [np.zeros((3, 1), np.float32), np.zeros((3, 2), np.float32)]
         with pytest.raises(ValueError, match="differ"):
-            score_projection(projection_traces(xs, ws, Indicator.B_PROJ), Indicator.B_PROJ)
+            score(Indicator.B_PROJ, projection_traces(xs, ws, Indicator.B_PROJ))
 
 
 class TestScoreHidden:
     def test_all_ones(self):
-        out = score_hidden(np.ones((4, 6), dtype=np.float32))
-        assert np.array_equal(out.scores, np.ones(4, dtype=np.float32))
+        out = score(Indicator.HIDDEN_X, x=np.ones((4, 6), dtype=np.float32))
+        assert np.array_equal(out, np.ones(4, dtype=np.float32))
 
     def test_row_mean(self):
-        out = score_hidden(np.array([[2.0, 4.0]], dtype=np.float32))
-        assert out.scores[0] == pytest.approx(3.0)
+        out = score(Indicator.HIDDEN_X, x=np.array([[2.0, 4.0]], dtype=np.float32))
+        assert out[0] == pytest.approx(3.0)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((11, 5)).astype(np.float32)
-        out = score_hidden(x)
+        out = score(Indicator.HIDDEN_X, x=x)
         for t in range(11):
-            assert abs(out.scores[t] - sum(float(v) for v in x[t]) / 5) < 1e-6
+            assert abs(out[t] - sum(float(v) for v in x[t]) / 5) < 1e-6
 
 
 class TestScoreClsSimilarity:
@@ -193,6 +187,27 @@ class TestScoreClsSimilarity:
             score_cls_similarity(np.zeros((3, 2), np.float32), 3)
 
 
+class TestComputeScores:
+    @pytest.mark.parametrize("indicator", [Indicator.DELTA, Indicator.B_PROJ, Indicator.C_PROJ])
+    def test_reads_the_trace_field_its_value_names(self, indicator):
+        assert indicator.value in {f.name for f in fields(ScanTrace)}
+        values = {"delta": 1.0, "b": 2.0, "c": 3.0}
+        trace = ScanTrace(y=np.zeros((3, 2), np.float32),
+                          **{k: np.full((3, 2), v, np.float32) for k, v in values.items()})
+        assert np.array_equal(score(indicator, [trace, trace]),
+                              np.full(3, 2 * values[indicator.value], np.float32))
+
+    def test_cls_needs_a_cls_token(self):
+        x = np.ones((3, 2), np.float32)
+        with pytest.raises(ValueError, match="cls similarity scoring needs a cls token"):
+            score(Indicator.CLS_SIM, x=x, cls_row=None)
+
+    def test_rejects_unknown_indicator(self):
+        x = np.ones((3, 2), np.float32)
+        with pytest.raises(ValueError, match="'z' is not a valid Indicator"):
+            score("z", [trace_with_delta(x)], x=x)
+
+
 class TestPermutationEquivariance:
     """Permuting tokens (and precomputed traces) permutes scores identically.
 
@@ -206,15 +221,16 @@ class TestPermutationEquivariance:
         w = rng.standard_normal((4, 3)).astype(np.float32)
         perm = rng.permutation(9)
         (trace,) = projection_traces([x], [w], Indicator.B_PROJ)
-        base = score_projection([trace], Indicator.B_PROJ)
-        permuted = score_projection([replace(trace, b=trace.b[perm])], Indicator.B_PROJ)
-        assert np.array_equal(permuted.scores, base.scores[perm])
+        base = score(Indicator.B_PROJ, [trace])
+        permuted = score(Indicator.B_PROJ, [replace(trace, b=trace.b[perm])])
+        assert np.array_equal(permuted, base[perm])
 
     def test_hidden(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((7, 5)).astype(np.float32)
         perm = rng.permutation(7)
-        assert np.array_equal(score_hidden(x[perm]).scores, score_hidden(x).scores[perm])
+        hidden = score(Indicator.HIDDEN_X, x=x)
+        assert np.array_equal(score(Indicator.HIDDEN_X, x=x[perm]), hidden[perm])
 
     def test_cls_similarity(self):
         rng = np.random.default_rng(12)

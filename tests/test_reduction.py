@@ -33,6 +33,12 @@ def match_and_merge(seq, part, weighted=True):
     return apply_merge(seq, mapping, weighted), mapping
 
 
+@pytest.mark.parametrize("weight", [0, -1])
+def test_token_sequence_rejects_weights_below_one(weight):
+    with pytest.raises(ValueError, match="weight must be >= 1"):
+        make_seq(np.random.default_rng(0), 3, weights=[1, weight, 1])
+
+
 class TestPartition:
     def test_sizes_quarter(self):
         scores = np.linspace(1, 0, 16).astype(np.float32)
