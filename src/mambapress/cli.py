@@ -1,7 +1,7 @@
 """Command-line surface: seed checkpoints, run inference, benchmark, render masks.
 
 Exit codes: 0 success, 2 bad flags or semantic flag errors, 3 I/O
-problems, 4 numeric failure (non-finite activations).
+problems, 4 numeric failure (non-finite activations, similarities or scores).
 """
 
 from __future__ import annotations
@@ -112,11 +112,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 def _load_input(args: argparse.Namespace, config: ModelConfig) -> np.ndarray:
     if args.image is not None:
-        img = ppm.read_ppm(args.image)
-        expected = (config.image_size, config.image_size, config.channels)
-        if img.shape != expected:
-            raise ValueError(f"input image shape {img.shape} != model's {expected}")
-        return img
+        return ppm.read_ppm(args.image)
     seed = args.synthetic if args.synthetic is not None else 0
     return ppm.synthetic_image(config.image_size, seed, config.channels)
 
@@ -230,7 +226,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
         config.patch_size,
         record.kept_orig,
         record.target_orig,
-        record.merged_orig + record.pruned_orig,
+        np.concatenate((record.edges_orig[:, 0], record.pruned_orig)),
         cls_orig=config.cls_slot,
     )
     ppm.write_ppm(args.out, rendered)

@@ -143,6 +143,12 @@ SOFTPLUS_CUTOFF = 20.0
 NORM_FLOOR = F32(1e-12)
 
 
+class NumericError(RuntimeError, ValueError):
+    """Raised when a pass meets values that are not finite: timescales,
+    activations, logits, similarities or scores. It is a ValueError too,
+    the error the kernels raise for operands they cannot use."""
+
+
 class FlopCounter:
     """Running FLOP tally, grouped by kernel name."""
 
@@ -727,8 +733,10 @@ def merge_fold(x, weight, keep, edges, weighted: bool = True):
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of x, its squares summed left to right."""
-    return np.sqrt(_matmul(x * x, np.ones((x.shape[1], 1), dtype=np.float32))[:, 0])
+    """The Euclidean norm of each row of x, its squares summed left to right.
+    A square or a sum past the float32 range gives an infinite norm."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(_matmul(x * x, np.ones((x.shape[1], 1), dtype=np.float32))[:, 0])
 
 
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -743,10 +751,10 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"cosine_matrix shape mismatch: {a.shape} vs {b.shape}")
     na, nb = _row_norms(a), _row_norms(b)
-    dots = _matmul(a, b.T)
-    # Rows or columns under the floor may divide by zero or overflow; they
-    # are zeroed next, as are rows or columns with a NaN norm.
+    # Dots may overflow, and rows or columns under the floor may divide by
+    # zero; those rows and columns are zeroed next, as are NaN-norm ones.
     with np.errstate(all="ignore"):
+        dots = _matmul(a, b.T)
         np.divide(dots, na[:, None] * nb[None, :], out=dots)
     dots[~(na >= NORM_FLOOR)] = 0.0
     dots[:, ~(nb >= NORM_FLOOR)] = 0.0
@@ -760,7 +768,8 @@ def cosine_argmax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     first of equal similarities wins, -0.0 and +0.0 included, and a row
     whose norm is under the floor picks row 0. The compiled kernel keeps
     each row's running maximum and never builds the (M, P) matrix. Raises
-    ``ValueError`` if any similarity is NaN, as it is for infinite features.
+    :class:`NumericError` if any similarity is NaN, as it is for infinite
+    features or for rows whose squared norms overflow float32.
     """
     a = np.ascontiguousarray(a, dtype=np.float32)
     b = as_f32(b)
@@ -787,15 +796,17 @@ def cosine_argmax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise MemoryError("cosine_argmax could not allocate its tail panel")
         nan = status == 1
     if nan:
-        raise ValueError("similarity is NaN: token features are not finite")
+        raise NumericError("similarity is NaN: token features are not finite "
+                           "or their squared norms overflow float32")
     return best
 
 
 def argsort_desc(values) -> np.ndarray:
-    """Stable descending argsort; ties keep ascending original index."""
+    """Stable descending argsort; ties keep ascending original index.
+    Raises :class:`NumericError` on a NaN or infinite value."""
     v = as_f32(values)
     if v.ndim != 1:
         raise ValueError(f"argsort_desc expects a vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("argsort_desc requires finite values")
+        raise NumericError("argsort_desc requires finite values")
     return np.argsort(-v, kind="stable")

@@ -31,6 +31,8 @@ def render_mask(
     the classification slot when one exists.
     """
     image = np.asarray(image, dtype=np.float32)
+    if image.ndim != 3 or image.shape[2] != 3:
+        raise ValueError(f"render_mask tints RGB images, (H, W, 3); got shape {image.shape}")
     h, w = image.shape[:2]
     if h % patch_size or w % patch_size:
         raise ValueError(f"image {image.shape} not divisible into {patch_size}-pixel patches")

@@ -352,9 +352,7 @@ class VisionModel:
         indicator = Indicator(indicator)
         config = self.config
         layer_set = frozenset(plan.reduce_at_layers if plan is not None else ())
-        for i in layer_set:
-            if not 0 <= i < config.depth:
-                raise ValueError(f"plan layer {i} outside 0..{config.depth - 1}")
+        flops._check_layers(layer_set, config.depth)
 
         counts: list[int] = []
         records: dict[int, ReductionRecord] = {}

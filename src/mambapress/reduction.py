@@ -107,16 +107,17 @@ class MergeMapping:
 
 @dataclass
 class ReductionRecord:
-    """What one reduction did, in original-index terms (for diagnostics)."""
+    """What one reduction did, as int64 arrays of original indices, each
+    group in descending score order. Row i of ``edges_orig`` is (source,
+    target) for the i-th source merged; ``pruned_orig`` holds the sources
+    dropped outright."""
 
     k: float
     strategy: Strategy
-    group_count: int  # floor(k * reducible)
-    kept_orig: list[int] = field(default_factory=list)
-    target_orig: list[int] = field(default_factory=list)
-    merged_orig: list[int] = field(default_factory=list)  # sources absorbed by merge
-    pruned_orig: list[int] = field(default_factory=list)  # sources dropped outright
-    edges_orig: list[tuple[int, int]] = field(default_factory=list)
+    kept_orig: np.ndarray  # (floor(k * reducible),)
+    target_orig: np.ndarray
+    pruned_orig: np.ndarray
+    edges_orig: np.ndarray  # (S, 2)
 
 
 def group_size(k: float, reducible_count: int) -> int:
@@ -243,14 +244,5 @@ def reduce_layer(
     mapping = match_sources(seq, GroupPartition(part.keep_idx, part.target_idx, merge_src))
     out = apply_merge(seq, mapping, weighted, pruned)
     orig = seq.orig_index
-    merged_orig, into_orig = orig[mapping.edges].T.tolist()
-    return out, ReductionRecord(
-        k=k,
-        strategy=strategy,
-        group_count=len(part.keep_idx),
-        kept_orig=orig[part.keep_idx].tolist(),
-        target_orig=orig[part.target_idx].tolist(),
-        merged_orig=merged_orig,
-        pruned_orig=orig[pruned].tolist(),
-        edges_orig=list(zip(merged_orig, into_orig)),
-    )
+    return out, ReductionRecord(k, strategy, orig[part.keep_idx], orig[part.target_idx],
+                                orig[pruned], orig[mapping.edges])

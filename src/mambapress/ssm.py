@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .kernels import as_f32
+from .kernels import NumericError, as_f32
 
 # A block's scan heads, one per direction in this order, and the taps of
 # each head's depthwise causal conv.
@@ -38,10 +38,6 @@ HEAD_SHAPES = {"a_log": "EN", "w_b": "EN", "w_c": "EN", "w_1": "ER", "w_2": "RE"
 BLOCK_SHAPES = {"norm_scale": "D", "norm_bias": "D", "in_proj": "DZ", "out_proj": "ED"}
 AXES = {"P": "patch inputs", "D": "feat dim", "E": "inner dim", "Z": "in-projection width",
         "N": "state dim", "R": "timescale rank", "W": "conv width", "C": "classes"}
-
-
-class NumericError(RuntimeError):
-    """Raised when a forward pass produces non-finite activations or logits."""
 
 
 @dataclass

@@ -4,8 +4,9 @@
 
 Each case runs two seeded images through a seeded model under one reduction
 plan and records, per image, the sha256 of the logits bytes, the token
-counts, ``layer_flops``, the sha256 of the ``repr`` of every
-``ReductionRecord`` and the FLOPs each kernel booked (``count_flops().by_op``).
+counts, ``layer_flops``, the sha256 of every ``ReductionRecord`` written
+out by :func:`record_repr` and the FLOPs each kernel booked
+(``count_flops().by_op``).
 ``tests/test_bits_digest.py`` recomputes them, compiled and, for the small
 configs, on the numpy fallback, and compares them with this file.
 
@@ -28,7 +29,7 @@ from mambapress.flops import FlopsModel, default_reduction_layers, solve_k
 from mambapress.importance import Indicator
 from mambapress.model import ModelConfig, VisionModel
 from mambapress.ppm import synthetic_image
-from mambapress.reduction import Strategy
+from mambapress.reduction import ReductionRecord, Strategy
 
 DIGEST_PATH = Path(__file__).resolve().parent / "bits_digest.json"
 WEIGHT_SEED = 0
@@ -76,6 +77,18 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def record_repr(record: ReductionRecord) -> str:
+    """The record in the form the digest has always hashed: the ``repr`` it
+    had when it held Python lists, with the group size and the merged
+    sources spelled out. The record itself holds int64 arrays, whose
+    ``repr`` elides long arrays and names the dtype."""
+    merged, into = record.edges_orig.T.tolist()
+    return (f"ReductionRecord(k={record.k!r}, strategy={record.strategy!r}, "
+            f"group_count={len(record.kept_orig)}, kept_orig={record.kept_orig.tolist()}, "
+            f"target_orig={record.target_orig.tolist()}, merged_orig={merged}, "
+            f"pruned_orig={record.pruned_orig.tolist()}, edges_orig={list(zip(merged, into))})")
+
+
 def digest(case: Case, model: VisionModel | None = None) -> list[dict]:
     """One entry per image of what the case's forward passes produced, on
     ``model`` or, by default, the case's seeded model."""
@@ -92,7 +105,8 @@ def digest(case: Case, model: VisionModel | None = None) -> list[dict]:
             "token_counts": diag.token_counts,
             "layer_flops": diag.layer_flops,
             "records_sha256": {
-                str(layer): sha256(repr(record).encode()) for layer, record in diag.reductions.items()
+                str(layer): sha256(record_repr(record).encode())
+                for layer, record in diag.reductions.items()
             },
             "flops_by_op": dict(sorted(counter.by_op.items())),
         })

@@ -6,13 +6,14 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mambapress import cli, kernels
-from mambapress.checkpoint import Checkpoint, CheckpointError, load, save
+from mambapress.checkpoint import Checkpoint, CheckpointError, load, save, save_model
 from mambapress.importance import Indicator
 from mambapress.mask import TINT, render_mask
 from mambapress.model import ModelConfig, VisionModel
@@ -23,6 +24,10 @@ SMALL_FLAGS = [
     "--image-size", "16", "--patch-size", "4", "--dim", "8",
     "--depth", "4", "--state-dim", "4", "--classes", "5",
 ]
+
+# The config of tests/test_fuzz.py.
+FUZZ_CONFIG = ModelConfig(image_size=16, patch_size=4, feat_dim=8, depth=2, state_dim=4,
+                          class_count=5)
 
 
 @pytest.fixture()
@@ -558,7 +563,8 @@ class TestMask:
         record = diag.reductions[1]
         want = render_mask(
             read_ppm(img_path), 4, record.kept_orig, record.target_orig,
-            record.merged_orig + record.pruned_orig, cls_orig=model.config.cls_slot,
+            np.concatenate((record.edges_orig[:, 0], record.pruned_orig)),
+            cls_orig=model.config.cls_slot,
         )
         got = read_ppm(out_path)
         assert np.max(np.abs(got - want)) <= 0.5 / 255 + 1e-6
@@ -590,7 +596,8 @@ class TestMask:
             record = model.forward(image, plan, weighted_merge=weighted)[1].reductions[3]
             masks.append(render_mask(
                 image, 4, record.kept_orig, record.target_orig,
-                record.merged_orig + record.pruned_orig, cls_orig=model.config.cls_slot,
+                np.concatenate((record.edges_orig[:, 0], record.pruned_orig)),
+                cls_orig=model.config.cls_slot,
             ))
         want, weighted_mask = masks
         assert np.max(np.abs(want - weighted_mask)) > 0.1
@@ -604,6 +611,16 @@ class TestMask:
         )
         assert code == 2
         assert "not a reduction layer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_non_rgb_checkpoint_exits_2_naming_the_shape(self, capsys, tmp_path, channels):
+        # run handles any channel count; the mask's tints are RGB.
+        ckpt = tmp_path / "model.bin"
+        save_model(VisionModel.seeded(dataclasses.replace(FUZZ_CONFIG, channels=channels), 3), ckpt)
+        code = cli.main(["mask", "--ckpt", str(ckpt), "--synthetic", "1", "--target-reduction",
+                         "0.1", "--layers", "0,1", "--layer", "0", "--out", str(tmp_path / "m.ppm")])
+        assert code == 2
+        assert f"RGB images, (H, W, 3); got shape (16, 16, {channels})" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "bench", "mask"])
@@ -692,3 +709,25 @@ class TestNumericFailure:
         code = cli.main(["run", "--ckpt", str(path), "--synthetic", "0"])
         assert code == 4
         assert "non-finite logits in the classification head" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("indicator", list(Indicator))
+    def test_overflowing_feature_norms_exit_4(self, capsys, tmp_path, path, indicator):
+        # Block 0's output is finite but its squared norms overflow float32,
+        # so matching (or, for cls, the scores) meets NaN similarities.
+        ckpt = tmp_path / "model.bin"
+        save_model(VisionModel.seeded(FUZZ_CONFIG, 3), ckpt)
+        loaded = load(ckpt)
+        loaded.entries["blocks.0.out_proj"] *= np.float32(1e20)
+        assert np.all(np.isfinite(loaded.entries["blocks.0.out_proj"]))
+        save(loaded, ckpt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["run", "--ckpt", str(ckpt), "--synthetic", "1", "--target-reduction",
+                             "0.15", "--layers", "0,1", "--indicator", indicator.value])
+        assert code == 4
+        err = capsys.readouterr().err
+        if indicator is Indicator.CLS_SIM:
+            assert "numeric failure: argsort_desc requires finite values" in err
+        else:
+            assert ("numeric failure: similarity is NaN: token features are not finite "
+                    "or their squared norms overflow float32") in err

@@ -236,7 +236,7 @@ class TestForward:
         plan = ReductionPlan((0, 1, 2, 3), 0.45, Strategy.PRUNE, 0.0, 0.0)
         _, diag = model.forward(img, plan)
         for record in diag.reductions.values():
-            assert cfg.cls_slot not in record.merged_orig
+            assert cfg.cls_slot not in record.edges_orig[:, 0]
             assert cfg.cls_slot not in record.pruned_orig
 
     def test_mean_pool_head(self):

@@ -1,7 +1,5 @@
 """Grouping, matching, merging, order: oracles and conservation laws."""
 
-import dataclasses
-import json
 import math
 
 import numpy as np
@@ -492,7 +490,7 @@ class TestReduceLayer:
         assert np.array_equal(out.features, seq.features)
         assert np.array_equal(out.orig_index, seq.orig_index)
         assert np.array_equal(out.weight, seq.weight)
-        assert record.group_count == 0
+        assert len(record.kept_orig) == 0 and len(record.edges_orig) == 0
 
     @pytest.mark.parametrize("shape", [(6,), (14,), (10, 1)])
     def test_rejects_scores_not_one_per_token(self, shape):
@@ -577,26 +575,23 @@ class TestReduceLayer:
             assert 6 in out.orig_index
             assert out.cls_orig == 6
 
-    def test_record_holds_python_values(self):
+    def test_record_holds_int64_arrays(self):
         rng = np.random.default_rng(20)
         seq = make_seq(rng, 20, cls_orig=10)
         scores = rng.standard_normal(20).astype(np.float32)
         _, hybrid = reduce_layer(seq, scores, 0.4, Strategy.HYBRID)
-        assert hybrid.merged_orig and hybrid.pruned_orig
+        assert len(hybrid.edges_orig) and len(hybrid.pruned_orig)
         for strategy in Strategy:
             for k in (0.4, 0.0):
                 _, record = reduce_layer(seq, scores, k, strategy)
-                for name in ("kept_orig", "target_orig", "merged_orig", "pruned_orig"):
+                for name in ("kept_orig", "target_orig", "pruned_orig", "edges_orig"):
                     values = getattr(record, name)
-                    assert type(values) is list and all(type(i) is int for i in values)
-                assert type(record.edges_orig) is list
-                assert all(type(e) is tuple and [type(i) for i in e] == [int, int]
-                           for e in record.edges_orig)
-                assert [s for s, _ in record.edges_orig] == record.merged_orig
-                # PRUNE and k = 0 merge nothing: the (0, 2) edge array gives empty lists.
+                    assert type(values) is np.ndarray and values.dtype == np.int64
+                    assert values.ndim == (2 if name == "edges_orig" else 1)
+                assert record.edges_orig.shape[1:] == (2,)
+                # PRUNE and k = 0 merge nothing: the edge array is (0, 2).
                 if strategy is Strategy.PRUNE or k == 0:
-                    assert record.merged_orig == [] and record.edges_orig == []
-                json.dumps(dataclasses.asdict(record))
+                    assert record.edges_orig.shape == (0, 2)
 
     def test_record_accounts_for_every_source(self):
         rng = np.random.default_rng(19)
@@ -605,6 +600,6 @@ class TestReduceLayer:
         for strategy in Strategy:
             out, record = reduce_layer(seq, scores, 0.25, strategy)
             n_k = group_size(0.25, 20)
-            assert len(record.merged_orig) + len(record.pruned_orig) == n_k
+            assert len(record.edges_orig) + len(record.pruned_orig) == n_k
             assert len(record.kept_orig) == n_k
             assert len(out) == 20 - n_k
