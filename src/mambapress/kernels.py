@@ -17,12 +17,12 @@ each kernel runs the same arithmetic in numpy. Both paths give the same
 bits, except that a NaN output may carry a different payload or sign;
 where NaNs appear does not change.
 
-The C functions take raw pointers (``ctypes.c_void_p``), which ctypes
-passes without checking. So each Python wrapper first converts every
-operand with ``np.ascontiguousarray(..., dtype=np.float32)`` and checks
-the shapes, then passes ``arr.ctypes.data`` of arrays it keeps referenced
-for the duration of the call. A strided, transposed or float64 operand is
-therefore copied, never read raw.
+The C functions take raw pointers, which ctypes passes unchecked. So each
+wrapper converts its operands with ``np.ascontiguousarray``, checks their
+shapes and calls :func:`_call`, the one path that passes an array by its
+address, which refuses one that is not C-contiguous with the dtype
+:data:`_EXPORTS` gives it. A strided, transposed or float64 operand is
+therefore copied, never read raw, except ``gate``'s z, read by row stride.
 
 The engine has its own float32 exp, one recipe (Tang's table method,
 ACM TOMS 15(2), 1989) with two front ends, each written twice: in C, per
@@ -141,6 +141,9 @@ SOFTPLUS_CUTOFF = 20.0
 
 # Vectors with a smaller norm are treated as directionless.
 NORM_FLOOR = F32(1e-12)
+# The message for an infinite norm and for a NaN similarity, which raise.
+_NOT_FINITE = ("similarity is NaN: token features are not finite "
+               "or their squared norms overflow float32")
 
 
 class NumericError(RuntimeError, ValueError):
@@ -201,24 +204,24 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 _CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 _PTR, _SIZE, _INT = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
+_F32, _I64, _BOOL, _INTP, _UINTP = map(np.dtype, (F32, np.int64, bool, np.intp, np.uintp))
 
-# Each export of the library: its argument types and return type. Every
-# array argument is a raw pointer: callers pass ``arr.ctypes.data`` of a
-# C-contiguous array whose shape they have checked, float32 except the
-# ``intp`` picks that ``cosine_argmax`` writes, ``merge_fold``'s int64
-# weights and edges and bool keep mask, and ``gate``'s array of head
-# pointers; ``gate``'s z may have any row stride, passed in elements.
+# Each export of the library: its argument types and return type. An array
+# argument is the dtype its C pointer points at (``gate``'s head table holds
+# addresses), which :func:`_call` checks; ``gate``'s z is a raw pointer.
 _EXPORTS = {
-    "ltr_matmul": ([_PTR] * 3 + [_SIZE] * 3, _INT),
-    "ssm_scan": ([_PTR] * 7 + [_SIZE] * 3 + [_INT], _INT),
-    "causal_conv": ([_PTR] * 3 + [_SIZE] * 3 + [_INT], None),
-    "exp_f32": ([_PTR, _PTR, _SIZE], None),
-    "silu": ([_PTR, _PTR, _SIZE], None),
-    "gate": ([_PTR, _SIZE, _PTR, _SIZE, _PTR, _SIZE, _SIZE], None),
-    "layernorm": ([_PTR] * 4 + [_SIZE] * 2, None),
-    "merge_fold": ([_PTR] * 6 + [_SIZE] * 3 + [_INT], _INT),
-    "cosine_argmax": ([_PTR] * 4 + [ctypes.c_float, _PTR] + [_SIZE] * 3, _INT),
+    "ltr_matmul": ([_F32] * 3 + [_SIZE] * 3, _INT),
+    "ssm_scan": ([_F32] * 7 + [_SIZE] * 3 + [_INT], _INT),
+    "causal_conv": ([_F32] * 3 + [_SIZE] * 3 + [_INT], None),
+    "exp_f32": ([_F32, _F32, _SIZE], None),
+    "silu": ([_F32, _F32, _SIZE], None),
+    "gate": ([_PTR, _SIZE, _UINTP, _SIZE, _F32, _SIZE, _SIZE], None),
+    "layernorm": ([_F32] * 4 + [_SIZE] * 2, None),
+    "merge_fold": ([_F32, _I64, _BOOL, _I64, _F32, _I64] + [_SIZE] * 3 + [_INT], _INT),
+    "cosine_argmax": ([_F32] * 4 + [ctypes.c_float, _INTP] + [_SIZE] * 3, _INT),
 }
+_ARRAYS = {name: [(i, t) for i, t in enumerate(params) if isinstance(t, np.dtype)]
+           for name, (params, _) in _EXPORTS.items()}
 
 
 def _cpu_flags() -> str:
@@ -263,9 +266,10 @@ def _build_library(cache_dir: Path, compiler: str):
         lib = ctypes.CDLL(str(lib_path))
     except (OSError, subprocess.SubprocessError):
         return None
-    for name, (argtypes, restype) in _EXPORTS.items():
+    for name, (params, restype) in _EXPORTS.items():
         export = getattr(lib, name)
-        export.argtypes, export.restype = argtypes, restype
+        export.argtypes = [_PTR if isinstance(t, np.dtype) else t for t in params]
+        export.restype = restype
     return lib
 
 
@@ -285,6 +289,25 @@ def _library():
     return _loaded
 
 
+def _call(name: str, *args):
+    """Call export ``name`` with each array argument passed by address, and
+    return its status: ValueError for an array not C-contiguous with the
+    dtype :data:`_EXPORTS` gives it, MemoryError for -1, a failed
+    allocation. ``args`` keeps the arrays alive across the GIL-free call."""
+    if len(args) != len(_EXPORTS[name][0]):
+        raise ValueError(f"{name} takes {len(_EXPORTS[name][0])} arguments, got {len(args)}")
+    raw = list(args)
+    for i, dtype in _ARRAYS[name]:
+        arr = args[i]
+        if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.flags.c_contiguous):
+            raise ValueError(f"{name} argument {i} must be a C-contiguous {dtype} array")
+        raw[i] = arr.ctypes.data
+    status = getattr(_library(), name)(*raw)
+    if status == -1:
+        raise MemoryError(f"{name} could not allocate its scratch memory")
+    return status
+
+
 def _matmul_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, _ = a.shape
     p = b.shape[1]
@@ -292,16 +315,17 @@ def _matmul_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if m == 0 or p == 0:
         return acc
     tmp = np.empty((m, p), dtype=np.float32)
-    for i in range(a.shape[1]):
-        np.multiply(a[:, i, None], b[i, :], out=tmp)
-        np.add(acc, tmp, out=acc)
+    # Overflow gives inf or NaN silently, as in the compiled kernel.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(a.shape[1]):
+            np.multiply(a[:, i, None], b[i, :], out=tmp)
+            np.add(acc, tmp, out=acc)
     return acc
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The product of :func:`matmul`, without its FLOP tally."""
-    lib = _library()
-    if lib is None:
+    if _library() is None:
         return _matmul_numpy(a, b)
     a = np.ascontiguousarray(a, dtype=np.float32)
     b = np.ascontiguousarray(b, dtype=np.float32)
@@ -309,10 +333,8 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape[0] != k:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out = np.empty((m, p), dtype=np.float32)
-    # ctypes releases the GIL for the call; a, b and out stay referenced here.
-    if out.size and lib.ltr_matmul(a.ctypes.data, b.ctypes.data, out.ctypes.data,
-                                   m, k, p) != 0:
-        raise MemoryError("ltr_matmul could not allocate its tail panel")
+    if out.size:
+        _call("ltr_matmul", a, b, out, m, k, p)
     return out
 
 
@@ -464,31 +486,26 @@ def ssm_scan(delta, a, x, b, c, skip, reverse: bool = False):
     _tally("rowdot", 2 * size)
     # Both paths read one rounded a * 16/ln 2, the decays' argument scale.
     a16 = a * _EXP_SCALE
-    lib = _library()
-    if lib is None:
+    if _library() is None:
         abar = _decay_numpy(delta[:, :, None] * a16)
         return _ssm_scan_numpy(abar, delta * x, b, c, reverse) + skip * x
     at = np.ascontiguousarray(a16.T)
     y = np.empty((length, e), dtype=np.float32)
-    # ctypes releases the GIL for the call; every buffer stays referenced here.
-    if y.size and lib.ssm_scan(
-        delta.ctypes.data, at.ctypes.data, x.ctypes.data, b.ctypes.data, c.ctypes.data,
-        skip.ctypes.data, y.ctypes.data, length, e, n, bool(reverse),
-    ) != 0:
-        raise MemoryError("ssm_scan could not allocate its state")
+    if y.size:
+        _call("ssm_scan", delta, at, x, b, c, skip, y, length, e, n, bool(reverse))
     return y
 
 
 def exp_in_place(buf: np.ndarray) -> np.ndarray:
-    """Overwrite a C-contiguous float32 array with the pinned exp of its
-    values, and return it: C ``exp_f32`` when the library is loaded, else
-    :func:`_exp_numpy`, the same bits. Books no FLOPs; its callers do."""
-    lib = _library()
-    if lib is None:
+    """Overwrite a writeable, C-contiguous float32 array with the pinned exp
+    of its values (any other raises ValueError), and return it: C ``exp_f32``
+    or :func:`_exp_numpy`, the same bits. Books no FLOPs; its callers do."""
+    if not (isinstance(buf, np.ndarray) and buf.dtype == _F32 and buf.flags.carray):
+        raise ValueError("exp_in_place needs a writeable, C-contiguous float32 array")
+    if _library() is None:
         buf[...] = _exp_numpy(buf)
     elif buf.size:
-        # ctypes releases the GIL for the call; buf stays referenced here.
-        lib.exp_f32(buf.ctypes.data, buf.ctypes.data, buf.size)
+        _call("exp_f32", buf, buf, buf.size)
     return buf
 
 
@@ -515,16 +532,14 @@ def silu(x) -> np.ndarray:
     each step a rounded float32 operation."""
     x = as_f32(x)
     _tally("silu", x.size)
-    lib = _library()
-    if lib is None:
+    if _library() is None:
         out = _exp_numpy(np.negative(x))
         np.add(F32(1.0), out, out=out)
         return np.divide(x, out, out=out)
     src = np.ascontiguousarray(x)
     out = np.empty(x.shape, dtype=np.float32)
-    # ctypes releases the GIL for the call; src and out stay referenced here.
     if out.size:
-        lib.silu(src.ctypes.data, out.ctypes.data, out.size)
+        _call("silu", src, out, out.size)
     return out
 
 
@@ -540,8 +555,7 @@ def gate(z, ys) -> np.ndarray:
     if not ys or z.ndim != 2 or any(y.shape != z.shape for y in ys):
         raise ValueError(f"gate expects (L, E) operands of one shape, got {z.shape} and "
                          f"{[y.shape for y in ys]}")
-    lib = _library()
-    if lib is None:
+    if _library() is None:
         y_sum = ys[0]
         for y in ys[1:]:
             y_sum = add(y_sum, y)
@@ -554,10 +568,9 @@ def gate(z, ys) -> np.ndarray:
         z = np.ascontiguousarray(z)
     ptrs = np.array([y.ctypes.data for y in ys], dtype=np.uintp)
     out = np.empty(z.shape, dtype=np.float32)
-    # ctypes releases the GIL for the call; z, ys, ptrs and out stay referenced here.
+    # z and ys, passed by address, stay referenced here for the call.
     if out.size:
-        lib.gate(z.ctypes.data, z.strides[0] // z.itemsize, ptrs.ctypes.data, len(ys),
-                 out.ctypes.data, *z.shape)
+        _call("gate", z.ctypes.data, z.strides[0] // z.itemsize, ptrs, len(ys), out, *z.shape)
     return out
 
 
@@ -606,14 +619,11 @@ def layernorm(x, scale, bias) -> np.ndarray:
         raise ValueError(f"layernorm shape mismatch: rows of {d}, scale {scale.shape}, "
                          f"bias {bias.shape}")
     _tally("layernorm", 7 * x.size)
-    lib = _library()
-    if lib is None:
+    if _library() is None:
         return _layernorm_numpy(x, scale, bias)
     out = np.empty(x.shape, dtype=np.float32)
-    # ctypes releases the GIL for the call; x, scale, bias and out stay referenced here.
     if out.size:
-        lib.layernorm(x.ctypes.data, scale.ctypes.data, bias.ctypes.data, out.ctypes.data,
-                      x.size // d, d)
+        _call("layernorm", x, scale, bias, out, x.size // d, d)
     return out
 
 
@@ -651,15 +661,12 @@ def causal_conv(x: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.
     length, channels = x.shape
     width = kernel.shape[1]
     _tally("causal_conv", 2 * width * length * channels)
-    lib = _library()
-    if lib is None:
+    if _library() is None:
         return _causal_conv_numpy(x, kernel, reverse)
     kt = np.ascontiguousarray(kernel.T)
     out = np.empty((length, channels), dtype=np.float32)
-    # ctypes releases the GIL for the call; x, kt and out stay referenced here.
     if out.size:
-        lib.causal_conv(x.ctypes.data, kt.ctypes.data, out.ctypes.data,
-                        length, channels, width, bool(reverse))
+        _call("causal_conv", x, kt, out, length, channels, width, bool(reverse))
     return out
 
 
@@ -718,33 +725,33 @@ def merge_fold(x, weight, keep, edges, weighted: bool = True):
     # target's output row: both must exist.
     if len(edges) and (edges.min() < 0 or edges.max() >= n or not keep[edges[:, 1]].all()):
         raise ValueError("merge_fold edges must hold rows in range and kept targets")
-    lib = _library()
-    if lib is None:
+    if _library() is None:
         return _merge_fold_numpy(x, weight, keep, edges, weighted)
     m = int(np.count_nonzero(keep))
     features = np.empty((m, x.shape[1]), dtype=np.float32)
     out_weight = np.empty(m, dtype=np.int64)
-    # ctypes releases the GIL for the call; every operand stays referenced here.
-    if lib.merge_fold(x.ctypes.data, weight.ctypes.data, keep.ctypes.data, edges.ctypes.data,
-                      features.ctypes.data, out_weight.ctypes.data, n, x.shape[1],
-                      len(edges), bool(weighted)) != 0:
-        raise MemoryError("merge_fold could not allocate its accumulators")
+    _call("merge_fold", x, weight, keep, edges, features, out_weight, n, x.shape[1],
+          len(edges), bool(weighted))
     return features, out_weight
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """The Euclidean norm of each row of x, its squares summed left to right.
-    A square or a sum past the float32 range gives an infinite norm."""
+    Raises :class:`NumericError` if one is infinite; a NaN norm is returned."""
     with np.errstate(over="ignore"):
-        return np.sqrt(_matmul(x * x, np.ones((x.shape[1], 1), dtype=np.float32))[:, 0])
+        norms = np.sqrt(_matmul(x * x, np.ones((x.shape[1], 1), dtype=np.float32))[:, 0])
+    if np.isposinf(norms).any():
+        raise NumericError(_NOT_FINITE)
+    return norms
 
 
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All-pairs cosine similarity of the rows of a (M, K) and b (P, K).
 
-    Each entry is 0 where either row's norm is below 1e-12. Norms and dot
-    products accumulate left to right in float32, so entry [i, j] is
-    bitwise equal to a scalar loop over a[i] and b[j].
+    Each entry is 0 where either row's norm is below 1e-12; an infinite
+    norm raises :class:`NumericError`. Norms and dot products accumulate
+    left to right in float32, so entry [i, j] is bitwise equal to a scalar
+    loop over a[i] and b[j].
     """
     a = as_f32(a)
     b = as_f32(b)
@@ -780,8 +787,7 @@ def cosine_argmax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("cosine_argmax needs at least one row of b")
     if p >= 2**31:
         raise ValueError(f"cosine_argmax takes under 2**31 rows of b, got {p}")
-    lib = _library()
-    if lib is None:
+    if _library() is None:
         sims = cosine_matrix(a, b)
         best = sims.argmax(axis=1)
         nan = np.isnan(sims[np.arange(m), best]).any()
@@ -789,15 +795,9 @@ def cosine_argmax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         na, nb = _row_norms(a), _row_norms(b)
         bt = np.ascontiguousarray(b.T)
         best = np.zeros(m, dtype=np.intp)
-        # ctypes releases the GIL for the call; every operand stays referenced here.
-        status = lib.cosine_argmax(a.ctypes.data, bt.ctypes.data, na.ctypes.data,
-                                   nb.ctypes.data, NORM_FLOOR, best.ctypes.data, m, k, p)
-        if status < 0:
-            raise MemoryError("cosine_argmax could not allocate its tail panel")
-        nan = status == 1
+        nan = _call("cosine_argmax", a, bt, na, nb, NORM_FLOOR, best, m, k, p) == 1
     if nan:
-        raise NumericError("similarity is NaN: token features are not finite "
-                           "or their squared norms overflow float32")
+        raise NumericError(_NOT_FINITE)
     return best
 
 

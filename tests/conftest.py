@@ -11,7 +11,9 @@ from mambapress import kernels
 
 _PTR, _SIZE = ctypes.c_void_p, ctypes.c_ssize_t
 
-# The exports of probe.c, typed as kernels._EXPORTS types the library's.
+# The exports of probe.c, typed for ctypes as kernels._build_library types
+# the library's, every array argument a raw pointer: tests call the probe
+# directly, passing each array's address, not through kernels._call.
 PROBE_EXPORTS = {
     "probe_vexp": ([_PTR, _PTR, _SIZE], None),
     "probe_vdecay": ([_PTR, _PTR, _SIZE], None),

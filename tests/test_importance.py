@@ -168,6 +168,13 @@ class TestScoreClsSimilarity:
         out = score_cls_similarity(x, 0)
         assert out.scores[1] == 0.0
 
+    def test_overflowing_norm_raises(self):
+        # The first token's squared norm overflows float32; scored, it would
+        # rank every token 0.
+        x = np.array([[1e20, 2e20], [0.0, 1.0], [1.0, 0.0]], dtype=np.float32)
+        with pytest.raises(kernels.NumericError, match="squared norms overflow"):
+            score_cls_similarity(x, 1)
+
     def test_cls_position_gets_sentinel(self):
         x = np.random.default_rng(8).standard_normal((5, 4)).astype(np.float32)
         out = score_cls_similarity(x, 2)

@@ -1,5 +1,6 @@
 """Kernel contracts: exact reproducibility, branch safety, tie rules."""
 
+import ast
 import ctypes
 import dataclasses
 import os
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +80,17 @@ class TestMatmul:
         a = rng.standard_normal((12, 20)).astype(np.float32)
         b = rng.standard_normal((20, 4)).astype(np.float32)
         assert np.all(np.isfinite(kernels.matmul(a, b)))
+
+    def test_overflow_is_silent(self, path):
+        # Both paths give inf for a sum past the float32 range and NaN for
+        # inf + -inf, and neither warns.
+        a = np.full((1, 4), 3e38, np.float32)
+        b = np.full((4, 2), 3e38, np.float32)
+        b[1::2, 1] *= -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels.matmul(a, b)
+        assert got[0, 0] == np.inf and np.isnan(got[0, 1])
 
 
 class TestSoftplus:
@@ -207,6 +220,19 @@ class TestPinnedExp:
             err = np.abs(kernels._exp_numpy(x).astype(np.float64) - ref) / ulp
             worst = max(worst, float(err.max()))
         assert worst < 1.0
+
+    def test_in_place_refuses_buffers_it_cannot_write_whole(self, path):
+        # The compiled exp writes buf.size float32s from the first element:
+        # a reversed view would write past its end, a strided one into its
+        # gaps, and a float64 buffer would be read as float32 pairs.
+        base = np.zeros(64, np.float32)
+        wide = np.zeros(16)
+        read_only = base[40:48]
+        read_only.flags.writeable = False
+        for buf in (base[8:24][::-1], base[8:40:2], wide, read_only):
+            with pytest.raises(ValueError, match="exp_in_place"):
+                kernels.exp_in_place(buf)
+        assert base.tobytes() == bytes(base.nbytes) and wide.tobytes() == bytes(wide.nbytes)
 
 
 def decay_arguments(stride: int, chunk: int = 2**18):
@@ -475,6 +501,18 @@ class TestCosineArgmax:
             argmax_oracle(a, b)
         with pytest.raises(ValueError, match="similarity is NaN"):
             kernels.cosine_argmax(a, b)
+
+    def test_overflowing_norms_raise(self, path):
+        # Finite features whose squared norm overflows float32: an infinite
+        # norm would turn every similarity of the row to 0 or NaN.
+        a = np.array([[1e20, 2e20]], np.float32)
+        b = np.array([[1.0, 0.0], [0.0, 1.0]], np.float32)
+        assert list(kernels.cosine_argmax(a * np.float32(1e-19), b)) == [1]
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(kernels.NumericError, match="squared norms overflow"):
+                kernels.cosine_argmax(x, y)
+            with pytest.raises(kernels.NumericError, match="squared norms overflow"):
+                kernels.cosine_matrix(x, y)
 
     def test_random_sweep_with_special_values(self, path):
         rng = np.random.default_rng(74)
@@ -1095,15 +1133,58 @@ def test_toy_pass_books_the_same_flops_by_op():
 # name and parameter list, as ctypes must type it.
 C_DEFINITION = re.compile(r"^(?!static\b)(\w+)\s+(\w+)\(([^)]*)\)\s*\{", re.M)
 C_TYPES = {"int": ctypes.c_int, "ptrdiff_t": ctypes.c_ssize_t, "float": ctypes.c_float}
+# The dtype of the array a C pointer points at, by its pointee with any
+# leading const dropped; gate's head table is an array of addresses.
+C_POINTEES = {"float": np.float32, "int64_t": np.int64, "unsigned char": np.bool_,
+              "ptrdiff_t": np.intp, "float *const": np.uintp}
 
 
 def test_exports_match_the_ctypes_table():
     """Every exported C definition has the argument and return types that
-    kernels._EXPORTS gives ctypes: a call typed otherwise is undefined
-    behaviour, which no check of the results need catch."""
+    kernels._EXPORTS gives ctypes, and every array argument the dtype its
+    pointer points at: a call typed otherwise is undefined behaviour, which
+    no check of the results need catch. gate's z, read by its row stride,
+    is the one raw pointer."""
     exports = {}
     for ret, name, params in C_DEFINITION.findall(kernels._SOURCE.read_text()):
-        argtypes = [ctypes.c_void_p if "*" in param else C_TYPES[param.split()[-2]]
-                    for param in params.split(",")]
+        argtypes = []
+        for param in params.replace("restrict", "").split(","):
+            ctype, arg = re.fullmatch(r"\s*(.*?)\s*(\w+)", param).groups()
+            if (name, arg) == ("gate", "z"):
+                argtypes.append(ctypes.c_void_p)
+            elif ctype.endswith("*"):
+                argtypes.append(np.dtype(C_POINTEES[ctype[:-1].removeprefix("const").strip()]))
+            else:
+                argtypes.append(C_TYPES[ctype])
         exports[name] = (argtypes, None if ret == "void" else C_TYPES[ret])
-    assert exports == kernels._EXPORTS
+    # By repr: a dtype compares equal to the ctypes type of its size.
+    assert ({name: repr(types) for name, types in exports.items()}
+            == {name: repr(types) for name, types in kernels._EXPORTS.items()})
+
+
+def test_call_refuses_arrays_it_cannot_pass_raw():
+    """_call checks the argument count and each array's dtype and layout
+    before the library runs, and names the export."""
+    out = np.zeros(16, np.float32)
+    x = np.ones(8, np.float32)
+    for args in ((x.astype(np.float64), out[:8], 8), (x, out[8:0:-1], 8), (x, out[:8])):
+        with pytest.raises(ValueError, match="exp_f32"):
+            kernels._call("exp_f32", *args)
+    assert out.tobytes() == bytes(out.nbytes)
+
+
+def test_only_call_takes_array_addresses():
+    """In kernels.py only _call reads an array's .ctypes.data, besides gate
+    for its strided z and its head table, and each export is called through
+    _call once."""
+    tree = ast.parse(Path(kernels.__file__).read_text())
+    takers, called = set(), []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "data"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "ctypes"):
+                takers.add(getattr(top, "name", None))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_call":
+                called.append(node.args[0].value)
+    assert takers == {"_call", "gate"}
+    assert sorted(called) == sorted(kernels._EXPORTS)
