@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import as_f32
-from .ssm import ScanTrace
+from .ssm import ScanTrace, Workspace
 
 
 class Indicator(str, Enum):
@@ -41,8 +41,10 @@ class ImportanceScores:
     scores: np.ndarray  # (L,)
 
 
-def _head_sum_channel_mean(per_head: Sequence[np.ndarray]) -> ImportanceScores:
-    """Sum one (L, K) quantity across heads in head order, then average it over K."""
+def _head_sum_channel_mean(per_head: Sequence[np.ndarray],
+                           ws: Workspace | None = None) -> ImportanceScores:
+    """Sum one (L, K) quantity across heads in head order, then average it
+    over K. The sum goes into a new array, or into ``ws``'s "head_sum"."""
     if not per_head:
         raise ValueError("scoring needs at least one head trace")
     shape = per_head[0].shape
@@ -51,9 +53,11 @@ def _head_sum_channel_mean(per_head: Sequence[np.ndarray]) -> ImportanceScores:
     for arr in per_head[1:]:
         if arr.shape != shape:
             raise ValueError(f"head shapes differ: {arr.shape} vs {shape}")
-    total = per_head[0].astype(np.float32, copy=True)
-    for arr in per_head[1:]:
-        total = total + arr
+    total = as_f32(per_head[0])
+    if len(per_head) > 1:
+        out = np.empty(shape, np.float32) if ws is None else ws.take("head_sum", shape)
+        for arr in per_head[1:]:
+            total = np.add(total, as_f32(arr), out=out)
     return ImportanceScores(total.mean(axis=1, dtype=np.float32))
 
 
@@ -88,12 +92,14 @@ def compute_scores(
     block_output: np.ndarray,
     traces: Sequence[ScanTrace],
     cls_row: int | None,
+    ws: Workspace | None = None,
 ) -> ImportanceScores:
     """Score a block's tokens by one indicator.
 
     DELTA, B_PROJ and C_PROJ read the trace field their value names;
     HIDDEN_X reads the block input; CLS_SIM reads the block output, i.e.
-    the sequence actually being compressed.
+    the sequence actually being compressed. The head sum of the first
+    three goes into the workspace ``ws`` if one is given.
     """
     indicator = Indicator(indicator)
     if indicator is Indicator.CLS_SIM:
@@ -102,4 +108,4 @@ def compute_scores(
         return score_cls_similarity(block_output, cls_row)
     if indicator is Indicator.HIDDEN_X:
         return _head_sum_channel_mean([block_input])
-    return _head_sum_channel_mean([getattr(t, indicator.value) for t in traces])
+    return _head_sum_channel_mean([getattr(t, indicator.value) for t in traces], ws)

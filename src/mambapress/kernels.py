@@ -6,6 +6,17 @@ feed bit-reproducibility contracts (:func:`matmul` and
 :func:`cosine_matrix`) accumulate strictly left to right in float32, so an
 independently written scalar loop produces the exact same bits. BLAS is free to reassociate sums, so it is not used.
 
+The kernels that write a forward pass's large arrays, :func:`matmul`,
+:func:`layernorm`, :func:`causal_conv`, :func:`silu`, :func:`softplus`,
+:func:`ssm_scan`, :func:`gate`, :func:`add`, :func:`multiply` and
+:func:`merge_fold` (its features), take an optional ``out``: a writeable,
+C-contiguous float32 array of the result's shape, which they fill with
+the bits a new array would get and return. Any other ``out`` raises
+ValueError before anything is written, as does one that overlaps an
+operand, except that :func:`silu`, :func:`add` and :func:`multiply`,
+elementwise, may write over an operand passed as ``out`` itself.
+:func:`cosine_argmax` squares its rows in a workspace's buffer instead.
+
 Nine kernels are C code in one small library. Its source is the file
 ``_kernels.c`` beside this module, and its exports are typed from one
 table, :data:`_EXPORTS`. On first use it is compiled with the local
@@ -308,10 +319,27 @@ def _call(name: str, *args):
     return status
 
 
-def _matmul_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _out(out, shape: tuple[int, ...], name: str, *inputs) -> np.ndarray:
+    """``out`` checked to take a kernel's (shape) result, or a new array when
+    it is None. ValueError, before anything is written, unless it is a
+    writeable, C-contiguous float32 array of that shape that overlaps none of
+    ``inputs``: the operands the kernel may not write over."""
+    if out is None:
+        return np.empty(shape, dtype=np.float32)
+    if not (isinstance(out, np.ndarray) and out.dtype == _F32 and out.flags.carray):
+        raise ValueError(f"{name} out must be a writeable, C-contiguous float32 array")
+    if out.shape != shape:
+        raise ValueError(f"{name} out shape {out.shape} != result shape {shape}")
+    if any(np.may_share_memory(out, x) for x in inputs):
+        raise ValueError(f"{name} out overlaps an operand it may not write over")
+    return out
+
+
+def _matmul_numpy(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     m, _ = a.shape
     p = b.shape[1]
-    acc = np.zeros((m, p), dtype=np.float32)
+    acc = np.empty((m, p), dtype=np.float32) if out is None else out
+    acc.fill(0.0)
     if m == 0 or p == 0:
         return acc
     tmp = np.empty((m, p), dtype=np.float32)
@@ -323,22 +351,24 @@ def _matmul_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The product of :func:`matmul`, without its FLOP tally."""
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The product of :func:`matmul`, without its FLOP tally, into ``out``
+    (which :func:`matmul` has checked) or a new array."""
     if _library() is None:
-        return _matmul_numpy(a, b)
+        return _matmul_numpy(a, b, out)
     a = np.ascontiguousarray(a, dtype=np.float32)
     b = np.ascontiguousarray(b, dtype=np.float32)
     (m, k), p = a.shape, b.shape[1]
     if b.shape[0] != k:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = np.empty((m, p), dtype=np.float32)
+    if out is None:
+        out = np.empty((m, p), dtype=np.float32)
     if out.size:
         _call("ltr_matmul", a, b, out, m, k, p)
     return out
 
 
-def matmul(a, b) -> np.ndarray:
+def matmul(a, b, out=None) -> np.ndarray:
     """Matrix product with a fixed left-to-right summation order over K.
 
     The inner dimension is accumulated sequentially in float32, so the
@@ -351,8 +381,9 @@ def matmul(a, b) -> np.ndarray:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    out = _out(out, (a.shape[0], b.shape[1]), "matmul", a, b)
     _tally("matmul", 2 * a.shape[0] * a.shape[1] * b.shape[1])
-    return _matmul(a, b)
+    return _matmul(a, b, out)
 
 
 # The constants of the C ``vexp``, spelled the same way.
@@ -443,7 +474,7 @@ def _ssm_scan_numpy(abar, dx, b, c, reverse=False):
     return y
 
 
-def ssm_scan(delta, a, x, b, c, skip, reverse: bool = False):
+def ssm_scan(delta, a, x, b, c, skip, reverse: bool = False, out=None):
     """One head's selective scan from a zero state.
 
     ``delta`` and ``x`` (L, E) are the timescales and the scan input, ``a``
@@ -479,6 +510,7 @@ def ssm_scan(delta, a, x, b, c, skip, reverse: bool = False):
             f"ssm_scan shape mismatch: delta {delta.shape}, a {a.shape}, x {x.shape}, "
             f"b {b.shape}, c {c.shape}, skip {skip.shape}"
         )
+    out = _out(out, (length, e), "ssm_scan", delta, a, x, b, c, skip)
     size = length * e * n
     _tally("multiply", 3 * size + 2 * length * e)
     _tally("exp", size)
@@ -488,12 +520,11 @@ def ssm_scan(delta, a, x, b, c, skip, reverse: bool = False):
     a16 = a * _EXP_SCALE
     if _library() is None:
         abar = _decay_numpy(delta[:, :, None] * a16)
-        return _ssm_scan_numpy(abar, delta * x, b, c, reverse) + skip * x
+        return np.add(_ssm_scan_numpy(abar, delta * x, b, c, reverse), skip * x, out=out)
     at = np.ascontiguousarray(a16.T)
-    y = np.empty((length, e), dtype=np.float32)
-    if y.size:
-        _call("ssm_scan", delta, at, x, b, c, skip, y, length, e, n, bool(reverse))
-    return y
+    if out.size:
+        _call("ssm_scan", delta, at, x, b, c, skip, out, length, e, n, bool(reverse))
+    return out
 
 
 def exp_in_place(buf: np.ndarray) -> np.ndarray:
@@ -509,41 +540,43 @@ def exp_in_place(buf: np.ndarray) -> np.ndarray:
     return buf
 
 
-def softplus(x) -> np.ndarray:
+def softplus(x, out=None) -> np.ndarray:
     """Elementwise ln(1+exp(x)) with an overflow-safe linear branch.
 
     For x > SOFTPLUS_CUTOFF the identity branch returns x directly. The
     result is clamped to the smallest positive normal float32 so it is
     strictly positive for every finite input, even where exp() underflows.
     The exp is the engine's own (:func:`exp_in_place`); ``np.log1p`` is
-    numpy's. Every step writes one output buffer.
+    numpy's. Every step writes one output buffer, ``out`` if given, which
+    may not overlap x: the last step reads x again.
     """
     x = as_f32(x)
+    out = _out(out, x.shape, "softplus", x)
     _tally("softplus", x.size)
     cutoff = F32(SOFTPLUS_CUTOFF)
-    out = exp_in_place(np.minimum(x, cutoff, out=np.empty(x.shape, dtype=np.float32)))
+    exp_in_place(np.minimum(x, cutoff, out=out))
     np.log1p(out, out=out)
     np.copyto(out, x, where=x > cutoff)
     return np.maximum(out, _TINY, out=out)
 
 
-def silu(x) -> np.ndarray:
+def silu(x, out=None) -> np.ndarray:
     """Elementwise x * sigmoid(x), as x / (1 + exp(-x)) with the pinned exp,
-    each step a rounded float32 operation."""
+    each step a rounded float32 operation. ``out`` may be x itself, not
+    another view of its memory."""
     x = as_f32(x)
+    out = _out(out, x.shape, "silu", *(() if out is x else (x,)))
     _tally("silu", x.size)
     if _library() is None:
-        out = _exp_numpy(np.negative(x))
-        np.add(F32(1.0), out, out=out)
-        return np.divide(x, out, out=out)
-    src = np.ascontiguousarray(x)
-    out = np.empty(x.shape, dtype=np.float32)
+        denom = _exp_numpy(np.negative(x))
+        np.add(F32(1.0), denom, out=denom)
+        return np.divide(x, denom, out=out)
     if out.size:
-        _call("silu", src, out, out.size)
+        _call("silu", np.ascontiguousarray(x), out, out.size)
     return out
 
 
-def gate(z, ys) -> np.ndarray:
+def gate(z, ys, out=None) -> np.ndarray:
     """The block gate silu(z) * (ys[0] + ys[1] + ...), the head outputs
     added in order, each step a rounded float32 operation: the bits of
     :func:`add`, :func:`silu` and :func:`multiply` chained, which is the
@@ -555,11 +588,12 @@ def gate(z, ys) -> np.ndarray:
     if not ys or z.ndim != 2 or any(y.shape != z.shape for y in ys):
         raise ValueError(f"gate expects (L, E) operands of one shape, got {z.shape} and "
                          f"{[y.shape for y in ys]}")
+    out = _out(out, z.shape, "gate", z, *ys)
     if _library() is None:
         y_sum = ys[0]
         for y in ys[1:]:
             y_sum = add(y_sum, y)
-        return multiply(silu(z), y_sum)
+        return multiply(silu(z), y_sum, out=out)
     if len(ys) > 1:
         _tally("add", (len(ys) - 1) * z.size)
     _tally("silu", z.size)
@@ -567,23 +601,30 @@ def gate(z, ys) -> np.ndarray:
     if z.strides[1] != z.itemsize or z.strides[0] % z.itemsize:
         z = np.ascontiguousarray(z)
     ptrs = np.array([y.ctypes.data for y in ys], dtype=np.uintp)
-    out = np.empty(z.shape, dtype=np.float32)
     # z and ys, passed by address, stay referenced here for the call.
     if out.size:
         _call("gate", z.ctypes.data, z.strides[0] // z.itemsize, ptrs, len(ys), out, *z.shape)
     return out
 
 
-def add(a, b) -> np.ndarray:
-    r = np.add(a, b)
-    _tally("add", r.size)
+def _elementwise(ufunc, a, b, out) -> np.ndarray:
+    """``ufunc(a, b)``, booked one FLOP per element under its name, into
+    ``out`` if given: ``out`` may be a or b itself, not another view of
+    their memory."""
+    if out is not None:
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        _out(out, shape, ufunc.__name__, *(v for v in (a, b) if v is not out))
+    r = ufunc(a, b, out=out)
+    _tally(ufunc.__name__, r.size)
     return r
 
 
-def multiply(a, b) -> np.ndarray:
-    r = np.multiply(a, b)
-    _tally("multiply", r.size)
-    return r
+def add(a, b, out=None) -> np.ndarray:
+    return _elementwise(np.add, a, b, out)
+
+
+def multiply(a, b, out=None) -> np.ndarray:
+    return _elementwise(np.multiply, a, b, out)
 
 
 def mean_rows(x: np.ndarray) -> np.ndarray:
@@ -592,15 +633,16 @@ def mean_rows(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=0, dtype=np.float32)
 
 
-def _layernorm_numpy(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def _layernorm_numpy(x: np.ndarray, scale: np.ndarray, bias: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     mean = x.mean(axis=-1, keepdims=True, dtype=np.float32)
     centered = x - mean
     var = np.mean(centered * centered, axis=-1, keepdims=True, dtype=np.float32)
     inv = F32(1.0) / np.sqrt(var + F32(1e-5))
-    return centered * inv * scale + bias
+    return np.add(centered * inv * scale, bias, out=out)
 
 
-def layernorm(x, scale, bias) -> np.ndarray:
+def layernorm(x, scale, bias, out=None) -> np.ndarray:
     """Row-wise layer normalization with eps 1e-5, ``scale`` and ``bias`` of
     shape (D,) for rows of D. Cost convention: 7 per element.
 
@@ -618,19 +660,20 @@ def layernorm(x, scale, bias) -> np.ndarray:
     if scale.shape != (d,) or bias.shape != (d,):
         raise ValueError(f"layernorm shape mismatch: rows of {d}, scale {scale.shape}, "
                          f"bias {bias.shape}")
+    out = _out(out, x.shape, "layernorm", x, scale, bias)
     _tally("layernorm", 7 * x.size)
     if _library() is None:
-        return _layernorm_numpy(x, scale, bias)
-    out = np.empty(x.shape, dtype=np.float32)
+        return _layernorm_numpy(x, scale, bias, out)
     if out.size:
         _call("layernorm", x, scale, bias, out, x.size // d, d)
     return out
 
 
-def _causal_conv_numpy(x: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.ndarray:
-    length, channels = x.shape
-    width = kernel.shape[1]
-    out = np.zeros((length, channels), dtype=np.float32)
+def _causal_conv_numpy(x: np.ndarray, kernel: np.ndarray, reverse: bool = False,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    length, width = len(x), kernel.shape[1]
+    out = np.empty(x.shape, dtype=np.float32) if out is None else out
+    out.fill(0.0)
     for j in range(width):
         back = width - 1 - j
         if back == 0:
@@ -642,7 +685,8 @@ def _causal_conv_numpy(x: np.ndarray, kernel: np.ndarray, reverse: bool = False)
     return out
 
 
-def causal_conv(x: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.ndarray:
+def causal_conv(x: np.ndarray, kernel: np.ndarray, reverse: bool = False,
+                out=None) -> np.ndarray:
     """Depthwise causal convolution along the sequence axis.
 
     out[t, e] = sum_j kernel[e, j] * x[t - (W-1) + j, e], zero-padded before
@@ -660,19 +704,20 @@ def causal_conv(x: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.
         )
     length, channels = x.shape
     width = kernel.shape[1]
+    out = _out(out, x.shape, "causal_conv", x, kernel)
     _tally("causal_conv", 2 * width * length * channels)
     if _library() is None:
-        return _causal_conv_numpy(x, kernel, reverse)
+        return _causal_conv_numpy(x, kernel, reverse, out)
     kt = np.ascontiguousarray(kernel.T)
-    out = np.empty((length, channels), dtype=np.float32)
     if out.size:
         _call("causal_conv", x, kt, out, length, channels, width, bool(reverse))
     return out
 
 
-def _merge_fold_numpy(x, weight, keep, edges, weighted):
+def _merge_fold_numpy(x, weight, keep, edges, weighted, features):
     src, tgt = edges[:, 0], edges[:, 1]
-    features, out_weight = x[keep], weight[keep]
+    out_weight = weight[keep]
+    np.compress(keep, x, axis=0, out=features)
     if len(src) == 0:
         return features, out_weight
     new_row = np.cumsum(keep) - 1
@@ -696,7 +741,7 @@ def _merge_fold_numpy(x, weight, keep, edges, weighted):
     return features, out_weight
 
 
-def merge_fold(x, weight, keep, edges, weighted: bool = True):
+def merge_fold(x, weight, keep, edges, weighted: bool = True, out=None):
     """Keep the rows of x (L, D) where ``keep`` is set and fold each merged
     source into its target; returns the kept rows and their weights.
 
@@ -725,21 +770,24 @@ def merge_fold(x, weight, keep, edges, weighted: bool = True):
     # target's output row: both must exist.
     if len(edges) and (edges.min() < 0 or edges.max() >= n or not keep[edges[:, 1]].all()):
         raise ValueError("merge_fold edges must hold rows in range and kept targets")
-    if _library() is None:
-        return _merge_fold_numpy(x, weight, keep, edges, weighted)
     m = int(np.count_nonzero(keep))
-    features = np.empty((m, x.shape[1]), dtype=np.float32)
+    features = _out(out, (m, x.shape[1]), "merge_fold", x)
+    if _library() is None:
+        return _merge_fold_numpy(x, weight, keep, edges, weighted, features)
     out_weight = np.empty(m, dtype=np.int64)
     _call("merge_fold", x, weight, keep, edges, features, out_weight, n, x.shape[1],
           len(edges), bool(weighted))
     return features, out_weight
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of x, its squares summed left to right.
+def _row_norms(x: np.ndarray, ws=None) -> np.ndarray:
+    """The Euclidean norm of each row of x, its squares summed left to right
+    (squared into the buffer "squares" of a workspace ``ws``, if given).
     Raises :class:`NumericError` if one is infinite; a NaN norm is returned."""
+    squares = None if ws is None else ws.take("squares", x.shape)
     with np.errstate(over="ignore"):
-        norms = np.sqrt(_matmul(x * x, np.ones((x.shape[1], 1), dtype=np.float32))[:, 0])
+        squares = np.multiply(x, x, out=squares)
+        norms = np.sqrt(_matmul(squares, np.ones((x.shape[1], 1), dtype=np.float32))[:, 0])
     if np.isposinf(norms).any():
         raise NumericError(_NOT_FINITE)
     return norms
@@ -768,15 +816,17 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dots
 
 
-def cosine_argmax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cosine_argmax(a: np.ndarray, b: np.ndarray, ws=None) -> np.ndarray:
     """For each row of a (M, K), the index of its most similar row of b (P, K).
 
     Equal to ``cosine_matrix(a, b).argmax(axis=1)`` index for index: the
     first of equal similarities wins, -0.0 and +0.0 included, and a row
     whose norm is under the floor picks row 0. The compiled kernel keeps
-    each row's running maximum and never builds the (M, P) matrix. Raises
-    :class:`NumericError` if any similarity is NaN, as it is for infinite
-    features or for rows whose squared norms overflow float32.
+    each row's running maximum and never builds the (M, P) matrix; it
+    reads b without a copy if b.T is C-contiguous, and with a workspace
+    ``ws`` (``ssm.Workspace``) it squares the rows for their norms there.
+    Raises :class:`NumericError` if any similarity is NaN, as it is for
+    infinite features or for rows whose squared norms overflow float32.
     """
     a = np.ascontiguousarray(a, dtype=np.float32)
     b = as_f32(b)
@@ -792,7 +842,7 @@ def cosine_argmax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         best = sims.argmax(axis=1)
         nan = np.isnan(sims[np.arange(m), best]).any()
     else:
-        na, nb = _row_norms(a), _row_norms(b)
+        na, nb = _row_norms(a, ws), _row_norms(b, ws)
         bt = np.ascontiguousarray(b.T)
         best = np.zeros(m, dtype=np.intp)
         nan = _call("cosine_argmax", a, bt, na, nb, NORM_FLOOR, best, m, k, p) == 1

@@ -20,7 +20,7 @@ from .flops import ReductionPlan
 from .importance import Indicator, compute_scores
 from .kernels import as_f32
 from .reduction import ReductionRecord, Strategy, TokenSequence, reduce_layer
-from .ssm import NumericError, SsmBlockParams, SsmHeadParams
+from .ssm import NumericError, SsmBlockParams, SsmHeadParams, Workspace
 
 CLS_POSITIONS = ("middle", "front", "none")
 
@@ -286,24 +286,34 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     )
 
 
-def patch_embed(image: np.ndarray, params: ModelParams, config: ModelConfig) -> TokenSequence:
+def patch_embed(image: np.ndarray, params: ModelParams, config: ModelConfig,
+                ws: Workspace | None = None) -> TokenSequence:
     """Flatten non-overlapping patches, project to D, insert the cls token.
 
     Original indices are raster order with the cls token spliced into its
-    slot, so they are simply 0..L-1 at this point.
+    slot, so they are simply 0..L-1 at this point. The patches, their
+    projection and the features are buffers of ``ws``, or of a new
+    :class:`Workspace` when it is None; the features are a residual buffer.
     """
     image = as_f32(image)
     expected = (config.image_size, config.image_size, config.channels)
     if image.shape != expected:
         raise ValueError(f"image shape {image.shape} != {expected}")
+    ws = Workspace() if ws is None else ws
     g, ps, c = config.grid, config.patch_size, config.channels
-    patches = np.ascontiguousarray(
-        image.reshape(g, ps, g, ps, c).transpose(0, 2, 1, 3, 4)
-    ).reshape(config.patch_tokens, config.patch_inputs)
-    feats = kernels.add(kernels.matmul(patches, params.patch_w), params.patch_b)
+    patches = ws.take("patches", (config.patch_tokens, config.patch_inputs))
+    np.copyto(patches.reshape(g, g, ps, ps, c),
+              image.reshape(g, ps, g, ps, c).transpose(0, 2, 1, 3, 4))
+    proj = kernels.matmul(patches, params.patch_w,
+                          out=ws.take("proj", (config.patch_tokens, config.feat_dim)))
+    feats = ws.residual((config.token_count, config.feat_dim))
     slot = config.cls_slot
-    if slot is not None:
-        feats = np.insert(feats, slot, params.cls_embed, axis=0)
+    if slot is None:
+        kernels.add(proj, params.patch_b, out=feats)
+    else:  # the rows either side of the cls token
+        kernels.add(proj[:slot], params.patch_b, out=feats[:slot])
+        kernels.add(proj[slot:], params.patch_b, out=feats[slot + 1 :])
+        feats[slot] = params.cls_embed
     return TokenSequence.fresh(feats, cls_orig=slot)
 
 
@@ -318,11 +328,16 @@ class Diagnostics:
     reductions: dict[int, ReductionRecord]
 
 
+# The buffers each thread's forward passes reuse: a threading.local.
+_WORKSPACE = Workspace()
+
+
 class VisionModel:
     """Immutable model: config plus loaded parameters.
 
     Concurrent forward passes over different images are safe; nothing is
-    mutated after construction.
+    mutated after construction. Each thread's passes run in that thread's
+    :class:`Workspace`, and everything a pass returns is the caller's.
     """
 
     def __init__(self, config: ModelConfig, params: ModelParams) -> None:
@@ -356,10 +371,10 @@ class VisionModel:
 
         counts: list[int] = []
         records: dict[int, ReductionRecord] = {}
-        seq = patch_embed(image, self.params, config)
+        seq = patch_embed(image, self.params, config, ws=_WORKSPACE)
         for layer, block in enumerate(self.params.blocks):
             counts.append(len(seq))
-            y, traces = ssm.mamba_block(seq.features, block)
+            y, traces = ssm.mamba_block(seq.features, block, ws=_WORKSPACE)
             if not np.all(np.isfinite(y)):
                 raise NumericError(f"non-finite activations in block {layer}")
             new_seq = TokenSequence(y, seq.orig_index, seq.weight, seq.cls_orig)
@@ -370,9 +385,10 @@ class VisionModel:
                     block_output=y,
                     traces=traces,
                     cls_row=seq.cls_row,
+                    ws=_WORKSPACE,
                 ).scores
                 new_seq, records[layer] = reduce_layer(
-                    new_seq, scores, plan.k, plan.strategy, weighted=weighted_merge
+                    new_seq, scores, plan.k, plan.strategy, weighted=weighted_merge, ws=_WORKSPACE
                 )
             seq = new_seq
         counts.append(len(seq))

@@ -23,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
+from .ssm import Workspace
 
 
 class Strategy(str, Enum):
@@ -150,12 +151,14 @@ def partition(scores: np.ndarray, k: float, cls_row: int | None = None) -> Group
     )
 
 
-def match_sources(seq: TokenSequence, part: GroupPartition) -> MergeMapping:
+def match_sources(seq: TokenSequence, part: GroupPartition,
+                  ws: Workspace | None = None) -> MergeMapping:
     """Bipartite soft matching: each source picks its most similar target.
 
     Similarity is cosine over the token features; ties pick the target
     with the lowest original index. Raises if sources exist but there is
-    no target to absorb them.
+    no target to absorb them. The gathered rows and their squares are
+    buffers of ``ws``, or of a new :class:`Workspace` when it is None.
     """
     src = np.asarray(part.source_idx, dtype=np.int64)
     tgt = np.asarray(part.target_idx, dtype=np.int64)
@@ -168,7 +171,13 @@ def match_sources(seq: TokenSequence, part: GroupPartition) -> MergeMapping:
     # not a plain sort of the row numbers. Each similarity is computed on
     # its own, so the column order does not change its bits.
     tgt = tgt[np.argsort(seq.orig_index[tgt], kind="stable")]
-    best = kernels.cosine_argmax(seq.features[src], seq.features[tgt])
+    ws = Workspace() if ws is None else ws
+    x, d = seq.features, seq.features.shape[1]
+    # The rows are in range, so take need not buffer its output to check
+    # them. The targets are gathered transposed, as the kernel reads them.
+    sources = np.take(x, src, axis=0, mode="clip", out=ws.take("sources", (len(src), d)))
+    targets = np.take(x.T, tgt, axis=1, mode="clip", out=ws.take("targets", (d, len(tgt))))
+    best = kernels.cosine_argmax(sources, targets.T, ws)
     return MergeMapping(np.stack([src, tgt[best]], axis=1))
 
 
@@ -177,6 +186,7 @@ def apply_merge(
     mapping: MergeMapping,
     weighted: bool = True,
     pruned_rows: Sequence[int] | np.ndarray = (),
+    ws: Workspace | None = None,
 ) -> TokenSequence:
     """Drop the mapped sources and ``pruned_rows``; fold each source into its target.
 
@@ -185,7 +195,8 @@ def apply_merge(
     the participants' weight sum; the target keeps its original index.
     Rows not involved are copied bitwise, and survivors keep their row order.
     Column 0 of ``mapping.edges`` holds the source rows, column 1 the target
-    each merges into.
+    each merges into. The features are ``ws``'s buffer "merged" if a
+    workspace is given, else a new array.
     """
     n = len(seq)
     src, tgt = mapping.edges[:, 0], mapping.edges[:, 1]
@@ -208,8 +219,9 @@ def apply_merge(
     if len(dropped):
         raise ValueError(f"corrupt mapping: target row {dropped[0]} is being dropped")
 
+    out = None if ws is None else ws.take("merged", (int(keep.sum()), seq.features.shape[1]))
     features, weight = kernels.merge_fold(seq.features, seq.weight, keep, mapping.edges,
-                                          weighted)
+                                          weighted, out)
     return TokenSequence(features, seq.orig_index[keep], weight, seq.cls_orig)
 
 
@@ -219,6 +231,7 @@ def reduce_layer(
     k: float,
     strategy: Strategy,
     weighted: bool = True,
+    ws: Workspace | None = None,
 ) -> tuple[TokenSequence, ReductionRecord]:
     """One full reduction: partition -> prune and merge, in original order.
 
@@ -229,7 +242,9 @@ def reduce_layer(
     MERGE, all for PRUNE, half (rounded down) for HYBRID. The rest are
     matched to targets and merged. The classification token never joins a
     group and survives at its original position. With k = 0 the output is
-    bitwise identical to the input.
+    bitwise identical to the input. With a workspace ``ws`` the matching
+    and the output features use its buffers; the features hold until the
+    next reduction in ``ws``.
     """
     strategy = Strategy(strategy)
     if np.any(seq.orig_index[1:] <= seq.orig_index[:-1]):
@@ -241,8 +256,8 @@ def reduce_layer(
     n_pruned = {Strategy.MERGE: 0, Strategy.PRUNE: len(src), Strategy.HYBRID: len(src) // 2}
     n_merged = len(src) - n_pruned[strategy]
     merge_src, pruned = src[:n_merged], src[n_merged:]
-    mapping = match_sources(seq, GroupPartition(part.keep_idx, part.target_idx, merge_src))
-    out = apply_merge(seq, mapping, weighted, pruned)
+    mapping = match_sources(seq, GroupPartition(part.keep_idx, part.target_idx, merge_src), ws)
+    out = apply_merge(seq, mapping, weighted, pruned, ws)
     orig = seq.orig_index
     return out, ReductionRecord(k, strategy, orig[part.keep_idx], orig[part.target_idx],
                                 orig[pruned], orig[mapping.edges])

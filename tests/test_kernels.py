@@ -22,6 +22,7 @@ from mambapress.flops import FlopsModel, default_reduction_layers, solve_k
 from mambapress.model import ModelConfig, VisionModel, identity_plan
 from mambapress.ppm import synthetic_image
 from mambapress.reduction import Strategy
+from mambapress.ssm import Workspace
 from tests import oracles
 from tests.conftest import build_probe
 
@@ -525,6 +526,13 @@ class TestCosineArgmax:
             if trial % 4 == 0:
                 b[::2] = b[0]
             self.check(kernels.as_f32(a), kernels.as_f32(b))
+
+    def test_same_picks_with_a_workspace_and_transposed_targets(self, path):
+        rng = np.random.default_rng(1207)
+        a = rng.standard_normal((37, 9)).astype(np.float32)
+        bt = rng.standard_normal((9, 45)).astype(np.float32)
+        want = kernels.cosine_argmax(a, np.ascontiguousarray(bt.T))
+        assert np.array_equal(kernels.cosine_argmax(a, bt.T, Workspace()), want)
 
     def test_shape_errors(self, path):
         with pytest.raises(ValueError, match="mismatch"):
@@ -1093,6 +1101,94 @@ class TestGate:
         for ys in ([], [np.zeros((3, 4), np.float32), np.zeros((3, 5), np.float32)]):
             with pytest.raises(ValueError, match="gate expects"):
                 kernels.gate(z, ys)
+
+
+def out_cases() -> dict:
+    """Each kernel that takes ``out``: a call taking the operands and
+    ``out``, and the operands, with special values where they apply."""
+    rng = np.random.default_rng(1201)
+
+    def f(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    x, z = f(19, 21), f(19, 21)
+    x[0, :5] = [0.0, -0.0, 30.0, -120.0, 1e-41]
+    weight, keep = rng.integers(1, 4, 19), np.arange(19) % 3 != 1
+    edges = [(1, 0), (4, 5), (7, 5), (13, 18)]
+    return {
+        "merge_fold": (lambda x, out=None: kernels.merge_fold(x, weight, keep, edges, out=out)[0],
+                       (x,)),
+        "matmul": (kernels.matmul, (x, f(21, 35))),
+        "layernorm": (kernels.layernorm, (x, f(21), f(21))),
+        "causal_conv": (lambda x, k, out=None: kernels.causal_conv(x, k, True, out=out),
+                        (x, f(21, 4))),
+        "silu": (kernels.silu, (x,)),
+        "softplus": (kernels.softplus, (x,)),
+        "ssm_scan": (kernels.ssm_scan, _scan_inputs()),
+        "gate": (lambda z, y0, y1, out=None: kernels.gate(z, [y0, y1], out=out), (z, x, f(19, 21))),
+        "add": (kernels.add, (x, z)),
+        "multiply": (kernels.multiply, (x, z)),
+    }
+
+
+class TestOut:
+    """A kernel given ``out`` fills it with the bits of the call that
+    allocates, and refuses, before writing anything, a buffer it cannot
+    fill whole or one that overlaps an operand."""
+
+    @pytest.mark.parametrize("name", list(out_cases()))
+    def test_same_bits_as_a_new_array(self, path, name):
+        call, operands = out_cases()[name]
+        want = call(*operands)
+        out = np.full(want.shape, 7.0, np.float32)
+        assert call(*operands, out=out) is out
+        assert_same_bits(out, want)
+
+    @pytest.mark.parametrize("name", list(out_cases()))
+    def test_refuses_a_buffer_it_cannot_fill_whole(self, path, name):
+        call, operands = out_cases()[name]
+        rows, cols = shape = call(*operands).shape
+        wide = np.full((rows, 2 * cols), 7.0, np.float32)
+        read_only = np.full(shape, 7.0, np.float32)
+        read_only.flags.writeable = False
+        for out in (np.full((rows, cols + 1), 7.0, np.float32),
+                    np.full(rows * cols, 7.0, np.float32),
+                    np.full(shape, 7.0, np.float64),
+                    wide[:, ::2],
+                    np.full(shape, 7.0, np.float32, order="F"),
+                    read_only):
+            with pytest.raises(ValueError, match=f"^{name} out "):
+                call(*operands, out=out)
+            assert np.all(out == 7.0)
+        assert np.all(wide == 7.0)
+
+    @pytest.mark.parametrize("name", list(out_cases()))
+    def test_refuses_an_out_that_overlaps_an_operand(self, path, name):
+        call, operands = out_cases()[name]
+        shape = call(*operands).shape
+        size = shape[0] * shape[1]
+        for i, operand in enumerate(operands):
+            # The operand and out in one buffer, out starting one float in.
+            arena = np.zeros(max(operand.size, size + 1), np.float32)
+            held = arena[: operand.size].reshape(operand.shape)
+            held[...] = operand
+            before = arena.tobytes()
+            args = operands[:i] + (held,) + operands[i + 1 :]
+            with pytest.raises(ValueError, match=f"^{name} out overlaps an operand"):
+                call(*args, out=arena[1 : 1 + size].reshape(shape))
+            assert arena.tobytes() == before
+
+    @pytest.mark.parametrize("name", ["silu", "add", "multiply"])
+    def test_elementwise_kernels_write_over_an_operand_itself(self, path, name):
+        call, operands = out_cases()[name]
+        want = call(*operands)
+        for i in range(len(operands)):
+            args = tuple(operand.copy() for operand in operands)
+            assert call(*args, out=args[i]) is args[i]
+            assert_same_bits(args[i], want)
+            # Another view of the same memory is not the operand itself.
+            with pytest.raises(ValueError, match="overlaps"):
+                call(*args, out=args[i][:])
 
 
 def test_merge_fold_rejects_edges_it_cannot_index(path):

@@ -1,11 +1,16 @@
 """Patch embedding, forward-pass wiring, diagnostics, determinism."""
 
+import copy
+import os
+import pickle
+import resource
+import threading
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
-from mambapress import kernels
+from mambapress import kernels, model as model_module
 from mambapress.flops import FlopsModel, ReductionPlan, block_flops, solve_k
 from mambapress.importance import Indicator
 from mambapress.model import (
@@ -21,7 +26,9 @@ from mambapress.model import (
     init_params,
     patch_embed,
 )
+from mambapress.ppm import synthetic_image
 from mambapress.reduction import Strategy
+from mambapress.ssm import Workspace, mamba_block, selective_scan
 
 SMALL = ModelConfig(image_size=16, patch_size=4, feat_dim=8, depth=4, state_dim=4)
 
@@ -304,3 +311,108 @@ class TestForward:
                 assert with_diag.tobytes() == without.tobytes()
                 assert diag.layer_flops == [block_flops(n, config) for n in diag.token_counts[:-1]]
                 assert sorted(diag.reductions) == ([] if plan is None else [0, 1, 2])
+
+
+def workload_cases(config: ModelConfig, images: int) -> list:
+    """(image, plan, indicator) cases over every strategy, with and without
+    a plan, at several images."""
+    fm = FlopsModel.from_config(config)
+    layers = tuple(range(config.depth - 1))
+    plans = [None, identity_plan(layers)] + [solve_k(fm, 0.3, layers, s) for s in Strategy]
+    indicators = [Indicator.DELTA, Indicator.HIDDEN_X, Indicator.C_PROJ]
+    return [(synthetic_image(config.image_size, seed), plan, indicators[i % len(indicators)])
+            for seed in range(images) for i, plan in enumerate(plans)]
+
+
+class TestWorkspace:
+    """Forward passes run in a per-thread workspace of reused buffers;
+    everything a pass or a direct block call returns stays the caller's."""
+
+    def test_a_later_pass_leaves_what_an_earlier_one_returned(self):
+        for cls_position in CLS_POSITIONS:
+            config = replace(SMALL, cls_position=cls_position)
+            model = VisionModel.seeded(config, seed=31)
+            (image_a, plan_a, _), (image_b, plan_b, _) = workload_cases(config, 2)[2::5]
+            result = model.forward(image_a, plan_a)
+            kept = copy.deepcopy(result)
+            assert result[1].reductions  # plan_a reduces
+            model.forward(image_b, plan_b)
+            assert pickle.dumps(result) == pickle.dumps(kept)
+
+    def test_a_pass_leaves_what_direct_block_and_scan_calls_returned(self):
+        model = VisionModel.seeded(SMALL, seed=32)
+        rng = np.random.default_rng(33)
+        block = model.params.blocks[0]
+        x = rng.standard_normal((17, SMALL.feat_dim)).astype(np.float32)
+        u = rng.standard_normal((17, SMALL.inner_dim)).astype(np.float32)
+        result = mamba_block(x, block), selective_scan(u, block.heads[1])
+        kept = copy.deepcopy(result)
+        model.forward(synthetic_image(SMALL.image_size, 34), identity_plan((0, 1)))
+        assert pickle.dumps(result) == pickle.dumps(kept)
+
+    def test_blocks_in_one_workspace_keep_the_bits_and_never_overwrite_their_input(self):
+        model = VisionModel.seeded(SMALL, seed=35)
+        x = np.random.default_rng(36).standard_normal((17, SMALL.feat_dim)).astype(np.float32)
+        ws = Workspace()
+        fresh, in_ws = x, x
+        for block in model.params.blocks:
+            fresh, traces = mamba_block(fresh, block)
+            out, ws_traces = mamba_block(in_ws, block, ws=ws)
+            assert not np.may_share_memory(out, in_ws)
+            assert pickle.dumps((out, ws_traces)) == pickle.dumps((fresh, traces))
+            in_ws = out
+
+    def test_concurrent_passes_match_sequential_ones(self):
+        """The first test of VisionModel.forward from several threads at once:
+        logits, token counts and records bitwise equal to sequential runs,
+        each thread in a workspace of its own."""
+        config = ModelConfig(image_size=32, patch_size=4, feat_dim=16, depth=3, state_dim=4)
+        model = VisionModel.seeded(config, seed=37)
+        cases = workload_cases(config, 3)
+
+        def run(image, plan, indicator):
+            logits, diag = model.forward(image, plan, indicator)
+            return pickle.dumps((logits, diag.token_counts, diag.reductions))
+
+        want = [run(*case) for case in cases]
+        threads = min(2, len(os.sched_getaffinity(0)))
+        start = threading.Barrier(threads)
+        got: list[list] = [[] for _ in range(threads)]
+        buffers: list[set] = [set() for _ in range(threads)]
+
+        def worker(t: int) -> None:
+            start.wait()
+            for _ in range(3):
+                got[t].append([run(*case) for case in cases])
+            buffers[t] = {buf.ctypes.data for buf in model_module._WORKSPACE._buffers.values()}
+
+        workers = [threading.Thread(target=worker, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+        assert not any(w.is_alive() for w in workers)
+        assert all(rounds == [want] * 3 for rounds in got)
+        main = {buf.ctypes.data for buf in model_module._WORKSPACE._buffers.values()}
+        assert all(b and not b & main for b in buffers)
+        assert threads == 1 or not buffers[0] & buffers[1]
+
+    def test_warm_passes_take_almost_no_page_faults(self):
+        """Each (L, E) temporary of this model is 262 kB, above glibc's
+        default 128 kB mmap threshold, so a pass that allocated them afresh
+        could fault their pages back in every time."""
+        if kernels._library() is None:
+            pytest.skip("the numpy fallback allocates temporaries inside its kernels")
+        config = ModelConfig(image_size=128, patch_size=4, feat_dim=64, depth=2, expand=1,
+                             state_dim=4)
+        model = VisionModel.seeded(config, seed=38)
+        plan = solve_k(FlopsModel.from_config(config), 0.2, (0, 1), Strategy.MERGE)
+        images = [synthetic_image(config.image_size, seed) for seed in (39, 40)]
+        for image in images:
+            model.forward(image, plan)
+        passes = 6
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        for i in range(passes):
+            model.forward(images[i % 2], plan)
+        per_pass = (resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before) / passes
+        assert per_pass < 50, f"a warm pass took {per_pass:.1f} minor page faults"
